@@ -1,0 +1,199 @@
+"""Record the CLI golden snapshot: exit code and stdout bytes of every case.
+
+Run from the repository root:
+
+    PYTHONPATH=src:tests python tests/golden/record_cli_golden.py
+
+It writes the plant and spec documents the cases read (draws 17 and 24 of
+random_automaton(Random(1), 6, 4) and a few hand-written specs) and then
+cli_golden.json beside this file.  tests/test_cli_golden.py replays the
+cases and requires the same bytes, so re-record only when an output change
+is intended.  In argv, "@path" names a file relative to tests/.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from fuzzydes import accessible_part, format_possibility, run_command, serialize_automaton
+from generators import random_automaton
+
+HERE = Path(__file__).resolve().parent
+TESTS = HERE.parent
+
+
+def _states(states):
+    return [[format_possibility(v) for v in q] for q in states]
+
+
+def write_documents() -> None:
+    rng = random.Random(1)
+    draws = [random_automaton(rng, 6, 4) for _ in range(25)]
+    for i in (17, 24):
+        (HERE / f"draw{i}_plant.json").write_text(serialize_automaton(draws[i]))
+    vertices = accessible_part(draws[24]).vertices
+    docs = {
+        "draw24_states.json": {"kind": "state_set", "states": _states(vertices)},
+        "draw24_partial.json": {"kind": "state_set", "states": _states(vertices[:-1])},
+        # A set on which the controllability search runs to exhaustion.
+        "draw17_exhausted.json": {
+            "kind": "state_set",
+            "states": [["0.4", "0.1", "0.2", "0.9", "1", "1"], ["0.8", "0.9", "1", "0.9", "0.7", "0.9"],
+                       ["0.8", "0.8", "0.8", "0.8", "0.7", "0.8"], ["0.3", "0.3", "0.3", "0.3", "0.3", "0.3"]],
+        },
+        "treatment_partial.json": {
+            "kind": "state_set",
+            "states": [["0.9", "0.1", "0"], ["0.9", "0.1", "0.1"], ["0.1", "0.1", "0.1"]],
+        },
+        "treatment_bad_language.json": {
+            "kind": "language",
+            "pairs": [{"string": [], "degree": "1"}, {"string": ["d"], "degree": "0.5"}],
+        },
+        "drift_consistent_language.json": {
+            "kind": "language",
+            "pairs": [{"string": [], "degree": "1"}, {"string": ["a1"], "degree": "0.2"}],
+        },
+        "drift_legal.json": {"kind": "state_set", "states": [["0.4", "0.1", "0"]]},
+        "drift_initial_only.json": {"kind": "state_set", "states": [["0.9", "0.1", "0"]]},
+        "drift_witness_search.json": {"kind": "witness", "n": [["0.4", "0.1", "0"]]},
+        "drift_witness_given.json": {
+            "kind": "witness",
+            "n": [["0.4", "0.1", "0"]],
+            "n_prime": [["0.4", "0.1", "0"]],
+            "p": [["0.9", "0.1", "0"], ["0.4", "0.1", "0"]],
+        },
+        "drift_witness_bad.json": {
+            "kind": "witness",
+            "n": [["0.9", "0.1", "0"], ["0.4", "0.1", "0"]],
+            "n_prime": [["0.9", "0.1", "0"]],
+            "p": [["0.9", "0.1", "0"], ["0.4", "0.1", "0"]],
+        },
+        "drift_witness_inconclusive.json": {"kind": "witness", "n": [["0.2", "0.3", "0.4"]]},
+        "cascade_witness.json": {
+            "kind": "witness",
+            "n": [["1", "1", "1"], ["0", "0.5", "0.5"]],
+            "n_prime": [["1", "1", "1"], ["0", "0.5", "0.5"]],
+            "p": [["1", "0", "0"], ["0", "0.8", "0.8"], ["0", "0.5", "0.5"], ["1", "1", "1"]],
+        },
+        "cascade_legal.json": {"kind": "state_set", "states": [["1", "1", "1"], ["0", "0.5", "0.5"]]},
+    }
+    for name, doc in docs.items():
+        (HERE / name).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+TREAT, SINGLE, DRIFT, CASCADE = (
+    "@data/treatment_plant.json",
+    "@data/single_event_plant.json",
+    "@data/drift_plant.json",
+    "@data/cascade_plant.json",
+)
+ADMISSIBLE, LANGUAGE, CONTROLLER = (
+    "@data/admissible_set.json",
+    "@data/drift_language.json",
+    "@data/reference_controller.json",
+)
+D24 = "@golden/draw24_plant.json"
+
+
+def cases() -> list[list[str]]:
+    """Each base case runs once per output format (json and text)."""
+    base = []
+    for plant in (TREAT, SINGLE, DRIFT, CASCADE, D24):
+        base.append(["reach", "--automaton", plant])
+    for plant, target in [
+        (TREAT, "state:[0.1,0.1,0.1]"),
+        (TREAT, "state:[0,0.1,0.9]"),
+        (TREAT, "state:[0.9,0.1,0]"),
+        (TREAT, "state:[0.5,0.5,0.1]"),
+        (CASCADE, "state:[0,0.5,0.5]"),
+        (D24, "state:[0.4,0.4,0.4,0.4,0.4,0.4]"),
+        (D24, "state:[0.5,0.5,0.5,0.5,0.5,0.5]"),
+        (D24, "state:[0.6,0.6,0.6,0.8,0.6,0.6]"),
+        (D24, "state:[0.1,0.6,0.3,0.8,0.8,0.3]"),
+        (D24, "state:[0.1,0.45,0.3,0.8,0.8,0.3]"),
+        (D24, "state:[0.1,0.1,0.1,0.1,0.1,0.1]"),
+    ]:
+        base.append(["member", "--automaton", plant, "--spec", target])
+    for plant, spec in [
+        (TREAT, ADMISSIBLE),
+        (TREAT, "@golden/treatment_partial.json"),
+        (TREAT, "state:[0.1,0.1,0.1]"),
+        (D24, "@golden/draw24_states.json"),
+        (D24, "@golden/draw24_partial.json"),
+        ("@golden/draw17_plant.json", "@golden/draw17_exhausted.json"),
+    ]:
+        base.append(["succ", "--automaton", plant, "--spec", spec])
+        base.append(["check-controllable", "--automaton", plant, "--spec", spec])
+        base.append(["synthesize", "--automaton", plant, "--spec", spec])
+    for plant, spec in [
+        (DRIFT, LANGUAGE),
+        (DRIFT, "@golden/drift_consistent_language.json"),
+        (TREAT, "@golden/treatment_bad_language.json"),
+    ]:
+        for command in ("check-language", "derive-supervisor", "bridge"):
+            base.append([command, "--automaton", plant, "--spec", spec])
+    for plant, spec in [
+        (DRIFT, "@golden/drift_legal.json"),
+        (DRIFT, "@golden/drift_initial_only.json"),
+        (TREAT, ADMISSIBLE),
+        (CASCADE, "@golden/cascade_legal.json"),
+    ]:
+        base.append(["stability", "--automaton", plant, "--spec", spec])
+    for plant, spec in [
+        (DRIFT, "@golden/drift_witness_search.json"),
+        (DRIFT, "@golden/drift_witness_given.json"),
+        (DRIFT, "@golden/drift_witness_bad.json"),
+        (DRIFT, "@golden/drift_legal.json"),
+        (CASCADE, "@golden/cascade_witness.json"),
+        (CASCADE, "@golden/cascade_legal.json"),
+    ]:
+        base.append(["stabilize", "--automaton", plant, "--spec", spec])
+    base.append(
+        ["stabilize", "--automaton", DRIFT, "--spec", "@golden/drift_witness_inconclusive.json",
+         "--budget", "50"]
+    )
+    base.append(["simulate", "--automaton", TREAT, "--seed", "7", "--steps", "10"])
+    base.append(["simulate", "--automaton", D24, "--seed", "3", "--steps", "12"])
+    base.append(["simulate", "--automaton", TREAT, "--spec", CONTROLLER, "--string", "b a"])
+    base.append(["simulate", "--automaton", TREAT, "--spec", CONTROLLER, "--string", "a a"])
+    base.append(["export-dot", "--automaton", TREAT])
+    base.append(["export-dot", "--automaton", D24])
+    for spec in (ADMISSIBLE, "@golden/treatment_partial.json"):
+        for what in ("successor", "subgraph"):
+            base.append(["export-dot", "--automaton", TREAT, "--spec", spec, "--what", what])
+    out = [argv + ["--format", fmt] for argv in base for fmt in ("json", "text")]
+    out.extend(
+        ["export-dot", "--automaton", TREAT, "--spec", ADMISSIBLE, "--what", what, "--format", "dot"]
+        for what in ("accessible", "successor", "subgraph")
+    )
+    return out
+
+
+def resolve(argv: list[str]) -> list[str]:
+    return [str(TESTS / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = run_command(resolve(argv))
+    return code, stdout.getvalue()
+
+
+def main() -> None:
+    write_documents()
+    records = []
+    for argv in cases():
+        code, out = run(argv)
+        records.append({"argv": argv, "code": code, "stdout": out})
+    (HERE / "cli_golden.json").write_text(json.dumps(records, indent=1) + "\n")
+    print(f"recorded {len(records)} cases", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,28 @@
+"""Replay the CLI golden snapshot: every case must give the recorded exit
+code and the recorded stdout, byte for byte.
+
+The snapshot (golden/cli_golden.json) was recorded by
+golden/record_cli_golden.py; see that script for the cases and for how to
+re-record after an intended output change.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from fuzzydes import run_command
+
+TESTS = pathlib.Path(__file__).parent
+CASES = json.loads((TESTS / "golden" / "cli_golden.json").read_text())
+
+
+def _resolve(argv):
+    return [str(TESTS / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_cli_output_matches_snapshot(capsys, case):
+    code = run_command(_resolve(case["argv"]))
+    out = capsys.readouterr().out
+    assert (code, out) == (case["code"], case["stdout"])
