@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import DimensionMismatch, UnknownEvent, ValidationError
 from .possibility import (
@@ -36,8 +36,6 @@ EventString = tuple[str, ...]
 
 def as_event_string(s) -> EventString:
     """Normalize an event string; a plain str is read character by character."""
-    if isinstance(s, str):
-        return tuple(s)
     return tuple(s)
 
 
@@ -165,64 +163,10 @@ class TransitionGraph:
                 return dst
         return None
 
-    def reachable_from(self, starts: Iterable[State]) -> set[State]:
-        """Forward closure of a set of vertices along edges."""
-        seen = set()
-        queue = deque(q for q in starts if q in self.vertex_set)
-        seen.update(queue)
-        while queue:
-            q = queue.popleft()
-            for _, dst in self.out_edges[q]:
-                if dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        return seen
 
-    def ancestors_of(self, target: State) -> set[State]:
-        """Vertices from which target is reachable, including target."""
-        seen = {target}
-        queue = deque([target])
-        while queue:
-            q = queue.popleft()
-            for src, _ in self.in_edges[q]:
-                if src not in seen:
-                    seen.add(src)
-                    queue.append(src)
-        return seen
-
-    def shortest_path(self, source: State, target: State) -> Optional[EventString]:
-        """Event string of a shortest source-to-target walk, or None."""
-        if source not in self.vertex_set or target not in self.vertex_set:
-            return None
-        parents: dict[State, tuple[State, str]] = {}
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            q = queue.popleft()
-            if q == target:
-                break
-            for name, dst in self.out_edges[q]:
-                if dst not in seen:
-                    seen.add(dst)
-                    parents[dst] = (q, name)
-                    queue.append(dst)
-        if target not in seen:
-            return None
-        path: list[str] = []
-        q = target
-        while q != source:
-            q, name = parents[q]
-            path.append(name)
-        return tuple(reversed(path))
-
-
-def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
-    """Breadth-first closure of the initial state under open-loop steps,
-    dropping all-zero results.
-
-    Terminates because every component of every reachable state is drawn from
-    the finite grid of values appearing in the automaton.
-    """
+def _explore(aut: MaxMinAutomaton, step) -> TransitionGraph:
+    """Breadth-first closure of the initial state under step(q, event),
+    dropping all-zero results (no transition)."""
     vertices: list[State] = [aut.initial]
     seen = {aut.initial}
     edges: list[tuple[State, str, State]] = []
@@ -230,7 +174,7 @@ def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
     while queue:
         q = queue.popleft()
         for ev in aut.events:
-            p = maxmin_compose(q, ev)
+            p = step(q, ev)
             if state_is_zero(p):
                 continue
             edges.append((q, ev.name, p))
@@ -239,6 +183,15 @@ def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
                 vertices.append(p)
                 queue.append(p)
     return TransitionGraph(aut.initial, tuple(vertices), tuple(edges))
+
+
+def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
+    """Breadth-first closure of the initial state under open-loop steps.
+
+    Terminates because every component of every reachable state is drawn from
+    the finite grid of values appearing in the automaton.
+    """
+    return _explore(aut, maxmin_compose)
 
 
 @dataclass(frozen=True)
@@ -306,22 +259,7 @@ def closed_loop_step(
 def closed_loop_graph(aut: MaxMinAutomaton, f: StateFeedbackController) -> TransitionGraph:
     """Breadth-first closure of the initial state under controlled steps."""
     f.validate(aut)
-    vertices: list[State] = [aut.initial]
-    seen = {aut.initial}
-    edges: list[tuple[State, str, State]] = []
-    queue = deque([aut.initial])
-    while queue:
-        q = queue.popleft()
-        for ev in aut.events:
-            p = closed_loop_step(aut, f, q, ev.name)
-            if p is None:
-                continue
-            edges.append((q, ev.name, p))
-            if p not in seen:
-                seen.add(p)
-                vertices.append(p)
-                queue.append(p)
-    return TransitionGraph(aut.initial, tuple(vertices), tuple(edges))
+    return _explore(aut, lambda q, ev: scale_product(f.value(q, ev.name), maxmin_compose(q, ev)))
 
 
 def closed_loop_reachable(

@@ -22,13 +22,15 @@ from .automaton import (
     language_degree,
     open_loop_trajectory,
 )
-from .errors import FuzzyDESError
+from .errors import DimensionMismatch, FuzzyDESError
 from .fileio import (
     ControllerSpec,
     LanguageSpec,
     StateSetSpec,
     WitnessSpec,
+    controller_doc,
     parse_inline_state,
+    state_doc,
 )
 from .language import (
     consistency_check,
@@ -113,21 +115,6 @@ def _require_spec(args, wanted, what: str):
     return spec
 
 
-def _controller_doc(f) -> dict:
-    entries = sorted(f.entries.items(), key=lambda item: (item[0][0], item[0][1]))
-    return {
-        "default": format_possibility(f.default),
-        "entries": [
-            {
-                "state": [format_possibility(v) for v in state],
-                "event": name,
-                "value": format_possibility(value),
-            }
-            for (state, name), value in entries
-        ],
-    }
-
-
 def _controller_text(f) -> list[str]:
     lines = [f"controller (default {format_possibility(f.default)}):"]
     entries = sorted(f.entries.items(), key=lambda item: (item[0][0], item[0][1]))
@@ -140,7 +127,7 @@ def _cmd_reach(args, aut):
     fam = reach_family(aut)
     payload = {
         "entries": [
-            {"base": [format_possibility(v) for v in base], "floor": format_possibility(floor)}
+            {"base": state_doc(base), "floor": format_possibility(floor)}
             for base, floor in fam.entries
         ]
     }
@@ -158,14 +145,14 @@ def _cmd_member(args, aut):
     witness = family_contains(reach_family(aut), target)
     if witness is None:
         text = f"{format_state(target)} is not reachable under any admissible controller"
-        return 1, {"member": False, "target": [format_possibility(v) for v in target]}, text
+        return 1, {"member": False, "target": state_doc(target)}, text
     payload = {
         "member": True,
-        "target": [format_possibility(v) for v in target],
-        "base": [format_possibility(v) for v in witness.base],
+        "target": state_doc(target),
+        "base": state_doc(witness.base),
         "alpha": format_possibility(witness.alpha),
         "path": list(witness.path_string),
-        "controller": _controller_doc(witness.controller),
+        "controller": controller_doc(witness.controller),
     }
     lines = [
         f"{format_state(target)} is reachable:",
@@ -184,9 +171,9 @@ def _cmd_succ(args, aut):
         edges = successor_set(aut, spec.states, q)
         payload["successors"].append(
             {
-                "state": [format_possibility(v) for v in q],
+                "state": state_doc(q),
                 "pairs": [
-                    {"event": e.event, "target": [format_possibility(v) for v in e.target]}
+                    {"event": e.event, "target": state_doc(e.target)}
                     for e in edges
                 ],
             }
@@ -207,9 +194,9 @@ def _cmd_check_controllable(args, aut):
         "controllable": True,
         "subgraph": [
             {
-                "source": [format_possibility(v) for v in src],
+                "source": state_doc(src),
                 "event": name,
-                "target": [format_possibility(v) for v in dst],
+                "target": state_doc(dst),
             }
             for src, name, dst in edges
         ],
@@ -227,7 +214,7 @@ def _cmd_synthesize(args, aut):
         text = "not controllable: " + verdict.obstruction.describe()
         return 1, {"controllable": False, "obstruction": verdict.obstruction.describe()}, text
     controller = synthesize_controller(aut, spec.states, verdict.subgraph)
-    payload = {"controllable": True, "kind": "fsfc", **_controller_doc(controller)}
+    payload = {"controllable": True, "kind": "fsfc", **controller_doc(controller)}
     return 0, payload, "\n".join(_controller_text(controller))
 
 
@@ -281,7 +268,7 @@ def _cmd_bridge(args, aut):
         lines.append(f"  counterexample: string {' '.join(s) or '(empty)'} with event {name}")
         return 1, payload, "\n".join(lines)
     states = reach_of_language(aut, K)
-    payload["passed_states"] = [[format_possibility(v) for v in q] for q in states]
+    payload["passed_states"] = [state_doc(q) for q in states]
     lines.append("passed states: " + ", ".join(format_state(q) for q in states))
     state_verdict = check_controllable(aut, states)
     payload["passed_states_controllable"] = state_verdict.controllable
@@ -298,13 +285,18 @@ def _cmd_bridge(args, aut):
         )
         return 1, payload, "\n".join(lines)
     controller = controller_from_language(aut, K)
-    payload["controller"] = _controller_doc(controller)
+    payload["controller"] = controller_doc(controller)
     lines.extend(_controller_text(controller))
     return 0, payload, "\n".join(lines)
 
 
 def _cmd_stability(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec with the legal states")
+    for q in spec.states:
+        if len(q) != aut.n:
+            raise DimensionMismatch(
+                f"legal state {format_state(q)} has {len(q)} components, expected {aut.n}"
+            )
     graph = accessible_part(aut)
     infimal = infimal_attractor(graph)
     ordered = [q for q in graph.vertices if q in infimal]
@@ -312,7 +304,7 @@ def _cmd_stability(args, aut):
     report = check_attractor(graph, spec.states)
     payload = {
         "stable": stable,
-        "infimal_attractor": [[format_possibility(v) for v in q] for q in ordered],
+        "infimal_attractor": [state_doc(q) for q in ordered],
         "legal_set_is_attractor": report.verdict,
     }
     lines = [
@@ -347,9 +339,9 @@ def _cmd_stabilize(args, aut):
         witness, controller = found, found.controller
     payload = {
         "stabilizable": True,
-        "target_set": [[format_possibility(v) for v in q] for q in witness.n_prime],
-        "funnel_set": [[format_possibility(v) for v in q] for q in witness.p_set],
-        "controller": _controller_doc(controller),
+        "target_set": [state_doc(q) for q in witness.n_prime],
+        "funnel_set": [state_doc(q) for q in witness.p_set],
+        "controller": controller_doc(controller),
     }
     lines = [
         "stabilizing controller found",
@@ -383,7 +375,7 @@ def _cmd_simulate(args, aut):
         {
             "step": 0,
             "event": None,
-            "state": [format_possibility(v) for v in trajectory.states[0]],
+            "state": state_doc(trajectory.states[0]),
             "degree": "1",
         }
     ]
@@ -399,7 +391,7 @@ def _cmd_simulate(args, aut):
             {
                 "step": i + 1,
                 "event": name,
-                "state": [format_possibility(v) for v in state],
+                "state": state_doc(state),
                 "degree": format_possibility(degree),
             }
         )
@@ -456,16 +448,20 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         aut = _load_automaton(args.automaton)
         code, payload, text = _HANDLERS[args.command](args, aut)
-    except (FuzzyDESError, OSError) as exc:
+        _write_report(args, payload, text)
+    except (FuzzyDESError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
+
+
+def _write_report(args, payload: dict, text: str) -> None:
     if args.format == "json":
         rendered = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "dot" and "dot" in payload:
-        rendered = payload["dot"]
     elif args.format == "dot":
-        print("error: --format dot is only available for export-dot", file=sys.stderr)
-        return 2
+        if "dot" not in payload:
+            raise FuzzyDESError("--format dot is only available for export-dot")
+        rendered = payload["dot"]
     else:
         rendered = text + "\n"
     if args.out:
@@ -473,7 +469,6 @@ def run_command(argv: Sequence[str]) -> int:
             handle.write(rendered)
     else:
         sys.stdout.write(rendered)
-    return code
 
 
 def main() -> None:

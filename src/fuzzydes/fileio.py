@@ -52,16 +52,23 @@ def _state(path: str, value, n: Optional[int] = None) -> State:
     return tuple(_coerce(f"{path}[{i}]", v) for i, v in enumerate(value))
 
 
-def parse_automaton(text: str) -> MaxMinAutomaton:
-    """Parse an automaton document and enforce every construction invariant."""
+def _json_object(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError("top level: expected an object")
+    return doc
+
+
+def parse_automaton(text: str) -> MaxMinAutomaton:
+    """Parse an automaton document and enforce every construction invariant."""
+    doc = _json_object(text)
     n = doc.get("n")
-    if not isinstance(n, int) or n <= 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise _fail("n", "expected a positive integer")
     labels = doc.get("state_labels")
     if not isinstance(labels, list) or len(labels) != n or not all(isinstance(x, str) for x in labels):
@@ -94,7 +101,8 @@ def parse_automaton(text: str) -> MaxMinAutomaton:
         raise ValidationError(str(exc)) from None
 
 
-def _state_doc(state: State) -> list[str]:
+def state_doc(state: State) -> list[str]:
+    """A state as its document form: a list of decimal strings."""
     return [format_possibility(v) for v in state]
 
 
@@ -102,12 +110,12 @@ def serialize_automaton(aut: MaxMinAutomaton) -> str:
     doc = {
         "n": aut.n,
         "state_labels": list(aut.state_labels),
-        "initial": _state_doc(aut.initial),
+        "initial": state_doc(aut.initial),
         "events": [
             {
                 "name": ev.name,
                 "uncontrollable_degree": format_possibility(ev.uc_degree),
-                "matrix": [_state_doc(row) for row in ev.matrix],
+                "matrix": [state_doc(row) for row in ev.matrix],
             }
             for ev in aut.events
         ],
@@ -150,12 +158,7 @@ def _event_string(path: str, value) -> tuple[str, ...]:
 
 def parse_spec(text: str) -> SpecPayload:
     """Parse a specification document; the kind field selects the payload."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError("top level: expected an object")
+    doc = _json_object(text)
     kind = doc.get("kind")
     if kind == "state_set":
         states = doc.get("states")
@@ -177,8 +180,11 @@ def parse_spec(text: str) -> SpecPayload:
         return LanguageSpec(FuzzyLanguage.from_pairs(entries))
     if kind == "fsfc":
         default = _coerce("default", doc.get("default", "1"))
+        raw_entries = doc.get("entries", [])
+        if not isinstance(raw_entries, list):
+            raise _fail("entries", "expected a list of {state, event, value} objects")
         entries: dict[tuple[State, str], Fraction] = {}
-        for i, entry in enumerate(doc.get("entries", [])):
+        for i, entry in enumerate(raw_entries):
             path = f"entries[{i}]"
             if not isinstance(entry, dict):
                 raise _fail(path, "expected an object")
@@ -218,23 +224,21 @@ def parse_inline_state(text: str) -> State:
     return make_state(parts)
 
 
-def serialize_controller(f: StateFeedbackController) -> str:
-    entries = sorted(
-        f.entries.items(), key=lambda item: (item[0][0], item[0][1])
-    )
-    doc = {
-        "kind": "fsfc",
+def controller_doc(f: StateFeedbackController) -> dict:
+    """The default and the entries of a controller, entries sorted by state
+    and then event."""
+    entries = sorted(f.entries.items(), key=lambda item: (item[0][0], item[0][1]))
+    return {
         "default": format_possibility(f.default),
         "entries": [
-            {
-                "state": _state_doc(state),
-                "event": name,
-                "value": format_possibility(value),
-            }
+            {"state": state_doc(state), "event": name, "value": format_possibility(value)}
             for (state, name), value in entries
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_controller(f: StateFeedbackController) -> str:
+    return json.dumps({"kind": "fsfc", **controller_doc(f)}, indent=2) + "\n"
 
 
 def _quote(label: str) -> str:

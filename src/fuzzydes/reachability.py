@@ -20,6 +20,7 @@ from .automaton import (
     accessible_part,
 )
 from .errors import DimensionMismatch, DomainError
+from .graph import Search, bfs, closure
 from .possibility import (
     ONE,
     Fraction,
@@ -30,21 +31,34 @@ from .possibility import (
 )
 
 
+def _floors(graph: TransitionGraph, uc: Mapping[str, Fraction]) -> dict[State, Fraction]:
+    """The floor of every vertex some edge leads into, in one pass; a vertex
+    no edge leads into has floor 1.
+
+    Every vertex is root-reachable by construction, so an event qualifies for
+    q exactly when one of its edges has a target from which q is reachable.
+    Visiting edges in ascending degree, the first edge whose target's forward
+    closure reaches q gives q its floor; a vertex reached earlier already has
+    its descendants, so each closure stops there.
+    """
+    floors: dict[State, Fraction] = {}
+
+    def unreached(q: State):
+        return (dst for _, dst in graph.out_edges[q] if dst not in floors)
+
+    for _, name, dst in sorted(graph.edges, key=lambda edge: uc[edge[1]]):
+        if dst not in floors:
+            for q in closure([dst], unreached):
+                floors[q] = uc[name]
+    return floors
+
+
 def scaling_floor(graph: TransitionGraph, uc: Mapping[str, Fraction], q: State) -> Fraction:
     """Least uncontrollability degree over events labeling an edge on some
-    root-to-q walk; 1 when there is none (the empty minimum convention).
-
-    Every vertex is root-reachable by construction, so an event qualifies
-    exactly when one of its edges has a target from which q is reachable.
-    """
+    root-to-q walk; 1 when there is none (the empty minimum convention)."""
     if q not in graph.vertex_set:
         raise DomainError(f"state is not an accessible vertex")
-    sources = graph.ancestors_of(q)
-    floor = ONE
-    for _, name, dst in graph.edges:
-        if dst in sources:
-            floor = min(floor, uc[name])
-    return floor
+    return _floors(graph, uc).get(q, ONE)
 
 
 @dataclass(frozen=True)
@@ -67,8 +81,8 @@ class ReachFamily:
 def reach_family(aut: MaxMinAutomaton) -> ReachFamily:
     """Compute the family for every accessible vertex, in discovery order."""
     graph = accessible_part(aut)
-    uc = aut.uc_map()
-    entries = tuple((q, scaling_floor(graph, uc, q)) for q in graph.vertices)
+    floors = _floors(graph, aut.uc_map())
+    entries = tuple((q, floors.get(q, ONE)) for q in graph.vertices)
     return ReachFamily(aut, graph, entries)
 
 
@@ -108,7 +122,7 @@ def family_contains(fam: ReachFamily, target: State) -> Optional[ReachWitness]:
         if solution.kind is SolutionKind.INTERVAL:
             # An interval arises exactly when target == base: take alpha = 1
             # and no override at all.
-            path = fam.graph.shortest_path(fam.graph.root, base)
+            path = _forward(fam.graph, fam.graph.root).path(base)
             return ReachWitness(base, ONE, path, StateFeedbackController())
         alpha = solution.least()
         witness = _override_witness(fam, base, alpha)
@@ -129,8 +143,9 @@ def _override_witness(fam: ReachFamily, base: State, alpha: Fraction) -> Optiona
     graph, aut = fam.graph, fam.aut
     uc = aut.uc_map()
     floor = fam.floor_of(base)
-    dist_root = _distances_from(graph, graph.root)
-    dist_back = _distances_to(graph, base)
+    from_root = _forward(graph, graph.root)
+    dist_root = from_root.dist
+    dist_back = bfs(base, lambda q: ((name, src) for src, name in graph.in_edges[q])).dist
     best = None  # (total length, event index, source, event name)
     for index, name in enumerate(aut.event_names):
         if uc[name] != floor:
@@ -147,35 +162,11 @@ def _override_witness(fam: ReachFamily, base: State, alpha: Fraction) -> Optiona
     if best is None:
         return None
     _, src, name = best
-    prefix = graph.shortest_path(graph.root, src)
-    suffix = graph.shortest_path(graph.successor(src, name), base)
+    prefix = from_root.path(src)
+    suffix = _forward(graph, graph.successor(src, name)).path(base)
     controller = StateFeedbackController({(src, name): alpha})
     return ReachWitness(base, alpha, prefix + (name,) + suffix, controller)
 
 
-def _distances_from(graph: TransitionGraph, source: State) -> dict[State, int]:
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for _, dst in graph.out_edges[q]:
-                if dst not in dist:
-                    dist[dst] = dist[q] + 1
-                    nxt.append(dst)
-        frontier = nxt
-    return dist
-
-
-def _distances_to(graph: TransitionGraph, target: State) -> dict[State, int]:
-    dist = {target: 0}
-    frontier = [target]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for src, _ in graph.in_edges[q]:
-                if src not in dist:
-                    dist[src] = dist[q] + 1
-                    nxt.append(src)
-        frontier = nxt
-    return dist
+def _forward(graph: TransitionGraph, source: State) -> Search:
+    return bfs(source, graph.out_edges.__getitem__)

@@ -25,6 +25,7 @@ from .automaton import (
     closed_loop_step,
 )
 from .errors import InfeasibleControl, PreconditionError
+from .graph import closure, cycle_vertices
 from .possibility import (
     ZERO,
     State,
@@ -34,75 +35,17 @@ from .possibility import (
     solve_scale,
     state_is_zero,
 )
-from .statecontrol import check_controllable, synthesize_controller, validated_state_set
-
-
-def strongly_connected_components(vertices: Sequence, successors) -> list[list]:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the
-    Python stack."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list[list] = []
-    counter = 0
-    for root in vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(successors(root)))]
-        while work:
-            v, children = work[-1]
-            pushed = False
-            for w in children:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    pushed = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return components
-
-
-def _cycle_vertices(vertices: Sequence[State], succ) -> set[State]:
-    on_cycle: set[State] = set()
-    for component in strongly_connected_components(vertices, succ):
-        if len(component) > 1:
-            on_cycle.update(component)
-        else:
-            v = component[0]
-            if v in succ(v):
-                on_cycle.add(v)
-    return on_cycle
+from .statecontrol import (
+    check_controllable,
+    forced_events,
+    synthesize_controller,
+    validated_state_set,
+)
 
 
 def find_cycles(g: TransitionGraph) -> set[State]:
     """Vertices lying on some directed cycle (including self-loops)."""
-    return _cycle_vertices(
-        g.vertices, lambda q: [dst for _, dst in g.out_edges[q]]
-    )
+    return cycle_vertices(g.vertices, lambda q: (dst for _, dst in g.out_edges[q]))
 
 
 @dataclass(frozen=True)
@@ -123,30 +66,24 @@ def check_attractor(g: TransitionGraph, N: Iterable[State]) -> AttractorReport:
     Acyclic outside: the induced subgraph off N has no cycle."""
     n_set = set(N)
     absent = tuple(q for q in n_set if q not in g.vertex_set)
-    inside = [q for q in g.vertices if q in n_set]
-
-    closed = all(dst in n_set for q in inside for _, dst in g.out_edges[q])
-
-    into_n = set(inside)
-    frontier = list(inside)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for src, _ in g.in_edges[q]:
-                if src not in into_n:
-                    into_n.add(src)
-                    nxt.append(src)
-        frontier = nxt
-    connected = all(q in into_n for q in g.vertices if q not in n_set)
-
-    outside = [q for q in g.vertices if q not in n_set]
-    outside_set = set(outside)
-    acyclic = not _cycle_vertices(
-        outside,
-        lambda q: [dst for _, dst in g.out_edges[q] if dst in outside_set],
-    )
-
+    closed = all(dst in n_set for q in g.vertices if q in n_set for _, dst in g.out_edges[q])
+    connected, acyclic = _funnels_into(g, n_set)
     return AttractorReport(closed, connected, acyclic, closed and connected and acyclic, absent)
+
+
+def _funnels_into(g: TransitionGraph, n_set: set[State]) -> tuple[bool, bool]:
+    """(connected, acyclic outside) of the attractor conditions for n_set:
+    every vertex off n_set has a path into it, and the subgraph induced off
+    n_set has no cycle."""
+    into_n = closure(
+        (q for q in g.vertices if q in n_set), lambda q: (src for src, _ in g.in_edges[q])
+    )
+    outside = [q for q in g.vertices if q not in n_set]
+    connected = all(q in into_n for q in outside)
+    acyclic = not cycle_vertices(
+        outside, lambda q: (dst for _, dst in g.out_edges[q] if dst not in n_set)
+    )
+    return connected, acyclic
 
 
 def infimal_attractor(g: TransitionGraph) -> set[State]:
@@ -154,7 +91,7 @@ def infimal_attractor(g: TransitionGraph) -> set[State]:
     together with the dead vertices (no outgoing transition)."""
     cycles = find_cycles(g)
     dead = {q for q in g.vertices if not g.out_edges[q]}
-    return g.reachable_from(cycles) | dead
+    return closure(cycles, lambda q: (dst for _, dst in g.out_edges[q])) | dead
 
 
 def is_stable(g: TransitionGraph, N: Iterable[State]) -> bool:
@@ -176,17 +113,9 @@ def check_controllable_invariant(
     states = validated_state_set(aut, N)
     state_set = set(states)
     for q in states:
-        for ev in aut.events:
-            if ev.uc_degree == ZERO:
-                continue
-            composed = maxmin_compose(q, ev)
-            if state_is_zero(composed):
-                continue
-            if not any(
-                not solve_scale(composed, p).restrict(ev.uc_degree).is_empty
-                for p in state_set
-            ):
-                return InvariantVerdict(False, (q, ev.name))
+        name = _escaping_event(aut, q, state_set)
+        if name is not None:
+            return InvariantVerdict(False, (q, name))
     return InvariantVerdict(True)
 
 
@@ -197,27 +126,23 @@ def largest_controllable_invariant(
     against the survivors until none do.  Unique because controllable
     invariant sets are closed under union."""
     survivors = list(validated_state_set(aut, N))
-    changed = True
-    while changed:
-        changed = False
+    while True:
         state_set = set(survivors)
-        for q in list(survivors):
-            for ev in aut.events:
-                if ev.uc_degree == ZERO:
-                    continue
-                composed = maxmin_compose(q, ev)
-                if state_is_zero(composed):
-                    continue
-                if not any(
-                    not solve_scale(composed, p).restrict(ev.uc_degree).is_empty
-                    for p in state_set
-                ):
-                    survivors.remove(q)
-                    changed = True
-                    break
-            if changed:
-                break
-    return tuple(survivors)
+        escaping = next(
+            (q for q in survivors if _escaping_event(aut, q, state_set) is not None), None
+        )
+        if escaping is None:
+            return tuple(survivors)
+        survivors.remove(escaping)
+
+
+def _escaping_event(aut: MaxMinAutomaton, q: State, n_set: set[State]) -> Optional[str]:
+    """The first forced event at q (feasible, partially uncontrollable) that
+    no admissible scaling keeps inside n_set, or None when q is invariant."""
+    for ev, composed in forced_events(aut, q):
+        if all(solve_scale(composed, p).restrict(ev.uc_degree).is_empty for p in n_set):
+            return ev.name
+    return None
 
 
 @dataclass(frozen=True)
@@ -260,28 +185,8 @@ def verify_stabilizability_witness(
     f_prime = _funnel_controller(aut, w.p_set)
     if f_prime is None:
         return False
-    graph = closed_loop_graph(aut, f_prime)
-    n_set = set(w.n_prime)
-
-    into_n = {q for q in graph.vertices if q in n_set}
-    frontier = list(into_n)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for src, _ in graph.in_edges[q]:
-                if src not in into_n:
-                    into_n.add(src)
-                    nxt.append(src)
-        frontier = nxt
-    if not all(q in into_n for q in graph.vertices if q not in n_set):
-        return False
-
-    outside = [q for q in graph.vertices if q not in n_set]
-    outside_set = set(outside)
-    return not _cycle_vertices(
-        outside,
-        lambda q: [dst for _, dst in graph.out_edges[q] if dst in outside_set],
-    )
+    connected, acyclic = _funnels_into(closed_loop_graph(aut, f_prime), set(w.n_prime))
+    return connected and acyclic
 
 
 def synthesize_stabilizing_controller(

@@ -10,17 +10,18 @@ closed-loop reachable set exactly P is synthesized by a three-case rule.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .automaton import MaxMinAutomaton, StateFeedbackController
 from .errors import DimensionMismatch, DomainError, ValidationError
+from .graph import bfs, closure
 from .possibility import (
     ONE,
     ZERO,
     Fraction,
+    FuzzyEvent,
     ScaleSolution,
     State,
     format_state,
@@ -104,6 +105,29 @@ def validated_state_set(aut: MaxMinAutomaton, P: Sequence[State]) -> tuple[State
     return states
 
 
+def forced_events(aut: MaxMinAutomaton, q: State) -> Iterator[tuple[FuzzyEvent, State]]:
+    """(event, q . event) for every event that is feasible at q and partially
+    uncontrollable (condition C2): no controller can disable it there."""
+    for ev in aut.events:
+        if ev.uc_degree > ZERO:
+            composed = maxmin_compose(q, ev)
+            if not state_is_zero(composed):
+                yield ev, composed
+
+
+def _successor_edges(
+    aut: MaxMinAutomaton, states: Sequence[State], q: State
+) -> list[SuccessorEdge]:
+    edges = []
+    for ev in aut.events:
+        composed = maxmin_compose(q, ev)
+        for p in states:
+            admissible = solve_scale(composed, p).restrict(ev.uc_degree)
+            if not admissible.is_empty:
+                edges.append(SuccessorEdge(q, ev.name, p, admissible))
+    return edges
+
+
 def successor_set(
     aut: MaxMinAutomaton, P: Sequence[State], q: State
 ) -> tuple[SuccessorEdge, ...]:
@@ -112,14 +136,7 @@ def successor_set(
     states = validated_state_set(aut, P)
     if q not in states:
         raise DomainError(f"state {format_state(q)} is not a member of the set")
-    edges = []
-    for ev in aut.events:
-        composed = maxmin_compose(q, ev)
-        for p in states:
-            admissible = solve_scale(composed, p).restrict(ev.uc_degree)
-            if not admissible.is_empty:
-                edges.append(SuccessorEdge(q, ev.name, p, admissible))
-    return tuple(edges)
+    return tuple(_successor_edges(aut, states, q))
 
 
 def compatible_subsets(
@@ -131,10 +148,10 @@ def compatible_subsets(
     """Lazily enumerate the subsets of succ that are functional per event (C1)
     and keep a target for every feasible event with a positive floor (C2)."""
     options: list[list[Optional[SuccessorEdge]]] = []
+    mandatory = {ev.name for ev, _ in forced_events(aut, q)}
     for ev in aut.events:
         candidates = [e for e in succ if e.event == ev.name]
-        mandatory = ev.uc_degree > ZERO and not state_is_zero(maxmin_compose(q, ev))
-        if mandatory:
+        if ev.name in mandatory:
             options.append(candidates)  # empty list kills the enumeration
         elif candidates:
             options.append([None, *candidates])
@@ -144,10 +161,8 @@ def compatible_subsets(
 
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:
     states = validated_state_set(aut, P)
-    edges: list[SuccessorEdge] = []
-    for q in states:
-        edges.extend(successor_set(aut, states, q))
-    return SuccessorGraph(states, tuple(edges), aut.initial)
+    edges = tuple(e for q in states for e in _successor_edges(aut, states, q))
+    return SuccessorGraph(states, edges, aut.initial)
 
 
 def chosen_graph(sg: SuccessorGraph, subgraph: ControllableSubgraph) -> SuccessorGraph:
@@ -157,18 +172,6 @@ def chosen_graph(sg: SuccessorGraph, subgraph: ControllableSubgraph) -> Successo
         e for e in sg.edges if subgraph.choice.get((e.source, e.event)) == e.target
     )
     return SuccessorGraph(sg.vertices, edges, sg.root)
-
-
-def _reachable(root: State, vertices, edge_map) -> set[State]:
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        q = queue.popleft()
-        for t in edge_map.get(q, ()):
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
 
 
 def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> ControllabilityVerdict:
@@ -192,83 +195,93 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
         candidates.setdefault((edge.source, edge.event), []).append(edge.target)
 
     for q in states:
-        for ev in aut.events:
-            feasible = not state_is_zero(maxmin_compose(q, ev))
-            if ev.uc_degree > ZERO and feasible and (q, ev.name) not in candidates:
+        for ev, _ in forced_events(aut, q):
+            if (q, ev.name) not in candidates:
                 return ControllabilityVerdict(
                     False, None, Obstruction("uncoverable-event", vertex=q, event=ev.name)
                 )
 
-    full_map: dict[State, list[State]] = {}
-    for (q, _), targets in candidates.items():
-        full_map.setdefault(q, []).extend(targets)
-    state_set = set(states)
-    full_reach = _reachable(aut.initial, states, full_map)
-    if full_reach != state_set:
-        missing = tuple(q for q in states if q not in full_reach)
+    full_map: dict[State, list[tuple[str, State]]] = {}
+    for (q, name), targets in candidates.items():
+        full_map.setdefault(q, []).extend((name, t) for t in targets)
+    # Slot order: vertices in BFS discovery order over the full candidate
+    # graph (a state it misses is unreachable under every selection), events
+    # in alphabet order.  Only slots with candidates exist; C2-mandatory
+    # slots were verified non-empty above.
+    reached = bfs(aut.initial, lambda q: full_map.get(q, ())).dist
+    if len(reached) != len(states):
+        missing = tuple(q for q in states if q not in reached)
         return ControllabilityVerdict(
             False, None, Obstruction("unreachable", vertices=missing)
         )
-
-    # Slot order: vertices by BFS over the full candidate graph, events in
-    # alphabet order.  Only slots with candidates exist; C2-mandatory slots
-    # were verified non-empty above.
-    order: list[State] = []
-    seen = {aut.initial}
-    queue = deque([aut.initial])
-    while queue:
-        q = queue.popleft()
-        order.append(q)
-        for t in full_map.get(q, ()):
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
     slots: list[tuple[State, str, list[State]]] = []
-    for q in order:
+    for q in reached:
         for ev in aut.events:
             targets = candidates.get((q, ev.name))
             if targets:
                 slots.append((q, ev.name, targets))
 
-    chosen: dict[tuple[State, str], State] = {}
-    # Seed the failure diagnostic with a greedy full assignment so an
-    # exhausted search still reports a concrete stranded set.
-    greedy: dict[State, list[State]] = {}
-    for q, name, targets in slots:
-        greedy.setdefault(q, []).append(targets[0])
-    best_reached: set[State] = _reachable(aut.initial, states, greedy)
-
-    def chosen_map(extra_from: int) -> dict[State, list[State]]:
-        table: dict[State, list[State]] = {}
-        for (q, _), t in chosen.items():
-            table.setdefault(q, []).append(t)
-        for q, name, targets in slots[extra_from:]:
-            table.setdefault(q, []).extend(targets)
-        return table
-
-    def search(i: int) -> Optional[dict]:
-        nonlocal best_reached
-        reach = _reachable(aut.initial, states, chosen_map(i))
-        if i == len(slots):
-            if len(reach) > len(best_reached):
-                best_reached = reach
-            return dict(chosen) if reach == state_set else None
-        if not state_set <= reach:
-            return None
-        q, name, targets = slots[i]
-        for t in targets:
-            chosen[(q, name)] = t
-            found = search(i + 1)
-            if found is not None:
-                return found
-            del chosen[(q, name)]
-        return None
-
-    found = search(0)
+    found, best_reached = _search(aut.initial, states, slots)
     if found is not None:
         return ControllabilityVerdict(True, ControllableSubgraph(found))
     missing = tuple(q for q in states if q not in best_reached)
     return ControllabilityVerdict(False, None, Obstruction("unreachable", vertices=missing))
+
+
+def _search(
+    root: State, states: tuple[State, ...], slots
+) -> tuple[Optional[dict], set[State]]:
+    """The backtracking search of check_controllable, depth first over the
+    slots' target choices in slot and target order, with an explicit stack
+    (picks) so depth costs no Python frames.
+
+    A node at depth i has chosen targets for slots[:i] and is pruned when
+    its optimistic completion strands a vertex.  Returns the first full
+    choice reaching every state (or None) and the largest set reached by a
+    full choice, seeded with a greedy full assignment so an exhausted search
+    still reports a concrete stranded set.
+    """
+    state_set = set(states)
+    chosen: dict[tuple[State, str], State] = {}
+
+    def reach_from(extra_from: int) -> set[State]:
+        table: dict[State, list[State]] = {}
+        for (q, _), t in chosen.items():
+            table.setdefault(q, []).append(t)
+        for q, _, targets in slots[extra_from:]:
+            table.setdefault(q, []).extend(targets)
+        return closure([root], lambda q: table.get(q, ()))
+
+    greedy: dict[State, list[State]] = {}
+    for q, _, targets in slots:
+        greedy.setdefault(q, []).append(targets[0])
+    best_reached = closure([root], lambda q: greedy.get(q, ()))
+
+    picks: list[int] = []  # picks[i]: index of the target chosen for slots[i]
+    while True:
+        i = len(picks)
+        reach = reach_from(i)
+        if i == len(slots):
+            if len(reach) > len(best_reached):
+                best_reached = reach
+            if reach == state_set:
+                return dict(chosen), best_reached
+        elif state_set <= reach:
+            q, name, targets = slots[i]
+            chosen[(q, name)] = targets[0]
+            picks.append(0)
+            continue
+        # Backtrack to the deepest slot with an untried target.
+        while picks:
+            q, name, targets = slots[len(picks) - 1]
+            if picks[-1] + 1 < len(targets):
+                picks[-1] += 1
+                chosen[(q, name)] = targets[picks[-1]]
+                break
+            picks.pop()
+            del chosen[(q, name)]
+        else:
+            return None, best_reached
 
 
 def validate_subgraph(
@@ -293,9 +306,8 @@ def validate_subgraph(
             )
         edge_map.setdefault(q, []).append(t)
     for q in states:
-        for ev in aut.events:
-            feasible = not state_is_zero(maxmin_compose(q, ev))
-            if ev.uc_degree > ZERO and feasible and (q, ev.name) not in subgraph.choice:
+        for ev, _ in forced_events(aut, q):
+            if (q, ev.name) not in subgraph.choice:
                 raise ValidationError(
                     f"event {ev.name!r} is feasible and partially uncontrollable at "
                     f"{format_state(q)} but has no chosen edge"
@@ -303,7 +315,7 @@ def validate_subgraph(
     if states:
         if aut.initial not in state_set:
             raise ValidationError("the initial state is not a member of the candidate set")
-        reach = _reachable(aut.initial, states, edge_map)
+        reach = closure([aut.initial], lambda q: edge_map.get(q, ()))
         if reach != state_set:
             missing = ", ".join(format_state(q) for q in states if q not in reach)
             raise ValidationError(f"chosen edges do not reach: {missing}")

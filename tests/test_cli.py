@@ -353,6 +353,9 @@ class TestExitCodeContract:
             lambda doc: doc["events"][0]["matrix"][0].__setitem__(0, "0.1234567891"),
             lambda doc: doc["events"][0]["matrix"].pop(),
             lambda doc: doc.update(n="three"),
+            lambda doc: doc.update(
+                n=True, state_labels=["x"], initial=["1"], events=[{"name": "a", "matrix": [["1"]]}]
+            ),
         ],
     )
     def test_malformed_automata_exit_two(self, capsys, tmp_path, mutate):
@@ -362,6 +365,34 @@ class TestExitCodeContract:
         path.write_text(json.dumps(doc))
         code, _, err = invoke(capsys, "reach", "--automaton", str(path))
         assert code == 2 and err
+
+    @pytest.mark.parametrize("flag", ["--automaton", "--spec"])
+    def test_deeply_nested_document_exits_two(self, capsys, tmp_path, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {"--automaton": PLANT, "--spec": ADMISSIBLE, flag: str(path)}
+        code, _, err = invoke(capsys, "succ", *(x for kv in argv.items() for x in kv))
+        assert code == 2 and err
+
+    @pytest.mark.parametrize("flag", ["--automaton", "--spec"])
+    def test_non_utf8_document_exits_two(self, capsys, tmp_path, flag):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 3, "state_labels": ["h\xf6he"]}')
+        argv = {"--automaton": PLANT, "--spec": ADMISSIBLE, flag: str(path)}
+        code, _, err = invoke(capsys, "succ", *(x for kv in argv.items() for x in kv))
+        assert code == 2 and err
+
+    def test_controller_entries_not_a_list_exits_two(self, capsys, tmp_path):
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"kind": "fsfc", "entries": 5}))
+        code, _, err = invoke(capsys, "simulate", "--automaton", PLANT, "--spec", str(spec))
+        assert code == 2 and err
+
+    def test_stability_legal_state_of_wrong_length_exits_two(self, capsys):
+        code, _, err = invoke(
+            capsys, "stability", "--automaton", PLANT, "--spec", "state:[0.1,0.1]"
+        )
+        assert code == 2 and "components" in err
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = invoke(capsys, "reach", "--automaton", "no-such-file.json")
@@ -391,6 +422,11 @@ class TestExitCodeContract:
 
 
 class TestOutFile:
+    def test_unwritable_out_path_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "report.json"
+        code, out, err = invoke(capsys, "reach", "--automaton", PLANT, "--out", str(target))
+        assert code == 2 and out == "" and err
+
     def test_report_written_to_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = invoke(

@@ -29,6 +29,19 @@ TENTH = F(1, 10)
 HALF = F(1, 2)
 
 
+def brute_force_floor(graph, uc, q):
+    """The floor by its definition: the least degree over edges whose target
+    is an ancestor of q (q included), 1 when there is none."""
+    ancestors = {q}
+    stack = [q]
+    while stack:
+        for src, _ in graph.in_edges[stack.pop()]:
+            if src not in ancestors:
+                ancestors.add(src)
+                stack.append(src)
+    return min((uc[name] for _, name, dst in graph.edges if dst in ancestors), default=ONE)
+
+
 def printed_union_member(state):
     """Closed-form membership in the worked example's reachability family
     (written out sub-family by sub-family)."""
@@ -159,6 +172,21 @@ class TestScalingFloor:
         for q in graph.vertices:
             expected = min((uc[e] for e in occurring[q]), default=ONE)
             assert scaling_floor(graph, uc, q) == expected
+
+
+    def test_family_matches_brute_force_on_seeded_plants(self):
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(25):
+            aut = random_automaton(rng, 6, 4)
+            fam = reach_family(aut)
+            if len(fam.graph.vertices) > 120:
+                continue
+            uc = aut.uc_map()
+            for q, floor in fam.entries:
+                assert floor == brute_force_floor(fam.graph, uc, q)
+            checked += 1
+        assert checked == 23
 
 
 class TestFamily:

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +15,7 @@ from fuzzydes import (
     chosen_graph,
     closed_loop_reachable,
     compatible_subsets,
+    accessible_part,
     make_state,
     successor_set,
     synthesize_controller,
@@ -232,6 +235,22 @@ class TestControllability:
             expected = exhaustive_verdict(single_event_plant, P)
             assert expected is not None
             assert check_controllable(single_event_plant, P).controllable == expected
+
+    def test_search_depth_does_not_grow_the_call_stack(self):
+        # Draw 24 has 35 vertices and 105 search slots; the search must not
+        # take a stack frame per slot.
+        rng = random.Random(1)
+        for _ in range(25):
+            aut = random_automaton(rng, 6, 4)
+        P = accessible_part(aut).vertices
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            verdict = check_controllable(aut, P)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdict.controllable
+        validate_subgraph(aut, P, verdict.subgraph)
 
     def test_duplicate_and_zero_states_rejected(self, treatment_plant):
         with pytest.raises(ValidationError):
