@@ -370,16 +370,18 @@ class TestExitCodeContract:
     def test_deeply_nested_document_exits_two(self, capsys, tmp_path, flag):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        argv = {"--automaton": PLANT, "--spec": ADMISSIBLE, flag: str(path)}
-        code, _, err = invoke(capsys, "succ", *(x for kv in argv.items() for x in kv))
+        argv = ["succ", "--automaton", PLANT, "--spec", ADMISSIBLE]
+        argv[argv.index(flag) + 1] = str(path)
+        code, _, err = invoke(capsys, *argv)
         assert code == 2 and err
 
     @pytest.mark.parametrize("flag", ["--automaton", "--spec"])
     def test_non_utf8_document_exits_two(self, capsys, tmp_path, flag):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"n": 3, "state_labels": ["h\xf6he"]}')
-        argv = {"--automaton": PLANT, "--spec": ADMISSIBLE, flag: str(path)}
-        code, _, err = invoke(capsys, "succ", *(x for kv in argv.items() for x in kv))
+        argv = ["succ", "--automaton", PLANT, "--spec", ADMISSIBLE]
+        argv[argv.index(flag) + 1] = str(path)
+        code, _, err = invoke(capsys, *argv)
         assert code == 2 and err
 
     def test_controller_entries_not_a_list_exits_two(self, capsys, tmp_path):

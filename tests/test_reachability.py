@@ -173,7 +173,6 @@ class TestScalingFloor:
             expected = min((uc[e] for e in occurring[q]), default=ONE)
             assert scaling_floor(graph, uc, q) == expected
 
-
     def test_family_matches_brute_force_on_seeded_plants(self):
         rng = random.Random(1)
         checked = 0

@@ -10,12 +10,12 @@ from fuzzydes import (
     ControllableSubgraph,
     DomainError,
     ValidationError,
+    accessible_part,
     build_successor_graph,
     check_controllable,
     chosen_graph,
     closed_loop_reachable,
     compatible_subsets,
-    accessible_part,
     make_state,
     successor_set,
     synthesize_controller,
