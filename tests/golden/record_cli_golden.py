@@ -4,9 +4,11 @@ Run from the repository root:
 
     PYTHONPATH=src:tests python tests/golden/record_cli_golden.py
 
-It writes the plant and spec documents the cases read (draws 17 and 24 of
-random_automaton(Random(1), 6, 4) and a few hand-written specs) and then
-cli_golden.json beside this file.  tests/test_cli_golden.py replays the
+It writes the plant and spec documents the cases read (draws 17, 23 and 24
+of random_automaton(Random(1), 6, 4) and a few hand-written specs), then
+cli_golden.json and cli_golden_digests.json beside this file.  The second
+file keeps the cases whose stdout is too large to store (hundreds of KB) as
+a sha256 digest plus the byte length.  tests/test_cli_golden.py replays the
 cases and requires the same bytes, so re-record only when an output change
 is intended.  In argv, "@path" names a file relative to tests/.
 """
@@ -14,6 +16,7 @@ is intended.  In argv, "@path" names a file relative to tests/.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -34,10 +37,14 @@ def _states(states):
 def write_documents() -> None:
     rng = random.Random(1)
     draws = [random_automaton(rng, 6, 4) for _ in range(25)]
-    for i in (17, 24):
+    for i in (17, 23, 24):
         (HERE / f"draw{i}_plant.json").write_text(serialize_automaton(draws[i]))
     vertices = accessible_part(draws[24]).vertices
     docs = {
+        "draw23_states.json": {
+            "kind": "state_set",
+            "states": _states(accessible_part(draws[23]).vertices),
+        },
         "draw24_states.json": {"kind": "state_set", "states": _states(vertices)},
         "draw24_partial.json": {"kind": "state_set", "states": _states(vertices[:-1])},
         # A set on which the controllability search runs to exhaustion.
@@ -97,7 +104,7 @@ ADMISSIBLE, LANGUAGE, CONTROLLER = (
     "@data/drift_language.json",
     "@data/reference_controller.json",
 )
-D24 = "@golden/draw24_plant.json"
+D23, D24 = "@golden/draw23_plant.json", "@golden/draw24_plant.json"
 
 
 def cases() -> list[list[str]]:
@@ -174,6 +181,20 @@ def cases() -> list[list[str]]:
     return out
 
 
+def digest_cases() -> list[list[str]]:
+    """Cases stored as a digest of their stdout (succ on the 255 accessible
+    vertices of draw 23 prints 624 KB of json)."""
+    return [
+        ["succ", "--automaton", D23, "--spec", "@golden/draw23_states.json", "--format", fmt]
+        for fmt in ("json", "text")
+    ]
+
+
+def stdout_digest(out: str) -> dict:
+    data = out.encode("utf-8")
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
 def resolve(argv: list[str]) -> list[str]:
     return [str(TESTS / arg[1:]) if arg.startswith("@") else arg for arg in argv]
 
@@ -192,7 +213,12 @@ def main() -> None:
         code, out = run(argv)
         records.append({"argv": argv, "code": code, "stdout": out})
     (HERE / "cli_golden.json").write_text(json.dumps(records, indent=1) + "\n")
-    print(f"recorded {len(records)} cases", file=sys.stderr)
+    digests = []
+    for argv in digest_cases():
+        code, out = run(argv)
+        digests.append({"argv": argv, "code": code, **stdout_digest(out)})
+    (HERE / "cli_golden_digests.json").write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"recorded {len(records)} cases and {len(digests)} digests", file=sys.stderr)
 
 
 if __name__ == "__main__":

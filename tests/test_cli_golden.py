@@ -1,11 +1,13 @@
 """Replay the CLI golden snapshot: every case must give the recorded exit
 code and the recorded stdout, byte for byte.
 
-The snapshot (golden/cli_golden.json) was recorded by
-golden/record_cli_golden.py; see that script for the cases and for how to
-re-record after an intended output change.
+The snapshot (golden/cli_golden.json, plus golden/cli_golden_digests.json
+for stdout too large to store) was recorded by golden/record_cli_golden.py;
+see that script for the cases and for how to re-record after an intended
+output change.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -15,6 +17,7 @@ from fuzzydes import run_command
 
 TESTS = pathlib.Path(__file__).parent
 CASES = json.loads((TESTS / "golden" / "cli_golden.json").read_text())
+DIGESTS = json.loads((TESTS / "golden" / "cli_golden_digests.json").read_text())
 
 
 def _resolve(argv):
@@ -26,3 +29,11 @@ def test_cli_output_matches_snapshot(capsys, case):
     code = run_command(_resolve(case["argv"]))
     out = capsys.readouterr().out
     assert (code, out) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("case", DIGESTS, ids=[" ".join(c["argv"]) for c in DIGESTS])
+def test_cli_output_matches_digest(capsys, case):
+    code = run_command(_resolve(case["argv"]))
+    data = capsys.readouterr().out.encode("utf-8")
+    got = (code, hashlib.sha256(data).hexdigest(), len(data))
+    assert got == (case["code"], case["sha256"], case["bytes"])
