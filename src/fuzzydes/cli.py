@@ -45,7 +45,6 @@ from .stability import (
     StabilizabilityWitness,
     check_attractor,
     infimal_attractor,
-    is_stable,
     search_stabilizing_witness,
     synthesize_stabilizing_controller,
     verify_stabilizability_witness,
@@ -54,7 +53,6 @@ from .statecontrol import (
     build_successor_graph,
     check_controllable,
     chosen_graph,
-    successor_set,
     synthesize_controller,
 )
 
@@ -165,10 +163,13 @@ def _cmd_member(args, aut):
 
 def _cmd_succ(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
+    graph = build_successor_graph(aut, spec.states)
+    by_source: dict = {q: [] for q in graph.vertices}
+    for e in graph.edges:
+        by_source[e.source].append(e)
     payload = {"successors": []}
     lines = []
-    for q in spec.states:
-        edges = successor_set(aut, spec.states, q)
+    for q, edges in by_source.items():
         payload["successors"].append(
             {
                 "state": state_doc(q),
@@ -300,7 +301,7 @@ def _cmd_stability(args, aut):
     graph = accessible_part(aut)
     infimal = infimal_attractor(graph)
     ordered = [q for q in graph.vertices if q in infimal]
-    stable = is_stable(graph, spec.states)
+    stable = infimal <= set(spec.states)
     report = check_attractor(graph, spec.states)
     payload = {
         "stable": stable,

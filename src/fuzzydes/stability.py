@@ -32,10 +32,10 @@ from .possibility import (
     format_state,
     maxmin_compose,
     scale_product,
-    solve_scale,
     state_is_zero,
 )
 from .statecontrol import (
+    ScalingIndex,
     check_controllable,
     forced_events,
     synthesize_controller,
@@ -111,9 +111,9 @@ def check_controllable_invariant(
     """N is controllable invariant when every feasible, partially
     uncontrollable event at a member admits a scaling back into N."""
     states = validated_state_set(aut, N)
-    state_set = set(states)
+    index = ScalingIndex(states)
     for q in states:
-        name = _escaping_event(aut, q, state_set)
+        name = _escaping_event(aut, q, index)
         if name is not None:
             return InvariantVerdict(False, (q, name))
     return InvariantVerdict(True)
@@ -127,20 +127,21 @@ def largest_controllable_invariant(
     invariant sets are closed under union."""
     survivors = list(validated_state_set(aut, N))
     while True:
-        state_set = set(survivors)
+        index = ScalingIndex(survivors)
         escaping = next(
-            (q for q in survivors if _escaping_event(aut, q, state_set) is not None), None
+            (q for q in survivors if _escaping_event(aut, q, index) is not None), None
         )
         if escaping is None:
             return tuple(survivors)
         survivors.remove(escaping)
 
 
-def _escaping_event(aut: MaxMinAutomaton, q: State, n_set: set[State]) -> Optional[str]:
+def _escaping_event(aut: MaxMinAutomaton, q: State, index: ScalingIndex) -> Optional[str]:
     """The first forced event at q (feasible, partially uncontrollable) that
-    no admissible scaling keeps inside n_set, or None when q is invariant."""
+    no admissible scaling keeps inside the indexed set, or None when q is
+    invariant."""
     for ev, composed in forced_events(aut, q):
-        if all(solve_scale(composed, p).restrict(ev.uc_degree).is_empty for p in n_set):
+        if not index.targets(composed, ev.uc_degree):
             return ev.name
     return None
 
@@ -200,6 +201,7 @@ def synthesize_stabilizing_controller(
         raise PreconditionError("witness failed verification")
     f_prime = _funnel_controller(aut, w.p_set)
     p_minus_n = set(w.p_set) - set(w.n_prime)
+    n_index = ScalingIndex(w.n_prime)
     entries = dict(f_prime.entries)
     for q in w.n_prime:
         for ev in aut.events:
@@ -209,12 +211,9 @@ def synthesize_stabilizing_controller(
             if ev.uc_degree == ZERO:
                 entries[(q, ev.name)] = ZERO
                 continue
-            composed = maxmin_compose(q, ev)
             admissible = [
-                least
-                for p in w.n_prime
-                if (least := solve_scale(composed, p).restrict(ev.uc_degree).least())
-                is not None
+                alphas.least()
+                for _, alphas in n_index.targets(maxmin_compose(q, ev), ev.uc_degree)
             ]
             if not admissible:
                 raise InfeasibleControl(

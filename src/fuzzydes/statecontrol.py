@@ -115,17 +115,44 @@ def forced_events(aut: MaxMinAutomaton, q: State) -> Iterator[tuple[FuzzyEvent, 
                 yield ev, composed
 
 
-def _successor_edges(
-    aut: MaxMinAutomaton, states: Sequence[State], q: State
-) -> list[SuccessorEdge]:
-    edges = []
-    for ev in aut.events:
-        composed = maxmin_compose(q, ev)
-        for p in states:
-            admissible = solve_scale(composed, p).restrict(ev.uc_degree)
+class ScalingIndex:
+    """The members of a state set, grouped by their maximum, for finding the
+    members that scale a vector lands on.
+
+    A nonzero p is a scaling of c exactly when p == min(max(p), c)
+    componentwise, so one dictionary probe per distinct maximum finds every
+    candidate target; solve_scale then runs on those hits alone.
+    """
+
+    def __init__(self, states: Sequence[State]):
+        self.states = tuple(states)
+        groups: dict[Fraction, dict[State, int]] = {}
+        for i, p in enumerate(self.states):
+            groups.setdefault(max(p), {})[p] = i
+        self._groups = tuple(groups.items())
+
+    def targets(self, composed: State, floor: Fraction) -> list[tuple[int, ScaleSolution]]:
+        """(position, alpha range) of every member that scaling composed by
+        some alpha >= floor lands on, in position order."""
+        hits = sorted(
+            i
+            for m, members in self._groups
+            if (i := members.get(tuple(min(m, v) for v in composed))) is not None
+        )
+        out = []
+        for i in hits:
+            admissible = solve_scale(composed, self.states[i]).restrict(floor)
             if not admissible.is_empty:
-                edges.append(SuccessorEdge(q, ev.name, p, admissible))
-    return edges
+                out.append((i, admissible))
+        return out
+
+
+def _successor_edges(aut: MaxMinAutomaton, index: ScalingIndex, q: State) -> list[SuccessorEdge]:
+    return [
+        SuccessorEdge(q, ev.name, index.states[i], admissible)
+        for ev in aut.events
+        for i, admissible in index.targets(maxmin_compose(q, ev), ev.uc_degree)
+    ]
 
 
 def successor_set(
@@ -136,7 +163,7 @@ def successor_set(
     states = validated_state_set(aut, P)
     if q not in states:
         raise DomainError(f"state {format_state(q)} is not a member of the set")
-    return tuple(_successor_edges(aut, states, q))
+    return tuple(_successor_edges(aut, ScalingIndex(states), q))
 
 
 def compatible_subsets(
@@ -161,7 +188,8 @@ def compatible_subsets(
 
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:
     states = validated_state_set(aut, P)
-    edges = tuple(e for q in states for e in _successor_edges(aut, states, q))
+    index = ScalingIndex(states)
+    edges = tuple(e for q in states for e in _successor_edges(aut, index, q))
     return SuccessorGraph(states, edges, aut.initial)
 
 
@@ -189,97 +217,100 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
     if aut.initial not in states:
         return ControllabilityVerdict(False, None, Obstruction("missing-initial"))
 
-    graph = build_successor_graph(aut, states)
-    candidates: dict[tuple[State, str], list[State]] = {}
-    for edge in graph.edges:
-        candidates.setdefault((edge.source, edge.event), []).append(edge.target)
+    # The search runs over vertex ids, the positions in P.
+    ids = {q: i for i, q in enumerate(states)}
+    root = ids[aut.initial]
+    candidates: dict[tuple[int, str], list[int]] = {}
+    for edge in build_successor_graph(aut, states).edges:
+        candidates.setdefault((ids[edge.source], edge.event), []).append(ids[edge.target])
 
-    for q in states:
+    for v, q in enumerate(states):
         for ev, _ in forced_events(aut, q):
-            if (q, ev.name) not in candidates:
+            if (v, ev.name) not in candidates:
                 return ControllabilityVerdict(
                     False, None, Obstruction("uncoverable-event", vertex=q, event=ev.name)
                 )
 
-    full_map: dict[State, list[tuple[str, State]]] = {}
-    for (q, name), targets in candidates.items():
-        full_map.setdefault(q, []).extend((name, t) for t in targets)
+    full_map: dict[int, list[tuple[str, int]]] = {}
+    for (v, name), targets in candidates.items():
+        full_map.setdefault(v, []).extend((name, t) for t in targets)
     # Slot order: vertices in BFS discovery order over the full candidate
     # graph (a state it misses is unreachable under every selection), events
     # in alphabet order.  Only slots with candidates exist; C2-mandatory
     # slots were verified non-empty above.
-    reached = bfs(aut.initial, lambda q: full_map.get(q, ())).dist
+    reached = bfs(root, lambda v: full_map.get(v, ())).dist
     if len(reached) != len(states):
-        missing = tuple(q for q in states if q not in reached)
+        missing = tuple(q for v, q in enumerate(states) if v not in reached)
         return ControllabilityVerdict(
             False, None, Obstruction("unreachable", vertices=missing)
         )
-    slots: list[tuple[State, str, list[State]]] = []
-    for q in reached:
+    slots: list[tuple[int, list[int]]] = []
+    slot_events: list[str] = []
+    for v in reached:
         for ev in aut.events:
-            targets = candidates.get((q, ev.name))
+            targets = candidates.get((v, ev.name))
             if targets:
-                slots.append((q, ev.name, targets))
+                slots.append((v, targets))
+                slot_events.append(ev.name)
 
-    found, best_reached = _search(aut.initial, states, slots)
-    if found is not None:
-        return ControllabilityVerdict(True, ControllableSubgraph(found))
-    missing = tuple(q for q in states if q not in best_reached)
+    picks, best_reached = _search(root, len(states), slots)
+    if picks is not None:
+        choice = {
+            (states[v], name): states[targets[k]]
+            for (v, targets), name, k in zip(slots, slot_events, picks)
+        }
+        return ControllabilityVerdict(True, ControllableSubgraph(choice))
+    missing = tuple(q for v, q in enumerate(states) if v not in best_reached)
     return ControllabilityVerdict(False, None, Obstruction("unreachable", vertices=missing))
 
 
 def _search(
-    root: State, states: tuple[State, ...], slots
-) -> tuple[Optional[dict], set[State]]:
-    """The backtracking search of check_controllable, depth first over the
-    slots' target choices in slot and target order, with an explicit stack
-    (picks) so depth costs no Python frames.
+    root: int, size: int, slots: list[tuple[int, list[int]]]
+) -> tuple[Optional[list[int]], set[int]]:
+    """The backtracking search of check_controllable over vertex ids
+    0..size-1, depth first over the slots' target choices in slot and target
+    order, with an explicit stack (picks) so depth costs no Python frames.
 
     A node at depth i has chosen targets for slots[:i] and is pruned when
     its optimistic completion strands a vertex.  Returns the first full
-    choice reaching every state (or None) and the largest set reached by a
-    full choice, seeded with a greedy full assignment so an exhausted search
-    still reports a concrete stranded set.
+    choice (picks[k] indexes the target of slots[k]) reaching every vertex,
+    or None, and the largest set reached by a full choice, seeded with a
+    greedy full assignment so an exhausted search still reports a concrete
+    stranded set.
     """
-    state_set = set(states)
-    chosen: dict[tuple[State, str], State] = {}
+    slots_of: list[list[int]] = [[] for _ in range(size)]
+    for k, (v, _) in enumerate(slots):
+        slots_of[v].append(k)
+    picks: list[int] = []  # picks[k]: index of the target chosen for slots[k]
 
-    def reach_from(extra_from: int) -> set[State]:
-        table: dict[State, list[State]] = {}
-        for (q, _), t in chosen.items():
-            table.setdefault(q, []).append(t)
-        for q, _, targets in slots[extra_from:]:
-            table.setdefault(q, []).extend(targets)
-        return closure([root], lambda q: table.get(q, ()))
+    def optimistic(v: int) -> list[int]:
+        # Chosen slots give their pick, the slots still open every target.
+        out = []
+        for k in slots_of[v]:
+            targets = slots[k][1]
+            if k < len(picks):
+                out.append(targets[picks[k]])
+            else:
+                out.extend(targets)
+        return out
 
-    greedy: dict[State, list[State]] = {}
-    for q, _, targets in slots:
-        greedy.setdefault(q, []).append(targets[0])
-    best_reached = closure([root], lambda q: greedy.get(q, ()))
-
-    picks: list[int] = []  # picks[i]: index of the target chosen for slots[i]
+    best_reached = closure([root], lambda v: [slots[k][1][0] for k in slots_of[v]])
     while True:
-        i = len(picks)
-        reach = reach_from(i)
-        if i == len(slots):
+        reach = closure([root], optimistic)
+        if len(picks) == len(slots):
             if len(reach) > len(best_reached):
                 best_reached = reach
-            if reach == state_set:
-                return dict(chosen), best_reached
-        elif state_set <= reach:
-            q, name, targets = slots[i]
-            chosen[(q, name)] = targets[0]
+            if len(reach) == size:
+                return picks, best_reached
+        elif len(reach) == size:
             picks.append(0)
             continue
         # Backtrack to the deepest slot with an untried target.
         while picks:
-            q, name, targets = slots[len(picks) - 1]
-            if picks[-1] + 1 < len(targets):
+            if picks[-1] + 1 < len(slots[len(picks) - 1][1]):
                 picks[-1] += 1
-                chosen[(q, name)] = targets[picks[-1]]
                 break
             picks.pop()
-            del chosen[(q, name)]
         else:
             return None, best_reached
 
