@@ -303,7 +303,7 @@ class TestComplexity:
         assert (len(P), len(aut.events), maxima) == (255, 4, 5)
         assert len(calls) <= len(P) * len(aut.events) * maxima
 
-    def test_succ_validates_the_set_once(self, monkeypatch, capsys):
+    def test_succ_validates_the_set_once(self, monkeypatch):
         calls = []
         real = statecontrol.validated_state_set
         monkeypatch.setattr(
