@@ -44,7 +44,9 @@ from .reachability import family_contains, reach_family
 from .stability import (
     StabilizabilityWitness,
     check_attractor,
+    grid_universe,
     infimal_attractor,
+    largest_controllable_invariant,
     search_stabilizing_witness,
     synthesize_stabilizing_controller,
     verify_stabilizability_witness,
@@ -55,6 +57,17 @@ from .statecontrol import (
     chosen_graph,
     synthesize_controller,
 )
+
+
+def _count(text: str) -> int:
+    """A non-negative int option value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative int, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,10 +93,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("bridge", parents=[common])
     sub.add_parser("stability", parents=[common])
     stabilize = sub.add_parser("stabilize", parents=[common])
-    stabilize.add_argument("--budget", type=int, default=5000)
+    stabilize.add_argument(
+        "--budget",
+        type=_count,
+        default=5000,
+        help="accepted for compatibility and ignored: the witness search is a "
+        "fixpoint that always finishes (must be a non-negative int)",
+    )
     simulate = sub.add_parser("simulate", parents=[common])
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--steps", type=int, default=8)
+    simulate.add_argument("--steps", type=_count, default=8)
     simulate.add_argument("--string", metavar="EVENTS", help="space-separated scripted event string")
     export = sub.add_parser("export-dot", parents=[common])
     export.add_argument(
@@ -335,8 +354,11 @@ def _cmd_stabilize(args, aut):
     else:
         found = search_stabilizing_witness(aut, legal, args.budget)
         if found is None:
+            # Scripts read this exact line as "inconclusive"; keep its bytes.
             text = "no stabilization witness found within budget (inconclusive)"
-            return 1, {"stabilizable": None, "reason": "budget exhausted"}, text
+            size = len(grid_universe(aut, legal, largest_controllable_invariant(aut, legal)))
+            reason = f"no witness over the grid universe ({size} states)"
+            return 1, {"stabilizable": None, "reason": reason}, text
         witness, controller = found, found.controller
     payload = {
         "stabilizable": True,

@@ -7,13 +7,14 @@ cycle vertices together with the dead vertices, so stability of a legal set
 reduces to a subset test.  Stabilizability asks for a controller whose
 closed loop has an attractor inside the legal set; witnesses pair a
 controllable invariant subset of the legal states with a controllable set
-that funnels into it.
+that funnels into it, and are found by a controllable-attractor fixpoint
+over a finite grid of scaled states.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .automaton import (
@@ -24,8 +25,8 @@ from .automaton import (
     closed_loop_graph,
     closed_loop_step,
 )
-from .errors import InfeasibleControl, PreconditionError
-from .graph import closure, cycle_vertices
+from .errors import InfeasibleControl, PreconditionError, ValidationError
+from .graph import bfs, closure, cycle_vertices
 from .possibility import (
     ZERO,
     State,
@@ -35,6 +36,7 @@ from .possibility import (
     state_is_zero,
 )
 from .statecontrol import (
+    ControllableSubgraph,
     ScalingIndex,
     check_controllable,
     forced_events,
@@ -124,16 +126,39 @@ def largest_controllable_invariant(
 ) -> tuple[State, ...]:
     """Greatest fixpoint: drop states whose invariance condition fails
     against the survivors until none do.  Unique because controllable
-    invariant sets are closed under union."""
-    survivors = list(validated_state_set(aut, N))
-    while True:
-        index = ScalingIndex(survivors)
-        escaping = next(
-            (q for q in survivors if _escaping_event(aut, q, index) is not None), None
-        )
-        if escaping is None:
-            return tuple(survivors)
-        survivors.remove(escaping)
+    invariant sets are closed under union.
+
+    A worklist over one scaling index: every forced event at a member keeps
+    a count of its targets still in the set, and removing a state lowers the
+    counts of the forced events that could land on it, so only those
+    members are looked at again.  Survivors keep their order in N.
+    """
+    states = validated_state_set(aut, N)
+    index = ScalingIndex(states)
+    alive = [True] * len(states)
+    owner: list[int] = []  # owner[k]: the member whose forced event is slot k
+    live: list[int] = []  # live[k]: targets of slot k still in the set
+    landing: list[list[int]] = [[] for _ in states]  # t -> slots with target t
+    doomed: list[int] = []
+    for v, q in enumerate(states):
+        for ev, composed in forced_events(aut, q):
+            targets = index.targets(composed, ev.uc_degree)
+            if not targets:
+                doomed.append(v)
+            for t, _ in targets:
+                landing[t].append(len(owner))
+            owner.append(v)
+            live.append(len(targets))
+    while doomed:
+        v = doomed.pop()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        for k in landing[v]:
+            live[k] -= 1
+            if not live[k]:
+                doomed.append(owner[k])
+    return tuple(q for q, keep in zip(states, alive) if keep)
 
 
 def _escaping_event(aut: MaxMinAutomaton, q: State, index: ScalingIndex) -> Optional[str]:
@@ -150,31 +175,40 @@ def _escaping_event(aut: MaxMinAutomaton, q: State, index: ScalingIndex) -> Opti
 class StabilizabilityWitness:
     """A candidate stabilization certificate: an invariant target set inside
     the legal states, a controllable funnel set, and (once synthesized) a
-    controller whose closed loop has the target as an attractor."""
+    controller whose closed loop has the target as an attractor.  A witness
+    may carry the funnel's chosen edges as subgraph; verification then
+    checks that subgraph instead of searching the funnel for one."""
 
     n_prime: tuple[State, ...]
     p_set: tuple[State, ...]
     controller: Optional[StateFeedbackController] = None
+    subgraph: Optional[ControllableSubgraph] = None
 
 
 def _funnel_controller(
-    aut: MaxMinAutomaton, p_set: Sequence[State]
+    aut: MaxMinAutomaton, w: StabilizabilityWitness
 ) -> Optional[StateFeedbackController]:
-    if not p_set:
+    """The controller realizing the funnel set through the witness's own
+    subgraph, or through the one check_controllable finds when it carries
+    none; None when that subgraph is invalid or the funnel not controllable."""
+    if not w.p_set:
         return None
-    verdict = check_controllable(aut, p_set)
+    if w.subgraph is not None:
+        try:
+            # synthesize_controller checks the subgraph with validate_subgraph.
+            return synthesize_controller(aut, w.p_set, w.subgraph)
+        except ValidationError:
+            return None
+    verdict = check_controllable(aut, w.p_set)
     if not verdict.controllable:
         return None
-    return synthesize_controller(aut, p_set, verdict.subgraph)
+    return synthesize_controller(aut, w.p_set, verdict.subgraph)
 
 
-def verify_stabilizability_witness(
+def _verified_funnel(
     aut: MaxMinAutomaton, N: Sequence[State], w: StabilizabilityWitness
-) -> bool:
-    """Check a witness (controller not required): the target set is
-    controllable invariant, the funnel set is controllable, and under the
-    synthesized funnel controller the funnel connects into the target with
-    no cycle outside it."""
+) -> Optional[StateFeedbackController]:
+    """The funnel controller of a witness that verifies, else None."""
     legal = set(validated_state_set(aut, N))
     if not set(w.n_prime) <= legal:
         raise PreconditionError(
@@ -182,12 +216,23 @@ def verify_stabilizability_witness(
             counterexample=tuple(q for q in w.n_prime if q not in legal),
         )
     if not check_controllable_invariant(aut, w.n_prime).ok:
-        return False
-    f_prime = _funnel_controller(aut, w.p_set)
+        return None
+    f_prime = _funnel_controller(aut, w)
     if f_prime is None:
-        return False
+        return None
     connected, acyclic = _funnels_into(closed_loop_graph(aut, f_prime), set(w.n_prime))
-    return connected and acyclic
+    return f_prime if connected and acyclic else None
+
+
+def verify_stabilizability_witness(
+    aut: MaxMinAutomaton, N: Sequence[State], w: StabilizabilityWitness
+) -> bool:
+    """Check a witness (controller not required): the target set is
+    controllable invariant, the funnel set is controllable (through the
+    witness's subgraph when it has one), and under the synthesized funnel
+    controller the funnel connects into the target with no cycle outside
+    it."""
+    return _verified_funnel(aut, N, w) is not None
 
 
 def synthesize_stabilizing_controller(
@@ -197,9 +242,9 @@ def synthesize_stabilizing_controller(
     would leave the target for the rest of the funnel are disabled when fully
     controllable, or re-scaled to the least admissible value landing back in
     the target otherwise; everything else keeps the funnel controller."""
-    if not verify_stabilizability_witness(aut, N, w):
+    f_prime = _verified_funnel(aut, N, w)
+    if f_prime is None:
         raise PreconditionError("witness failed verification")
-    f_prime = _funnel_controller(aut, w.p_set)
     p_minus_n = set(w.p_set) - set(w.n_prime)
     n_index = ScalingIndex(w.n_prime)
     entries = dict(f_prime.entries)
@@ -244,48 +289,104 @@ def candidate_universe(
     return tuple(out)
 
 
+def grid_universe(
+    aut: MaxMinAutomaton, N: Sequence[State], invariant: Sequence[State]
+) -> tuple[State, ...]:
+    """The universe U that search_stabilizing_witness ranks:
+    candidate_universe(aut, N) followed by the members of invariant (the
+    largest controllable invariant subset of N) that it lacks."""
+    universe = candidate_universe(aut, N)
+    in_universe = set(universe)
+    return universe + tuple(q for q in invariant if q not in in_universe)
+
+
 def search_stabilizing_witness(
     aut: MaxMinAutomaton, N: Sequence[State], budget: int = 5000
 ) -> Optional[StabilizabilityWitness]:
-    """Bounded witness search.
+    """Decide stabilizability over the grid universe U = grid_universe(aut,
+    N, N*), N* the largest controllable invariant subset of N, with a
+    controllable attractor (Özveren, Willsky & Antsaklis, J. ACM 38(3), 1991).
 
-    Target candidates are subsets of the largest controllable invariant
-    subset of the legal set (every feasible target lies inside it); funnel
-    candidates come from the grid universe of scaled reachable states.  A
-    quick attempt with the full invariant and the open-loop reachable set is
-    made first, then subsets are enumerated exhaustively until the budget
-    runs out.  Absent means inconclusive beyond the grid, not a proof of
-    unstabilizability.
+    N* has rank 0; another state of U gets rank r + 1 once every forced event
+    at it, or with none forced some event, has an admissible target of rank
+    at most r.  A counter worklist over one scaling index of U hands out the
+    ranks in order until the initial state has one.  The witness follows
+    the rank-decreasing choice: a forced event takes its lowest-rank target
+    (lowest position in U on ties), a state with no forced event enables
+    only the first event with a lower-rank target (none at rank 0), and the
+    rest are disabled.  Its funnel set is the closure of the initial state
+    under that choice in discovery order, its target set the funnel's
+    members of N*, and the choice travels as its subgraph.
+
+    None means no witness has its funnel inside U (the chosen edges of a
+    funnel that verifies would rank all of it); whether a scaling off the
+    grid can ever be needed is unproven.  budget is ignored.
     """
-    largest = largest_controllable_invariant(aut, N)
-    if not largest:
+    invariant = largest_controllable_invariant(aut, N)
+    if not invariant:
         return None
-    universe = candidate_universe(aut, N)
-    reachable = accessible_part(aut).vertices
+    states = grid_universe(aut, N, invariant)
+    ids = {q: v for v, q in enumerate(states)}
+    root = ids.get(aut.initial)
+    if root is None:
+        return None
+    index = ScalingIndex(states)
+    slots = [_strategy_slots(aut, index, q) for q in states]
+    rank: list[Optional[int]] = [None] * len(states)
+    for q in invariant:
+        rank[ids[q]] = 0
+    # watchers[t]: (v, k) for every slot k of v holding target t; pending[v]
+    # the slots of v still lacking a ranked target.
+    watchers: list[list[tuple[int, int]]] = [[] for _ in states]
+    for v, (_, event_slots) in enumerate(slots):
+        for k, (_, targets) in enumerate(event_slots):
+            for t in targets:
+                watchers[t].append((v, k))
+    pending = [set(range(len(event_slots))) for _, event_slots in slots]
+    queue = deque(ids[q] for q in invariant)
+    while queue and rank[root] is None:
+        t = queue.popleft()
+        for v, k in watchers[t]:
+            if rank[v] is not None or k not in pending[v]:
+                continue
+            pending[v].discard(k)
+            if not slots[v][0] or not pending[v]:
+                rank[v] = rank[t] + 1
+                queue.append(v)
+    if rank[root] is None:
+        return None
 
-    rest_universe = tuple(q for q in universe if q != aut.initial)
+    def chosen(v: int) -> list[tuple[str, int]]:
+        forced, event_slots = slots[v]
+        best = []  # (event, (rank, position) of its lowest-rank target)
+        for name, targets in event_slots:
+            ranked = [(rank[t], t) for t in targets if rank[t] is not None]
+            if ranked:
+                best.append((name, min(ranked)))
+        if forced:
+            return [(name, t) for name, (_, t) in best]
+        return [(name, t) for name, (r, t) in best if r < rank[v]][:1]
 
-    def candidates():
-        quick_p = list(reachable) + [q for q in largest if q not in set(reachable)]
-        yield largest, tuple(quick_p)
-        for n_size in range(len(largest), 0, -1):
-            for n_prime in combinations(largest, n_size):
-                for p_size in range(len(rest_universe) + 1):
-                    for extra in combinations(rest_universe, p_size):
-                        yield n_prime, (aut.initial,) + extra
+    picks: dict[int, list[tuple[str, int]]] = {}
+    funnel = bfs(root, lambda v: picks.setdefault(v, chosen(v))).dist
+    witness = StabilizabilityWitness(
+        tuple(q for q in invariant if ids[q] in funnel),
+        tuple(states[v] for v in funnel),
+        subgraph=ControllableSubgraph(
+            {(states[v], name): states[t] for v in funnel for name, t in picks[v]}
+        ),
+    )
+    return replace(witness, controller=synthesize_stabilizing_controller(aut, N, witness))
 
-    tried: set[tuple[frozenset, frozenset]] = set()
-    remaining = budget
-    for n_prime, p_set in candidates():
-        key = (frozenset(n_prime), frozenset(p_set))
-        if key in tried:
-            continue
-        tried.add(key)
-        if remaining <= 0:
-            return None
-        remaining -= 1
-        witness = StabilizabilityWitness(tuple(n_prime), tuple(p_set))
-        if verify_stabilizability_witness(aut, N, witness):
-            controller = synthesize_stabilizing_controller(aut, N, witness)
-            return replace(witness, controller=controller)
-    return None
+
+def _strategy_slots(
+    aut: MaxMinAutomaton, index: ScalingIndex, q: State
+) -> tuple[bool, list[tuple[str, list[int]]]]:
+    """Whether some event is forced at q, and the target positions in the
+    index of the events a strategy fills there: the forced ones, or every
+    event when none is forced."""
+    forced = list(forced_events(aut, q))
+    pairs = forced or [(ev, maxmin_compose(q, ev)) for ev in aut.events]
+    return bool(forced), [
+        (ev.name, [t for t, _ in index.targets(c, ev.uc_degree)]) for ev, c in pairs
+    ]

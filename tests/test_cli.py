@@ -408,6 +408,18 @@ class TestExitCodeContract:
         code, _, err = invoke(capsys, "member", "--automaton", PLANT)
         assert code == 2 and err
 
+    def test_negative_budget_is_a_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "w.json"
+        spec.write_text(json.dumps({"kind": "witness", "n": [["0.4", "0.1", "0"]]}))
+        code, out, err = invoke(
+            capsys, "stabilize", "--automaton", DRIFT, "--spec", str(spec), "--budget", "-1"
+        )
+        assert code == 2 and out == "" and "usage:" in err and "--budget" in err
+
+    def test_negative_steps_is_a_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "simulate", "--automaton", PLANT, "--steps", "-5")
+        assert code == 2 and out == "" and "usage:" in err and "--steps" in err
+
     def test_dot_format_restricted(self, capsys):
         code, _, err = invoke(capsys, "reach", "--automaton", PLANT, "--format", "dot")
         assert code == 2 and err

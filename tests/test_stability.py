@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import fuzzydes.stability as stability
 from fuzzydes import (
     PreconditionError,
     StabilizabilityWitness,
@@ -15,15 +16,19 @@ from fuzzydes import (
     check_controllable_invariant,
     closed_loop_graph,
     find_cycles,
+    grid_universe,
     infimal_attractor,
     is_stable,
     largest_controllable_invariant,
     make_state,
+    maxmin_compose,
     search_stabilizing_witness,
+    solve_scale,
     synthesize_controller,
     synthesize_stabilizing_controller,
     verify_stabilizability_witness,
 )
+from fuzzydes.statecontrol import forced_events
 from generators import COARSE, random_automaton, random_controller
 from conftest import load_automaton
 
@@ -301,12 +306,16 @@ class TestWitnessSearch:
     def test_empty_legal_set_is_inconclusive(self, drift_plant):
         assert search_stabilizing_witness(drift_plant, ()) is None
 
-    def test_legal_superset_of_reachables_found_on_first_candidate(self, drift_plant):
+    def test_legal_superset_of_reachables_freezes_the_initial_state(self, drift_plant):
+        # The initial state is in N* (rank 0) and no event is forced there,
+        # so the rank strategy disables every event at it.
         reachable = accessible_part(drift_plant).vertices
         witness = search_stabilizing_witness(drift_plant, reachable)
         assert witness is not None
-        assert set(witness.p_set) == set(reachable)
+        assert witness.n_prime == witness.p_set == (drift_plant.initial,)
+        assert witness.subgraph.choice == {}
         graph = closed_loop_graph(drift_plant, witness.controller)
+        assert graph.vertices == (drift_plant.initial,)
         assert check_attractor(graph, set(witness.n_prime)).verdict
 
     def test_unreachable_legal_state_is_inconclusive(self, drift_plant):
@@ -330,6 +339,133 @@ class TestWitnessSearch:
             expected = oracle_stabilizable(aut, legal)
             found = search_stabilizing_witness(aut, legal) is not None
             assert found == expected
+
+
+def enumerated_stabilizing_witness(aut, N, budget):
+    """The bounded enumeration that search_stabilizing_witness ran before the
+    attractor fixpoint: target sets are subsets of N*, largest first, funnel
+    sets the initial state plus subsets of the grid universe, smallest
+    first, after one quick try of N* with the open-loop reachable set.
+    Returns (witness or None, whether the enumeration ended within budget).
+
+    A candidate is verified without a subgraph, so check_controllable picks
+    the funnel's edges, and its full selection may close a cycle outside
+    the target that another selection avoids: an exhausted enumeration is
+    not a proof that no witness exists.
+    """
+    largest = largest_controllable_invariant(aut, N)
+    if not largest:
+        return None, True
+    universe = candidate_universe(aut, N)
+    reachable = accessible_part(aut).vertices
+    rest = tuple(q for q in universe if q != aut.initial)
+
+    def candidates():
+        yield largest, tuple(reachable) + tuple(q for q in largest if q not in set(reachable))
+        for n_size in range(len(largest), 0, -1):
+            for n_prime in combinations(largest, n_size):
+                for p_size in range(len(rest) + 1):
+                    for extra in combinations(rest, p_size):
+                        yield n_prime, (aut.initial,) + extra
+
+    tried = set()
+    for n_prime, p_set in candidates():
+        key = (frozenset(n_prime), frozenset(p_set))
+        if key in tried:
+            continue
+        if len(tried) == budget:
+            return None, False
+        tried.add(key)
+        witness = StabilizabilityWitness(tuple(n_prime), tuple(p_set))
+        if verify_stabilizability_witness(aut, N, witness):
+            return witness, True
+    return None, True
+
+
+def swept_attractor(aut, N):
+    """The controllable attractor by its definition: sweep the grid universe
+    until no state joins, testing each event against every state joined so
+    far with solve_scale.  A state joins when every forced event there has
+    an admissible target among them or, with none forced, some event has."""
+    invariant = largest_controllable_invariant(aut, N)
+    joined = set(invariant)
+
+    def lands(q, ev):
+        composed = maxmin_compose(q, ev)
+        return any(
+            not solve_scale(composed, p).restrict(ev.uc_degree).is_empty for p in joined
+        )
+
+    def joins(q):
+        forced = [ev for ev, _ in forced_events(aut, q)]
+        if forced:
+            return all(lands(q, ev) for ev in forced)
+        return any(lands(q, ev) for ev in aut.events)
+
+    universe = grid_universe(aut, N, invariant)
+    while True:
+        layer = {q for q in universe if q not in joined and joins(q)}
+        if not layer:
+            return joined
+        joined |= layer
+
+
+class TestAttractorFixpoint:
+    def test_agrees_with_the_enumeration_and_the_definition(self):
+        # Plants with at most 12 accessible states, a random half of them
+        # legal.  The enumeration (budget 300) is the old search.
+        rng = random.Random(7)
+        outcomes = {"yes": 0, "no": 0, "open": 0, "cyclic-choice": 0}
+        for _ in range(150):
+            aut = random_automaton(rng, 3, 3)
+            V = accessible_part(aut).vertices
+            if len(V) > 12:
+                continue
+            legal = tuple(rng.sample(V, max(1, len(V) // 2)))
+            witness = search_stabilizing_witness(aut, legal)
+            assert (witness is not None) == (aut.initial in swept_attractor(aut, legal))
+            if witness is not None:
+                assert verify_stabilizability_witness(aut, legal, witness)
+                graph = closed_loop_graph(aut, witness.controller)
+                assert check_attractor(graph, set(witness.n_prime)).verdict
+            found, conclusive = enumerated_stabilizing_witness(aut, legal, 300)
+            if found is not None:
+                outcomes["yes"] += 1
+                assert witness is not None
+            elif not conclusive:
+                outcomes["open"] += 1
+            elif witness is None:
+                outcomes["no"] += 1
+            else:
+                # The enumeration missed this witness only because
+                # check_controllable chose a cycle outside the target.
+                outcomes["cyclic-choice"] += 1
+                plain = StabilizabilityWitness(witness.n_prime, witness.p_set)
+                assert not verify_stabilizability_witness(aut, legal, plain)
+        assert outcomes["yes"] >= 20 and outcomes["no"] >= 50
+
+    def test_draw_44_decides_without_the_controllability_search(self, monkeypatch):
+        # ROADMAP K2: with its smallest attractor as the legal set, draw 44's
+        # first enumerated candidate was a set the backtracking search could
+        # not decide in minutes.
+        rng = random.Random(8)
+        aut = [random_automaton(rng, 4, 3) for _ in range(45)][44]
+        graph = accessible_part(aut)
+        smallest = infimal_attractor(graph)
+        legal = tuple(q for q in graph.vertices if q in smallest)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return check_controllable(*args)
+
+        monkeypatch.setattr(stability, "check_controllable", counting)
+        witness = search_stabilizing_witness(aut, legal)
+        assert witness is not None
+        assert verify_stabilizability_witness(aut, legal, witness)
+        graph = closed_loop_graph(aut, witness.controller)
+        assert check_attractor(graph, set(witness.n_prime)).verdict
+        assert calls == []
 
 
 class TestNecessityDirection:

@@ -2,10 +2,12 @@
 checked against the definitions they replace.
 
 brute_force_successor_edges and brute_force_largest_invariant scan every
-member of the set with solve_scale; reference_check_controllable is the
-controllability search keyed by state tuples instead of vertex ids.  The
-library must give the same edges, alpha ranges, choices and obstructions,
-in the same order.
+member of the set with solve_scale, the latter in the restart loop that
+largest_controllable_invariant ran before its worklist (drop the first
+escaping survivor, scan again from the start); reference_check_controllable
+is the controllability search keyed by state tuples instead of vertex ids.
+The library must give the same edges, alpha ranges, choices and
+obstructions, in the same order.
 """
 
 import pathlib
@@ -16,6 +18,7 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, strategies as st
 
+import fuzzydes.stability as stability
 import fuzzydes.statecontrol as statecontrol
 from fuzzydes import (
     ControllabilityVerdict,
@@ -230,17 +233,11 @@ class TestScalingIndex:
         assert checked == 23
 
     def test_controllable_invariants_of_the_seeded_draws(self, draws):
-        # N: the accessible vertices and their scalings by 0.6 and 0.3, about
-        # 70 % of them kept, so the fixpoint has members to drop.
         shrunk = 0
         for index, aut, V in draws:
             if len(V) > 120:
                 continue
-            rng = random.Random(index)
-            pool = dict.fromkeys(
-                s for q in V for alpha in (F(1), F(3, 5), F(3, 10)) if any(s := scale_product(alpha, q))
-            )
-            N = tuple(p for p in pool if rng.random() < 0.7)
+            N = scaled_subset(index, V)
             verdict = check_controllable_invariant(aut, N)
             violation = brute_force_invariant_violation(aut, N)
             assert (verdict.ok, verdict.violation) == (violation is None, violation)
@@ -248,6 +245,16 @@ class TestScalingIndex:
             assert largest == brute_force_largest_invariant(aut, N)
             shrunk += len(largest) < len(N)
         assert shrunk >= 8
+
+
+def scaled_subset(index, V):
+    """The accessible vertices of a draw and their scalings by 0.6 and 0.3,
+    about 70 % of them kept, so the invariant fixpoint has members to drop."""
+    rng = random.Random(index)
+    pool = dict.fromkeys(
+        s for q in V for alpha in (F(1), F(3, 5), F(3, 10)) if any(s := scale_product(alpha, q))
+    )
+    return tuple(p for p in pool if rng.random() < 0.7)
 
 
 def _search_cases(draws):
@@ -302,6 +309,20 @@ class TestComplexity:
         maxima = len({max(p) for p in P})
         assert (len(P), len(aut.events), maxima) == (255, 4, 5)
         assert len(calls) <= len(P) * len(aut.events) * maxima
+
+    def test_largest_invariant_builds_one_index(self, draws, monkeypatch):
+        # Draw 21: 58 of the 82 scaled states drop out of the fixpoint.
+        _, aut, V = draws[21]
+        N = scaled_subset(21, V)
+        built = []
+
+        def counting(states):
+            built.append(len(states))
+            return ScalingIndex(states)
+
+        monkeypatch.setattr(stability, "ScalingIndex", counting)
+        kept = largest_controllable_invariant(aut, N)
+        assert (len(N), len(N) - len(kept), built) == (82, 58, [82])
 
     def test_succ_validates_the_set_once(self, monkeypatch):
         calls = []
