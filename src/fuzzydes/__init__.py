@@ -10,6 +10,7 @@ from .errors import (
     PreconditionError,
     UnknownEvent,
     ValidationError,
+    WitnessRejected,
 )
 from .possibility import (
     ONE,
@@ -17,7 +18,6 @@ from .possibility import (
     FuzzyEvent,
     Possibility,
     ScaleSolution,
-    SolutionKind,
     State,
     as_possibility,
     format_possibility,
@@ -64,7 +64,6 @@ from .statecontrol import (
     build_successor_graph,
     check_controllable,
     chosen_graph,
-    compatible_subsets,
     successor_set,
     synthesize_controller,
     validate_subgraph,
@@ -74,8 +73,6 @@ from .language import (
     FuzzyLanguage,
     FuzzySupervisor,
     LanguageVerdict,
-    concat_raw,
-    concatenate,
     consistency_check,
     controller_from_language,
     controller_language_is_controllable,
@@ -83,7 +80,6 @@ from .language import (
     reach_of_language,
     supervisor_from_controller,
     supervisor_from_language,
-    uncontrollability_lift,
     closed_loop_language_of_supervisor,
 )
 from .stability import (

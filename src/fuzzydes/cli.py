@@ -22,7 +22,7 @@ from .automaton import (
     language_degree,
     open_loop_trajectory,
 )
-from .errors import DimensionMismatch, FuzzyDESError
+from .errors import DimensionMismatch, FuzzyDESError, WitnessRejected
 from .fileio import (
     ControllerSpec,
     LanguageSpec,
@@ -49,7 +49,6 @@ from .stability import (
     largest_controllable_invariant,
     search_stabilizing_witness,
     synthesize_stabilizing_controller,
-    verify_stabilizability_witness,
 )
 from .statecontrol import (
     build_successor_graph,
@@ -74,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--automaton", required=True, metavar="FILE")
     common.add_argument("--spec", metavar="FILE")
-    common.add_argument("--max-len", type=int, default=6)
+    common.add_argument("--max-len", type=_count, default=6)
     common.add_argument("--out", metavar="FILE")
     common.add_argument("--format", choices=["text", "json", "dot"], default="text")
 
@@ -346,11 +345,12 @@ def _cmd_stabilize(args, aut):
         raise FuzzyDESError("stabilize requires a witness or state_set spec")
     if n_prime is not None and p_set is not None:
         witness = StabilizabilityWitness(n_prime, p_set)
-        if not verify_stabilizability_witness(aut, legal, witness):
+        try:
+            controller = synthesize_stabilizing_controller(aut, legal, witness)
+        except WitnessRejected:
             return 1, {"stabilizable": False, "reason": "witness failed verification"}, (
                 "the supplied witness failed verification"
             )
-        controller = synthesize_stabilizing_controller(aut, legal, witness)
     else:
         found = search_stabilizing_witness(aut, legal, args.budget)
         if found is None:

@@ -29,5 +29,10 @@ class PreconditionError(FuzzyDESError, ValueError):
         self.counterexample = counterexample
 
 
+class WitnessRejected(PreconditionError):
+    """A supplied certificate failed verification: a negative verdict on the
+    certificate rather than a malformed request."""
+
+
 class InfeasibleControl(FuzzyDESError, RuntimeError):
     """No admissible control value exists for a required redirection."""

@@ -21,10 +21,10 @@ from .automaton import (
 from .errors import ValidationError
 from .language import FuzzyLanguage
 from .possibility import (
+    ONE,
     Fraction,
     FuzzyEvent,
     State,
-    SolutionKind,
     as_possibility,
     format_possibility,
     format_state,
@@ -246,11 +246,8 @@ def _quote(label: str) -> str:
 
 
 def _range_label(solution) -> str:
-    if solution.kind is SolutionKind.POINT:
-        return format_possibility(solution.point)
-    if solution.kind is SolutionKind.INTERVAL:
-        return f"{format_possibility(solution.lower)}..1"
-    return "-"
+    lower = format_possibility(solution.lower)
+    return f"{lower}..1" if solution.upper == ONE else lower
 
 
 def export_dot(graph: TransitionGraph | SuccessorGraph) -> str:

@@ -88,37 +88,6 @@ class FuzzyLanguage:
         return max((len(s) for s in self.degrees), default=0)
 
 
-def concat_raw(m1: Mapping[EventString, Fraction], m2: Mapping[EventString, Fraction]) -> DegreeMap:
-    """Concatenation on raw degree maps: degree of s is the best min over
-    two-way splits of s.  Used directly by the containment form of the
-    controllability definition, whose uncontrollability lift is not itself a
-    fuzzy language."""
-    out: DegreeMap = {}
-    for s1, d1 in m1.items():
-        for s2, d2 in m2.items():
-            d = min(d1, d2)
-            if d == ZERO:
-                continue
-            s = s1 + s2
-            if d > out.get(s, ZERO):
-                out[s] = d
-    return out
-
-
-def concatenate(l1, l2) -> FuzzyLanguage:
-    """Concatenation of fuzzy languages (raw degree maps also accepted when
-    the result still satisfies the language invariants)."""
-    m1 = l1.degrees if isinstance(l1, FuzzyLanguage) else dict(l1)
-    m2 = l2.degrees if isinstance(l2, FuzzyLanguage) else dict(l2)
-    return FuzzyLanguage(concat_raw(m1, m2))
-
-
-def uncontrollability_lift(aut: MaxMinAutomaton) -> DegreeMap:
-    """The floors as a fuzzy subset of strings: an event's floor on its
-    one-letter string, zero everywhere else (zero entries are left implicit)."""
-    return {(ev.name,): ev.uc_degree for ev in aut.events if ev.uc_degree > ZERO}
-
-
 @dataclass(frozen=True)
 class LanguageVerdict:
     ok: bool
@@ -301,15 +270,7 @@ def consistency_check(aut: MaxMinAutomaton, K: FuzzyLanguage) -> ConsistencyVerd
 def reach_of_language(aut: MaxMinAutomaton, K: FuzzyLanguage) -> list[State]:
     """States passed through by the language: each support string's degree
     scaled onto its open-loop run, deduplicated in first-seen order."""
-    out: list[State] = []
-    seen: set[State] = set()
-    for s in K.support():
-        scaled = scale_product(K.degree(s), run(aut, s))
-        if state_is_zero(scaled) or scaled in seen:
-            continue
-        seen.add(scaled)
-        out.append(scaled)
-    return out
+    return list(_scaled_state_groups(aut, K))
 
 
 def controller_from_language(

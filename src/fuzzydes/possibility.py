@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -136,63 +135,31 @@ def scale_product(alpha: Fraction, state: State) -> State:
     return tuple(min(alpha, v) for v in state)
 
 
-class SolutionKind(Enum):
-    EMPTY = "empty"
-    POINT = "point"
-    INTERVAL = "interval"  # upward interval [lower, 1]
-
-
 @dataclass(frozen=True)
 class ScaleSolution:
-    """The set of alpha with scale_product(alpha, base) == target.
+    """The set of alpha with scale_product(alpha, base) == target: the closed
+    interval [lower, upper], empty when lower > upper.
 
-    It is provably empty, a single point, or an upward interval [lower, 1]:
-    a component with target < base pins alpha exactly; a component with
-    target == base only bounds alpha from below; target > base is impossible.
+    It is provably empty, a single point [t, t] with t < 1, or an upward
+    interval [lower, 1]: a component with target < base pins alpha exactly;
+    a component with target == base only bounds alpha from below; target >
+    base is impossible.
     """
 
-    kind: SolutionKind
-    point: Optional[Fraction] = None
-    lower: Optional[Fraction] = None
-
-    @staticmethod
-    def empty() -> "ScaleSolution":
-        return ScaleSolution(SolutionKind.EMPTY)
-
-    @staticmethod
-    def at(point: Fraction) -> "ScaleSolution":
-        return ScaleSolution(SolutionKind.POINT, point=point)
-
-    @staticmethod
-    def upward(lower: Fraction) -> "ScaleSolution":
-        return ScaleSolution(SolutionKind.INTERVAL, lower=lower)
+    lower: Fraction
+    upper: Fraction
 
     @property
     def is_empty(self) -> bool:
-        return self.kind is SolutionKind.EMPTY
-
-    def contains(self, alpha: Fraction) -> bool:
-        if self.kind is SolutionKind.EMPTY:
-            return False
-        if self.kind is SolutionKind.POINT:
-            return alpha == self.point
-        return self.lower <= alpha <= ONE
+        return self.lower > self.upper
 
     def restrict(self, floor: Fraction) -> "ScaleSolution":
         """Intersect with the upward interval [floor, 1]."""
-        if self.kind is SolutionKind.EMPTY:
-            return self
-        if self.kind is SolutionKind.POINT:
-            return self if self.point >= floor else ScaleSolution.empty()
-        return ScaleSolution.upward(max(self.lower, floor))
+        return ScaleSolution(max(self.lower, floor), self.upper)
 
     def least(self) -> Optional[Fraction]:
         """Least element of the set, or None when empty."""
-        if self.kind is SolutionKind.EMPTY:
-            return None
-        if self.kind is SolutionKind.POINT:
-            return self.point
-        return self.lower
+        return None if self.is_empty else self.lower
 
 
 def solve_scale(base: State, target: State) -> ScaleSolution:
@@ -201,19 +168,14 @@ def solve_scale(base: State, target: State) -> ScaleSolution:
         raise DimensionMismatch(
             f"base has {len(base)} components, target has {len(target)}"
         )
-    forced: Optional[Fraction] = None
-    lower = ZERO
+    lower, upper = ZERO, ONE
     for b, t in zip(base, target):
         if t > b:
-            return ScaleSolution.empty()
-        if t == b:
-            lower = max(lower, b)
-        else:
-            if forced is not None and forced != t:
-                return ScaleSolution.empty()
-            forced = t
-    if forced is None:
-        return ScaleSolution.upward(lower)
-    if forced < lower:
-        return ScaleSolution.empty()
-    return ScaleSolution.at(forced)
+            return ScaleSolution(ONE, ZERO)
+        # Every component bounds alpha below by t; t < b also bounds it
+        # above by t.
+        if t > lower:
+            lower = t
+        if t != b and t < upper:
+            upper = t
+    return ScaleSolution(lower, upper)

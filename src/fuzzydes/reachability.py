@@ -25,7 +25,6 @@ from .possibility import (
     ONE,
     Fraction,
     State,
-    SolutionKind,
     solve_scale,
     state_is_zero,
 )
@@ -116,15 +115,13 @@ def family_contains(fam: ReachFamily, target: State) -> Optional[ReachWitness]:
     if state_is_zero(target):
         raise DomainError("the all-zero vector is excluded from the state set")
     for base, floor in fam.entries:
-        solution = solve_scale(base, target).restrict(floor)
-        if solution.is_empty:
-            continue
-        if solution.kind is SolutionKind.INTERVAL:
-            # An interval arises exactly when target == base: take alpha = 1
-            # and no override at all.
+        if target == base:
+            # alpha = 1 is admissible under every floor: no override at all.
             path = _forward(fam.graph, fam.graph.root).path(base)
             return ReachWitness(base, ONE, path, StateFeedbackController())
-        alpha = solution.least()
+        alpha = solve_scale(base, target).restrict(floor).least()
+        if alpha is None:
+            continue
         witness = _override_witness(fam, base, alpha)
         if witness is not None:
             return witness

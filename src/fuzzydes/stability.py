@@ -25,7 +25,7 @@ from .automaton import (
     closed_loop_graph,
     closed_loop_step,
 )
-from .errors import InfeasibleControl, PreconditionError, ValidationError
+from .errors import InfeasibleControl, PreconditionError, ValidationError, WitnessRejected
 from .graph import bfs, closure, cycle_vertices
 from .possibility import (
     ZERO,
@@ -115,9 +115,9 @@ def check_controllable_invariant(
     states = validated_state_set(aut, N)
     index = ScalingIndex(states)
     for q in states:
-        name = _escaping_event(aut, q, index)
-        if name is not None:
-            return InvariantVerdict(False, (q, name))
+        for ev, composed in forced_events(aut, q):
+            if not index.targets(composed, ev.uc_degree):
+                return InvariantVerdict(False, (q, ev.name))
     return InvariantVerdict(True)
 
 
@@ -159,16 +159,6 @@ def largest_controllable_invariant(
             if not live[k]:
                 doomed.append(owner[k])
     return tuple(q for q, keep in zip(states, alive) if keep)
-
-
-def _escaping_event(aut: MaxMinAutomaton, q: State, index: ScalingIndex) -> Optional[str]:
-    """The first forced event at q (feasible, partially uncontrollable) that
-    no admissible scaling keeps inside the indexed set, or None when q is
-    invariant."""
-    for ev, composed in forced_events(aut, q):
-        if not index.targets(composed, ev.uc_degree):
-            return ev.name
-    return None
 
 
 @dataclass(frozen=True)
@@ -241,10 +231,11 @@ def synthesize_stabilizing_controller(
     """Redirect the funnel controller at the target set: transitions that
     would leave the target for the rest of the funnel are disabled when fully
     controllable, or re-scaled to the least admissible value landing back in
-    the target otherwise; everything else keeps the funnel controller."""
+    the target otherwise; everything else keeps the funnel controller.
+    Raises WitnessRejected when the witness fails verification."""
     f_prime = _verified_funnel(aut, N, w)
     if f_prime is None:
-        raise PreconditionError("witness failed verification")
+        raise WitnessRejected("witness failed verification")
     p_minus_n = set(w.p_set) - set(w.n_prime)
     n_index = ScalingIndex(w.n_prime)
     entries = dict(f_prime.entries)

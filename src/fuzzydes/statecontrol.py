@@ -11,7 +11,6 @@ closed-loop reachable set exactly P is synthesized by a three-case rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .automaton import MaxMinAutomaton, StateFeedbackController
@@ -164,26 +163,6 @@ def successor_set(
     if q not in states:
         raise DomainError(f"state {format_state(q)} is not a member of the set")
     return tuple(_successor_edges(aut, ScalingIndex(states), q))
-
-
-def compatible_subsets(
-    aut: MaxMinAutomaton,
-    P: Sequence[State],
-    q: State,
-    succ: Sequence[SuccessorEdge],
-) -> Iterator[tuple[SuccessorEdge, ...]]:
-    """Lazily enumerate the subsets of succ that are functional per event (C1)
-    and keep a target for every feasible event with a positive floor (C2)."""
-    options: list[list[Optional[SuccessorEdge]]] = []
-    mandatory = {ev.name for ev, _ in forced_events(aut, q)}
-    for ev in aut.events:
-        candidates = [e for e in succ if e.event == ev.name]
-        if ev.name in mandatory:
-            options.append(candidates)  # empty list kills the enumeration
-        elif candidates:
-            options.append([None, *candidates])
-    for pick in product(*options):
-        yield tuple(e for e in pick if e is not None)
 
 
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fuzzydes.stability as stability
 from fuzzydes import closed_loop_reachable, make_state, parse_spec, run_command
 from conftest import DATA
 
@@ -12,6 +13,7 @@ DRIFT = str(DATA / "drift_plant.json")
 ADMISSIBLE = str(DATA / "admissible_set.json")
 LANGUAGE = str(DATA / "drift_language.json")
 CONTROLLER = str(DATA / "reference_controller.json")
+GOLDEN = DATA.parent / "golden"
 
 
 def invoke(capsys, *argv):
@@ -246,6 +248,39 @@ class TestStabilityCommands:
         )
         assert code == 0 and "stabilizing controller" in out
 
+    def test_supplied_witness_is_verified_once(self, capsys, monkeypatch):
+        calls = []
+        original = stability.check_controllable
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stability, "check_controllable", counted)
+        code, out, _ = invoke(
+            capsys, "stabilize", "--automaton", DRIFT,
+            "--spec", str(GOLDEN / "drift_witness_given.json"),
+        )
+        assert code == 0 and "stabilizing controller" in out
+        assert len(calls) == 1
+
+    def test_target_set_outside_the_legal_set_exits_two(self, capsys, tmp_path):
+        spec = tmp_path / "w.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "kind": "witness",
+                    "n": [["0.4", "0.1", "0"]],
+                    "n_prime": [["0.9", "0.1", "0"]],
+                    "p": [["0.9", "0.1", "0"]],
+                }
+            )
+        )
+        code, out, err = invoke(
+            capsys, "stabilize", "--automaton", DRIFT, "--spec", str(spec)
+        )
+        assert code == 2 and out == "" and "not contained in the legal set" in err
+
     def test_stabilize_inconclusive(self, capsys, tmp_path):
         spec = tmp_path / "w.json"
         spec.write_text(
@@ -419,6 +454,17 @@ class TestExitCodeContract:
     def test_negative_steps_is_a_usage_error(self, capsys):
         code, out, err = invoke(capsys, "simulate", "--automaton", PLANT, "--steps", "-5")
         assert code == 2 and out == "" and "usage:" in err and "--steps" in err
+
+    @pytest.mark.parametrize("command,max_len", [("reach", "-1"), ("check-language", "-3")])
+    def test_negative_max_len_is_a_usage_error(self, capsys, tmp_path, command, max_len):
+        # The empty language skips the horizon guard, so only the parser can
+        # reject the value.
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({"kind": "language", "pairs": []}))
+        code, out, err = invoke(
+            capsys, command, "--automaton", DRIFT, "--spec", str(spec), "--max-len", max_len
+        )
+        assert code == 2 and out == "" and "usage:" in err and "--max-len" in err
 
     def test_dot_format_restricted(self, capsys):
         code, _, err = invoke(capsys, "reach", "--automaton", PLANT, "--format", "dot")

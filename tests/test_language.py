@@ -12,8 +12,6 @@ from fuzzydes import (
     closed_loop_language_degree,
     closed_loop_language_of_supervisor,
     closed_loop_reachable,
-    concat_raw,
-    concatenate,
     consistency_check,
     controller_from_language,
     controller_language_is_controllable,
@@ -28,7 +26,6 @@ from fuzzydes import (
     scale_product,
     supervisor_from_controller,
     supervisor_from_language,
-    uncontrollability_lift,
 )
 from generators import all_strings, random_automaton, random_controller
 
@@ -61,6 +58,37 @@ class TestFuzzyLanguage:
     def test_zero_degrees_are_dropped(self):
         lang = FuzzyLanguage.from_pairs([((), 1), (("a",), 0)])
         assert lang.support() == ((),)
+
+
+def concat_raw(m1, m2):
+    """Concatenation on raw degree maps: degree of s is the best min over
+    two-way splits of s.  Used directly by the containment form of the
+    controllability definition, whose uncontrollability lift is not itself a
+    fuzzy language."""
+    out = {}
+    for s1, d1 in m1.items():
+        for s2, d2 in m2.items():
+            d = min(d1, d2)
+            if d == 0:
+                continue
+            s = s1 + s2
+            if d > out.get(s, 0):
+                out[s] = d
+    return out
+
+
+def concatenate(l1, l2):
+    """Concatenation of fuzzy languages (raw degree maps also accepted when
+    the result still satisfies the language invariants)."""
+    m1 = l1.degrees if isinstance(l1, FuzzyLanguage) else dict(l1)
+    m2 = l2.degrees if isinstance(l2, FuzzyLanguage) else dict(l2)
+    return FuzzyLanguage(concat_raw(m1, m2))
+
+
+def uncontrollability_lift(aut):
+    """The floors as a fuzzy subset of strings: an event's floor on its
+    one-letter string, zero everywhere else (zero entries are left implicit)."""
+    return {(ev.name,): ev.uc_degree for ev in aut.events if ev.uc_degree > 0}
 
 
 class TestConcatenate:

@@ -17,7 +17,6 @@ from fuzzydes import (
     solve_scale,
     state_is_zero,
 )
-from fuzzydes.possibility import SolutionKind
 
 S = lambda text: make_state(text.split())
 
@@ -101,16 +100,19 @@ def sweep_alphas(base, target):
     return {alpha for alpha in probes if scale_product(alpha, base) == target}
 
 
+def contains(solution, alpha):
+    return solution.lower <= alpha <= solution.upper
+
+
 class TestSolveScale:
     def test_equal_vectors_force_upward_interval(self):
         solution = solve_scale(S("0.9 0.1 0"), S("0.9 0.1 0"))
-        assert solution.kind is SolutionKind.INTERVAL
-        assert solution.lower == as_possibility("0.9")
+        assert (solution.lower, solution.upper) == (as_possibility("0.9"), ONE)
 
     def test_forced_point(self):
         solution = solve_scale(S("0.9 0.1 0"), S("0.5 0.1 0"))
-        assert solution.kind is SolutionKind.POINT
-        assert solution.point == as_possibility("0.5")
+        half = as_possibility("0.5")
+        assert (solution.lower, solution.upper) == (half, half)
 
     def test_conflicting_points_are_empty(self):
         assert solve_scale(S("0.9 0.1 0"), S("0.5 0.05 0")).is_empty
@@ -126,19 +128,20 @@ class TestSolveScale:
             solution = solve_scale(base, target)
             swept = sweep_alphas(base, target)
             for alpha in swept:
-                assert solution.contains(alpha)
-            if solution.kind is SolutionKind.POINT:
-                assert swept == {solution.point}
-            elif solution.kind is SolutionKind.INTERVAL:
-                assert solution.lower in swept and ONE in swept
-            else:
+                assert contains(solution, alpha)
+            if solution.is_empty:
                 assert not swept
+            elif solution.upper == ONE:  # upward interval [lower, 1]
+                assert solution.lower in swept and ONE in swept
+            else:  # a single point below 1
+                assert solution.lower == solution.upper
+                assert swept == {solution.lower}
 
     @given(states, possibilities)
     def test_solutions_are_sound(self, base, alpha):
         target = scale_product(alpha, base)
         solution = solve_scale(base, target)
-        assert solution.contains(alpha)
+        assert contains(solution, alpha)
         least = solution.least()
         assert scale_product(least, base) == target
 

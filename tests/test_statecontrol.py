@@ -15,12 +15,12 @@ from fuzzydes import (
     check_controllable,
     chosen_graph,
     closed_loop_reachable,
-    compatible_subsets,
     make_state,
     successor_set,
     synthesize_controller,
     validate_subgraph,
 )
+from fuzzydes.statecontrol import forced_events
 from generators import COARSE, random_automaton, random_controller
 
 S = lambda text: make_state(text.split())
@@ -88,6 +88,22 @@ class TestSuccessorSets:
         # with alpha >= 0.8 lands back, so no successors within the singleton.
         P = (single_event_plant.initial,)
         assert successor_set(single_event_plant, P, P[0]) == ()
+
+
+def compatible_subsets(aut, P, q, succ):
+    """Lazily enumerate the subsets of succ (the successor edges of q within
+    P) that are functional per event (C1) and keep a target for every
+    feasible event with a positive floor (C2)."""
+    options = []
+    mandatory = {ev.name for ev, _ in forced_events(aut, q)}
+    for ev in aut.events:
+        candidates = [e for e in succ if e.event == ev.name]
+        if ev.name in mandatory:
+            options.append(candidates)  # empty list kills the enumeration
+        elif candidates:
+            options.append([None, *candidates])
+    for pick in product(*options):
+        yield tuple(e for e in pick if e is not None)
 
 
 class TestCompatibleSubsets:
