@@ -17,9 +17,7 @@ from . import fileio
 from .automaton import (
     MaxMinAutomaton,
     accessible_part,
-    closed_loop_language_degree,
     closed_loop_trajectory,
-    language_degree,
     open_loop_trajectory,
 )
 from .errors import DimensionMismatch, FuzzyDESError, WitnessRejected
@@ -73,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--automaton", required=True, metavar="FILE")
     common.add_argument("--spec", metavar="FILE")
-    common.add_argument("--max-len", type=_count, default=6)
+    common.add_argument("--max-len", type=_count, default=6, help="validity guard only: below a nonempty "
+                        "language's support depth plus one it exits 2; it bounds no check")
     common.add_argument("--out", metavar="FILE")
     common.add_argument("--format", choices=["text", "json", "dot"], default="text")
 
@@ -390,10 +389,8 @@ def _cmd_simulate(args, aut):
         script = tuple(rng.choice(aut.event_names) for _ in range(args.steps))
     if controller is None:
         trajectory = open_loop_trajectory(aut, script)
-        degree_of = lambda prefix: language_degree(aut, prefix)
     else:
         trajectory = closed_loop_trajectory(aut, controller, script)
-        degree_of = lambda prefix: closed_loop_language_degree(aut, controller, prefix)
     rows = [
         {
             "step": 0,
@@ -407,9 +404,8 @@ def _cmd_simulate(args, aut):
         f"  0: start at {format_state(trajectory.states[0])} (degree 1)",
     ]
     for i, name in enumerate(trajectory.events):
-        prefix = trajectory.events[: i + 1]
-        degree = degree_of(prefix)
         state = trajectory.states[i + 1]
+        degree = max(state)  # the degree of the prefix in the (controlled) language
         rows.append(
             {
                 "step": i + 1,

@@ -13,7 +13,7 @@ unique last-letter split reduces to the pointwise inequality
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .automaton import (
     EventString,
@@ -21,8 +21,6 @@ from .automaton import (
     StateFeedbackController,
     as_event_string,
     closed_loop_step,
-    language_degree,
-    run,
     step,
 )
 from .errors import DomainError, PreconditionError, ValidationError
@@ -94,40 +92,42 @@ class LanguageVerdict:
     counterexample: Optional[tuple[EventString, str]] = None
 
 
-def _require_sublanguage(aut: MaxMinAutomaton, K: FuzzyLanguage) -> None:
+def _support_states(aut: MaxMinAutomaton, K: FuzzyLanguage) -> Iterator[tuple[EventString, State]]:
+    """Each support string with its open-loop state, in support order.  The
+    support is prefix-closed and lists shorter strings first, so a string's
+    parent comes before it and its state is one step past the parent's."""
+    states: dict[EventString, State] = {}
     for s in K.support():
-        if K.degree(s) > language_degree(aut, s):
-            raise PreconditionError(
-                f"language degree at {s} exceeds the plant language", counterexample=s
-            )
+        states[s] = step(aut, states[s[:-1]], s[-1]) if s else aut.initial
+        yield s, states[s]
 
 
 def language_controllable(
     aut: MaxMinAutomaton, K: FuzzyLanguage, max_len: int = 6
 ) -> LanguageVerdict:
-    """Check min(K(s), uc(a), L(sa)) <= K(sa) over the support and, to pin the
-    truncation argument down explicitly, over every one-step extension of a
-    support string as well (where the left side must vanish)."""
+    """Check min(K(s), uc(a), L(sa)) <= K(sa) for every support string s and
+    every event a, after requiring K <= L on the support.  A string t off the
+    support has K(t) = 0, so the left side at t vanishes and no extension of
+    it needs a probe.  max_len only guards validity: below the support depth
+    plus one it raises, and otherwise it changes nothing."""
     if K.is_empty:
         return LanguageVerdict(True)
     if max_len < K.depth() + 1:
         raise ValidationError(
             f"max_len {max_len} is below the support depth plus one ({K.depth() + 1})"
         )
-    _require_sublanguage(aut, K)
-    probes = list(K.support())
-    probes.extend(
-        s + (name,)
-        for s in K.support()
-        for name in aut.event_names
-        if s + (name,) not in K.degrees
-    )
-    for s in probes:
-        open_state = run(aut, s)
+    states: dict[EventString, State] = {}
+    for s, q in _support_states(aut, K):
+        if s and K.degrees[s] > max(q):
+            raise PreconditionError(
+                f"language degree at {s} exceeds the plant language", counterexample=s
+            )
+        states[s] = q
+    for s, q in states.items():
         for ev in aut.events:
-            extended = max(step(aut, open_state, ev.name))  # plant degree of sa
-            lhs = min(K.degree(s), ev.uc_degree, extended)
-            if lhs > K.degree(s + (ev.name,)):
+            t = s + (ev.name,)
+            extended = states[t] if t in states else step(aut, q, ev.name)
+            if min(K.degrees[s], ev.uc_degree, max(extended)) > K.degree(t):
                 return LanguageVerdict(False, (s, ev.name))
     return LanguageVerdict(True)
 
@@ -245,25 +245,29 @@ def _scaled_state_groups(
     degree scaled onto the open-loop run.  Zero results are dropped (they no
     longer name a state)."""
     groups: dict[State, list[EventString]] = {}
-    for s in K.support():
-        scaled = scale_product(K.degree(s), run(aut, s))
-        if state_is_zero(scaled):
-            continue
-        groups.setdefault(scaled, []).append(s)
+    for s, q in _support_states(aut, K):
+        scaled = scale_product(K.degrees[s], q)
+        if not state_is_zero(scaled):
+            groups.setdefault(scaled, []).append(s)
     return groups
 
 
 def consistency_check(aut: MaxMinAutomaton, K: FuzzyLanguage) -> ConsistencyVerdict:
     """Two support strings passing through the same state must give every
-    common possible one-event extension the same degree."""
+    common possible one-event extension the same degree.  Per group and event
+    the earliest clash pairs the first string with a nonzero extension and the
+    first later one whose nonzero extension differs; the least of these over
+    the events is what a pairwise scan in (first, second, event) order meets."""
     for group in _scaled_state_groups(aut, K).values():
-        for i, s1 in enumerate(group):
-            for s2 in group[i + 1 :]:
-                for name in aut.event_names:
-                    d1 = K.degree(s1 + (name,))
-                    d2 = K.degree(s2 + (name,))
-                    if d1 != ZERO and d2 != ZERO and d1 != d2:
-                        return ConsistencyVerdict(False, (s1, s2, name))
+        clashes = []
+        for e, name in enumerate(aut.event_names):
+            nonzero = [(i, d) for i, s in enumerate(group) if (d := K.degree(s + (name,))) != ZERO]
+            clash = next((i for i, d in nonzero if d != nonzero[0][1]), None)
+            if clash is not None:
+                clashes.append((nonzero[0][0], clash, e))
+        if clashes:
+            first, second, e = min(clashes)
+            return ConsistencyVerdict(False, (group[first], group[second], aut.event_names[e]))
     return ConsistencyVerdict(True)
 
 
@@ -291,9 +295,8 @@ def controller_from_language(
         raise PreconditionError(
             "language is not consistent", counterexample=consistency.counterexample
         )
-    groups = _scaled_state_groups(aut, K)
     entries: dict[tuple[State, str], Fraction] = {}
-    for q, strings in groups.items():
+    for q, strings in _scaled_state_groups(aut, K).items():
         for ev in aut.events:
             best = max((K.degree(s + (ev.name,)) for s in strings), default=ZERO)
             entries[(q, ev.name)] = max(best, ev.uc_degree)

@@ -5,10 +5,11 @@ Run from the repository root:
     PYTHONPATH=src:tests python tests/golden/record_cli_golden.py
 
 It writes the plant and spec documents the cases read (draws 17, 23 and 24
-of random_automaton(Random(1), 6, 4) and a few hand-written specs), then
-cli_golden.json and cli_golden_digests.json beside this file.  The second
-file keeps the cases whose stdout is too large to store (hundreds of KB) as
-a sha256 digest plus the byte length.  tests/test_cli_golden.py replays the
+of random_automaton(Random(1), 6, 4), a seeded controlled language with
+a few hundred strings and a few hand-written specs), then cli_golden.json
+and cli_golden_digests.json beside this file.  The second file keeps the
+cases whose stdout is too large to store (up to hundreds of KB) as a sha256
+digest plus the byte length.  tests/test_cli_golden.py replays the
 cases and requires the same bytes, so re-record only when an output change
 is intended.  In argv, "@path" names a file relative to tests/.
 """
@@ -21,10 +22,21 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from fuzzydes import accessible_part, format_possibility, run_command, serialize_automaton
-from generators import random_automaton
+from fuzzydes import (
+    FuzzyLanguage,
+    accessible_part,
+    closed_loop_language_of_supervisor,
+    consistency_check,
+    format_possibility,
+    run_command,
+    serialize_automaton,
+    supervisor_from_controller,
+)
+from fuzzydes.language import _scaled_state_groups
+from generators import random_automaton, random_controller
 
 HERE = Path(__file__).resolve().parent
 TESTS = HERE.parent
@@ -32,6 +44,40 @@ TESTS = HERE.parent
 
 def _states(states):
     return [[format_possibility(v) for v in q] for q in states]
+
+
+def _language_doc(K: FuzzyLanguage) -> dict:
+    return {
+        "kind": "language",
+        "pairs": [{"string": list(s), "degree": format_possibility(K.degree(s))} for s in K.support()],
+    }
+
+
+def seeded_languages():
+    """Draw 15 of random_automaton(Random(3), 3, 3, max_uc=0), each draw
+    followed by its random_controller, and the language that controller's
+    supervisor lets through up to length 5: 324 strings, controllable
+    because every floor is zero, and consistent.  The second language lowers
+    the degree of one extension of the second string in a state group (and
+    of the strings below it) by 0.1, so consistency_check rejects it."""
+    rng = random.Random(3)
+    for _ in range(16):
+        aut = random_automaton(rng, 3, 3, max_uc=0)
+        controller = random_controller(rng, aut)
+    K = closed_loop_language_of_supervisor(aut, supervisor_from_controller(aut, controller), 5)
+    step = Fraction(1, 10)
+    for strings in _scaled_state_groups(aut, K).values():
+        for name in aut.event_names:
+            both = [s for s in strings if K.degree(s + (name,)) > step]
+            if len(both) > 1:
+                cut = both[1] + (name,)
+                low = K.degree(cut) - step
+                broken = FuzzyLanguage(
+                    {s: min(d, low) if s[: len(cut)] == cut else d for s, d in K.degrees.items()}
+                )
+                assert consistency_check(aut, K).ok and not consistency_check(aut, broken).ok
+                return aut, K, broken
+    raise AssertionError("no state group with two extensions to lower")
 
 
 def write_documents() -> None:
@@ -89,6 +135,10 @@ def write_documents() -> None:
         },
         "cascade_legal.json": {"kind": "state_set", "states": [["1", "1", "1"], ["0", "0.5", "0.5"]]},
     }
+    aut, consistent, inconsistent = seeded_languages()
+    (HERE / "lang15_plant.json").write_text(serialize_automaton(aut))
+    docs["lang15_consistent.json"] = _language_doc(consistent)
+    docs["lang15_inconsistent.json"] = _language_doc(inconsistent)
     for name, doc in docs.items():
         (HERE / name).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -183,11 +233,20 @@ def cases() -> list[list[str]]:
 
 def digest_cases() -> list[list[str]]:
     """Cases stored as a digest of their stdout (succ on the 255 accessible
-    vertices of draw 23 prints 624 KB of json)."""
-    return [
+    vertices of draw 23 prints 624 KB of json; the language commands on the
+    324-string seeded language print up to 139 KB)."""
+    out = [
         ["succ", "--automaton", D23, "--spec", "@golden/draw23_states.json", "--format", fmt]
         for fmt in ("json", "text")
     ]
+    for variant in ("consistent", "inconsistent"):
+        for command in ("check-language", "derive-supervisor", "bridge"):
+            out.extend(
+                [command, "--automaton", "@golden/lang15_plant.json",
+                 "--spec", f"@golden/lang15_{variant}.json", "--format", fmt]
+                for fmt in ("json", "text")
+            )
+    return out
 
 
 def stdout_digest(out: str) -> dict:

@@ -10,6 +10,7 @@ S = lambda text: make_state(text.split())
 
 PLANT = str(DATA / "treatment_plant.json")
 DRIFT = str(DATA / "drift_plant.json")
+CASCADE = str(DATA / "cascade_plant.json")
 ADMISSIBLE = str(DATA / "admissible_set.json")
 LANGUAGE = str(DATA / "drift_language.json")
 CONTROLLER = str(DATA / "reference_controller.json")
@@ -333,6 +334,22 @@ class TestSimulate:
         )
         # Reference controller disables a at [0.1,0.9,0.1].
         assert code == 0 and "halted" in out
+
+    def test_open_loop_degree_reaches_zero(self, capsys):
+        # u takes [1,0,0] to [0,0.8,0.8] and that to the all-zero vector,
+        # which the open loop keeps, at degree 0, through the next event.
+        code, out, _ = invoke(
+            capsys, "simulate", "--automaton", CASCADE, "--string", "u u g", "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["trajectory"]
+        assert [row["degree"] for row in rows] == ["1", "0.8", "0", "0"]
+        assert rows[-1]["state"] == ["0", "0", "0"]
+        code, out, _ = invoke(capsys, "simulate", "--automaton", CASCADE, "--string", "u u g")
+        assert out.splitlines()[3:] == [
+            "  2: u -> [0,0,0] (degree 0)",
+            "  3: g -> [0,0,0] (degree 0)",
+        ]
 
 
 class TestExportDot:
