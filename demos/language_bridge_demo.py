@@ -45,7 +45,7 @@ spec = FuzzyLanguage.from_pairs(
     ]
 )
 
-print("Language controllable:", language_controllable(plant, spec, 6).ok)
+print("Language controllable:", language_controllable(plant, spec).ok)
 
 supervisor = supervisor_from_language(plant, spec)
 closed = closed_loop_language_of_supervisor(plant, supervisor, 3)

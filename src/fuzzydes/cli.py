@@ -20,7 +20,7 @@ from .automaton import (
     closed_loop_trajectory,
     open_loop_trajectory,
 )
-from .errors import DimensionMismatch, FuzzyDESError, WitnessRejected
+from .errors import DimensionMismatch, FuzzyDESError, ValidationError, WitnessRejected
 from .fileio import (
     ControllerSpec,
     LanguageSpec,
@@ -130,6 +130,28 @@ def _require_spec(args, wanted, what: str):
     return spec
 
 
+def _require_language(args):
+    """The language spec.  --max-len bounds no check: it only rejects a
+    nonempty language deeper than it allows, before any check runs."""
+    K = _require_spec(args, LanguageSpec, "a language spec").language
+    if not K.is_empty and args.max_len < K.depth() + 1:
+        raise ValidationError(
+            f"max_len {args.max_len} is below the support depth plus one ({K.depth() + 1})"
+        )
+    return K
+
+
+def _not_controllable(verdict):
+    text = "not controllable: " + verdict.obstruction.describe()
+    return 1, {"controllable": False, "obstruction": verdict.obstruction.describe()}, text
+
+
+def _language_not_controllable(verdict):
+    s, name = verdict.counterexample
+    text = f"language is not controllable: string {' '.join(s) or '(empty)'} with event {name}"
+    return 1, {"controllable": False, "counterexample": {"string": list(s), "event": name}}, text
+
+
 def _controller_text(f) -> list[str]:
     lines = [f"controller (default {format_possibility(f.default)}):"]
     entries = sorted(f.entries.items(), key=lambda item: (item[0][0], item[0][1]))
@@ -205,8 +227,7 @@ def _cmd_check_controllable(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
     verdict = check_controllable(aut, spec.states)
     if not verdict.controllable:
-        text = "not controllable: " + verdict.obstruction.describe()
-        return 1, {"controllable": False, "obstruction": verdict.obstruction.describe()}, text
+        return _not_controllable(verdict)
     edges = sorted(verdict.subgraph.edges(), key=lambda e: (e[0], e[1]))
     payload = {
         "controllable": True,
@@ -229,31 +250,24 @@ def _cmd_synthesize(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
     verdict = check_controllable(aut, spec.states)
     if not verdict.controllable:
-        text = "not controllable: " + verdict.obstruction.describe()
-        return 1, {"controllable": False, "obstruction": verdict.obstruction.describe()}, text
+        return _not_controllable(verdict)
     controller = synthesize_controller(aut, spec.states, verdict.subgraph)
     payload = {"controllable": True, "kind": "fsfc", **controller_doc(controller)}
     return 0, payload, "\n".join(_controller_text(controller))
 
 
 def _cmd_check_language(args, aut):
-    spec = _require_spec(args, LanguageSpec, "a language spec")
-    verdict = language_controllable(aut, spec.language, args.max_len)
+    verdict = language_controllable(aut, _require_language(args))
     if verdict.ok:
         return 0, {"controllable": True}, "language is controllable"
-    s, name = verdict.counterexample
-    text = f"language is not controllable: string {' '.join(s) or '(empty)'} with event {name}"
-    return 1, {"controllable": False, "counterexample": {"string": list(s), "event": name}}, text
+    return _language_not_controllable(verdict)
 
 
 def _cmd_derive_supervisor(args, aut):
-    spec = _require_spec(args, LanguageSpec, "a language spec")
-    K = spec.language
-    verdict = language_controllable(aut, K, args.max_len)
+    K = _require_language(args)
+    verdict = language_controllable(aut, K)
     if not verdict.ok:
-        s, name = verdict.counterexample
-        text = f"language is not controllable: string {' '.join(s) or '(empty)'} with event {name}"
-        return 1, {"controllable": False, "counterexample": {"string": list(s), "event": name}}, text
+        return _language_not_controllable(verdict)
     supervisor = supervisor_from_language(aut, K)
     rows = []
     for s in K.support():
@@ -273,11 +287,10 @@ def _cmd_derive_supervisor(args, aut):
 
 
 def _cmd_bridge(args, aut):
-    spec = _require_spec(args, LanguageSpec, "a language spec")
-    K = spec.language
+    K = _require_language(args)
     payload: dict = {}
     lines = []
-    verdict = language_controllable(aut, K, args.max_len)
+    verdict = language_controllable(aut, K)
     payload["language_controllable"] = verdict.ok
     lines.append(f"language controllable: {'yes' if verdict.ok else 'no'}")
     if not verdict.ok:
@@ -351,7 +364,7 @@ def _cmd_stabilize(args, aut):
                 "the supplied witness failed verification"
             )
     else:
-        found = search_stabilizing_witness(aut, legal, args.budget)
+        found = search_stabilizing_witness(aut, legal)
         if found is None:
             # Scripts read this exact line as "inconclusive"; keep its bytes.
             text = "no stabilization witness found within budget (inconclusive)"
@@ -384,6 +397,8 @@ def _cmd_simulate(args, aut):
         controller.validate(aut)
     if args.string is not None:
         script = tuple(args.string.split())
+    elif args.steps and not aut.event_names:
+        raise FuzzyDESError("no event to draw a random script from; give --string or --steps 0")
     else:
         rng = random.Random(args.seed)
         script = tuple(rng.choice(aut.event_names) for _ in range(args.steps))
@@ -436,8 +451,7 @@ def _cmd_export_dot(args, aut):
         return 0, {"dot": dot}, dot
     verdict = check_controllable(aut, spec.states)
     if not verdict.controllable:
-        text = "not controllable: " + verdict.obstruction.describe()
-        return 1, {"controllable": False, "obstruction": verdict.obstruction.describe()}, text
+        return _not_controllable(verdict)
     dot = fileio.export_dot(chosen_graph(graph, verdict.subgraph))
     return 0, {"dot": dot}, dot
 

@@ -102,20 +102,13 @@ def _support_states(aut: MaxMinAutomaton, K: FuzzyLanguage) -> Iterator[tuple[Ev
         yield s, states[s]
 
 
-def language_controllable(
-    aut: MaxMinAutomaton, K: FuzzyLanguage, max_len: int = 6
-) -> LanguageVerdict:
+def language_controllable(aut: MaxMinAutomaton, K: FuzzyLanguage) -> LanguageVerdict:
     """Check min(K(s), uc(a), L(sa)) <= K(sa) for every support string s and
     every event a, after requiring K <= L on the support.  A string t off the
     support has K(t) = 0, so the left side at t vanishes and no extension of
-    it needs a probe.  max_len only guards validity: below the support depth
-    plus one it raises, and otherwise it changes nothing."""
+    it needs a probe: the check is exact with no horizon."""
     if K.is_empty:
         return LanguageVerdict(True)
-    if max_len < K.depth() + 1:
-        raise ValidationError(
-            f"max_len {max_len} is below the support depth plus one ({K.depth() + 1})"
-        )
     states: dict[EventString, State] = {}
     for s, q in _support_states(aut, K):
         if s and K.degrees[s] > max(q):
@@ -148,7 +141,7 @@ def supervisor_from_language(aut: MaxMinAutomaton, K: FuzzyLanguage) -> FuzzySup
     K(sa), floored by the event's uncontrollability."""
     if K.is_empty:
         raise DomainError("the empty language has no realizing supervisor")
-    verdict = language_controllable(aut, K, max(6, K.depth() + 1))
+    verdict = language_controllable(aut, K)
     if not verdict.ok:
         raise PreconditionError(
             "language is not controllable", counterexample=verdict.counterexample
@@ -203,32 +196,14 @@ def supervisor_from_controller(
     return FuzzySupervisor(rule)
 
 
-def controller_language_is_controllable(
-    aut: MaxMinAutomaton, f: StateFeedbackController, max_len: int = 6
-) -> bool:
-    """Check that the controlled system's language satisfies the pointwise
-    controllability inequality on every string up to max_len.
-
-    The controlled language may have unbounded support, so the check runs to
-    the horizon only; degrees used are exact there.
-    """
+def controller_language_is_controllable(aut: MaxMinAutomaton, f: StateFeedbackController) -> bool:
+    """The controlled system's language is controllable whenever f validates
+    against the plant's floors (it raises otherwise).  Composition commutes
+    with scaling, so the controlled state q_s after s is the open-loop one
+    scaled by b(s), the least control value applied along s, and
+    L_f(sa) = min(f(q_s, a), b(s), L(sa)) >= min(uc(a), L_f(s), L(sa)) since
+    f >= uc and b(s) >= L_f(s): the inequality holds with no horizon."""
     f.validate(aut)
-    frontier: list[tuple[State, Optional[State], Fraction]] = [
-        (aut.initial, aut.initial, ONE)
-    ]
-    for _ in range(max_len):
-        nxt = []
-        for open_q, closed_q, d in frontier:
-            for ev in aut.events:
-                open_2 = step(aut, open_q, ev.name)
-                closed_2 = closed_loop_step(aut, f, closed_q, ev.name)
-                d2 = ZERO if closed_2 is None else max(closed_2)
-                lhs = min(d, ev.uc_degree, max(open_2))
-                if lhs > d2:
-                    return False
-                if closed_2 is not None:
-                    nxt.append((open_2, closed_2, d2))
-        frontier = nxt
     return True
 
 
@@ -285,7 +260,7 @@ def controller_from_language(
     degree the language grants any string passing there, floored by the
     event's uncontrollability.  The closed loop then reaches exactly the
     language's passed states."""
-    verdict = language_controllable(aut, K, max(6, K.depth() + 1))
+    verdict = language_controllable(aut, K)
     if not verdict.ok:
         raise PreconditionError(
             "language is not controllable", counterexample=verdict.counterexample

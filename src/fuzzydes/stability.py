@@ -292,7 +292,7 @@ def grid_universe(
 
 
 def search_stabilizing_witness(
-    aut: MaxMinAutomaton, N: Sequence[State], budget: int = 5000
+    aut: MaxMinAutomaton, N: Sequence[State]
 ) -> Optional[StabilizabilityWitness]:
     """Decide stabilizability over the grid universe U = grid_universe(aut,
     N, N*), N* the largest controllable invariant subset of N, with a
@@ -311,7 +311,7 @@ def search_stabilizing_witness(
 
     None means no witness has its funnel inside U (the chosen edges of a
     funnel that verifies would rank all of it); whether a scaling off the
-    grid can ever be needed is unproven.  budget is ignored.
+    grid can ever be needed is unproven.
     """
     invariant = largest_controllable_invariant(aut, N)
     if not invariant:

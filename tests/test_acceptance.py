@@ -160,7 +160,7 @@ def test_criterion_07_language_bridge_regression(drift_plant, drift_language):
     with criterion(
         7, "drift language controllable, passes three controllable states, inconsistent", 2.0
     ):
-        assert language_controllable(drift_plant, drift_language, 6).ok
+        assert language_controllable(drift_plant, drift_language).ok
         states = reach_of_language(drift_plant, drift_language)
         assert set(states) == {S("0.9 0.1 0"), S("0.3 0.1 0"), S("0.2 0.1 0")}
         assert check_controllable(drift_plant, states).controllable
@@ -209,7 +209,7 @@ def test_criterion_10_supervisor_translation_suite():
             closed = closed_loop_language_of_supervisor(aut, supervisor, 4)
             for s in all_strings(aut.event_names, 4):
                 assert closed.degree(s) == closed_loop_language_degree(aut, f, s)
-            assert controller_language_is_controllable(aut, f, 4)
+            assert controller_language_is_controllable(aut, f)
 
 
 def test_criterion_11_round_trip_suite(treatment_plant, admissible_set, single_event_plant):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,24 @@ ADMISSIBLE = str(DATA / "admissible_set.json")
 LANGUAGE = str(DATA / "drift_language.json")
 CONTROLLER = str(DATA / "reference_controller.json")
 GOLDEN = DATA.parent / "golden"
+DIGESTS = json.loads((GOLDEN / "cli_golden_digests.json").read_text())
+LANGUAGE_COMMANDS = ["check-language", "derive-supervisor", "bridge"]
+# Every subcommand's arguments on a one-state plant with no events; EPSILON
+# stands for the language {(): 1}.
+EVENT_FREE_ARGS = {
+    "reach": [],
+    "member": ["--spec", "state:[1]"],
+    "succ": ["--spec", "state:[1]"],
+    "check-controllable": ["--spec", "state:[1]"],
+    "synthesize": ["--spec", "state:[1]"],
+    "check-language": ["--spec", "EPSILON"],
+    "derive-supervisor": ["--spec", "EPSILON"],
+    "bridge": ["--spec", "EPSILON"],
+    "stability": ["--spec", "state:[1]"],
+    "stabilize": ["--spec", "state:[1]"],
+    "simulate": [],
+    "export-dot": ["--spec", "state:[1]", "--what", "subgraph"],
+}
 
 
 def invoke(capsys, *argv):
@@ -482,6 +501,67 @@ class TestExitCodeContract:
             capsys, command, "--automaton", DRIFT, "--spec", str(spec), "--max-len", max_len
         )
         assert code == 2 and out == "" and "usage:" in err and "--max-len" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", LANGUAGE_COMMANDS)
+    def test_max_len_below_the_support_depth_plus_one_exits_two(self, capsys, command, fmt):
+        argv = [command, "--automaton", "@golden/lang15_plant.json",
+                "--spec", "@golden/lang15_consistent.json", "--format", fmt]
+        resolved = [str(DATA.parent / a[1:]) if a.startswith("@") else a for a in argv]
+        # The language's support depth is 5, so 6 is the least value it takes.
+        assert invoke(capsys, *resolved, "--max-len", "5") == (
+            2, "", "error: max_len 5 is below the support depth plus one (6)\n"
+        )
+        code, out, err = invoke(capsys, *resolved, "--max-len", "6")
+        recorded = next(case for case in DIGESTS if case["argv"] == argv)
+        data = out.encode("utf-8")
+        assert (code, hashlib.sha256(data).hexdigest(), len(data), err) == (
+            recorded["code"], recorded["sha256"], recorded["bytes"], ""
+        )
+
+    @pytest.mark.parametrize(
+        "max_len,message",
+        [
+            ("2", "error: max_len 2 is below the support depth plus one (3)\n"),
+            ("3", "error: unknown event 'zz'\n"),
+        ],
+    )
+    @pytest.mark.parametrize("command", LANGUAGE_COMMANDS)
+    def test_max_len_guard_comes_before_the_event_check(
+        self, capsys, tmp_path, command, max_len, message
+    ):
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({"kind": "language", "pairs": [
+            {"string": [], "degree": "1"},
+            {"string": ["zz"], "degree": "0.5"},
+            {"string": ["zz", "a1"], "degree": "0.5"},
+        ]}))
+        assert invoke(
+            capsys, command, "--automaton", DRIFT, "--spec", str(spec), "--max-len", max_len
+        ) == (2, "", message)
+
+    @pytest.mark.parametrize("command", LANGUAGE_COMMANDS)
+    def test_max_len_guard_skips_the_empty_language(self, capsys, tmp_path, command):
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({"kind": "language", "pairs": []}))
+        argv = [command, "--automaton", DRIFT, "--spec", str(spec)]
+        assert invoke(capsys, *argv, "--max-len", "0") == invoke(capsys, *argv)
+
+    @pytest.mark.parametrize("command", list(EVENT_FREE_ARGS))
+    def test_event_free_plant_keeps_the_exit_code_contract(self, capsys, tmp_path, command):
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps({"n": 1, "state_labels": ["s0"], "initial": ["1"], "events": []}))
+        epsilon = tmp_path / "k.json"
+        epsilon.write_text(json.dumps({"kind": "language", "pairs": [{"string": [], "degree": "1"}]}))
+        extra = [str(epsilon) if arg == "EPSILON" else arg for arg in EVENT_FREE_ARGS[command]]
+        code, out, err = invoke(capsys, command, "--automaton", str(plant), *extra)
+        if command == "simulate":
+            # A random script has no event to draw from.
+            assert code == 2 and out == "" and err.startswith("error: ")
+            for argv in (["--steps", "0"], ["--string", ""]):
+                assert invoke(capsys, command, "--automaton", str(plant), *argv)[0] == 0
+        else:
+            assert code in (0, 1, 2)
 
     def test_dot_format_restricted(self, capsys):
         code, _, err = invoke(capsys, "reach", "--automaton", PLANT, "--format", "dot")

@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+import fuzzydes.automaton as automaton
 from fuzzydes import (
     FuzzyLanguage,
     PreconditionError,
+    StateFeedbackController,
+    UnknownEvent,
     ValidationError,
     accessible_part,
     check_controllable,
     closed_loop_language_degree,
     closed_loop_language_of_supervisor,
     closed_loop_reachable,
+    closed_loop_step,
     consistency_check,
     controller_from_language,
     controller_language_is_controllable,
@@ -24,13 +28,45 @@ from fuzzydes import (
     reach_of_language,
     run,
     scale_product,
+    step,
     supervisor_from_controller,
     supervisor_from_language,
 )
-from generators import all_strings, random_automaton, random_controller
+from generators import GRID11, all_strings, random_automaton, random_controller
 
 S = lambda text: make_state(text.split())
 F = Fraction
+
+
+def horizon_controller_language_is_controllable(aut, f, max_len):
+    """The pointwise controllability inequality of the controlled language,
+    walked over every string up to max_len with its open-loop and its
+    controlled state; degrees are exact on that range."""
+    f.validate(aut)
+    frontier = [(aut.initial, aut.initial, F(1))]
+    for _ in range(max_len):
+        nxt = []
+        for open_q, closed_q, d in frontier:
+            for ev in aut.events:
+                open_2 = step(aut, open_q, ev.name)
+                closed_2 = closed_loop_step(aut, f, closed_q, ev.name)
+                d2 = F(0) if closed_2 is None else max(closed_2)
+                if min(d, ev.uc_degree, max(open_2)) > d2:
+                    return False
+                if closed_2 is not None:
+                    nxt.append((open_2, closed_2, d2))
+        frontier = nxt
+    return True
+
+
+def redrawn_on_closed_loop(rng, aut, f):
+    """f with the value of every event at every vertex of its closed loop
+    drawn again at random, at or above the event's floor."""
+    entries = dict(f.entries)
+    for q in closed_loop_reachable(aut, f):
+        for ev in aut.events:
+            entries[(q, ev.name)] = rng.choice([v for v in GRID11 if v >= ev.uc_degree])
+    return StateFeedbackController(entries, f.default)
 
 
 def truncated_plant_language(aut, max_len):
@@ -128,15 +164,15 @@ def containment_controllable(aut, K):
 
 class TestLanguageControllability:
     def test_drift_language_is_controllable(self, drift_plant, drift_language):
-        assert language_controllable(drift_plant, drift_language, 6).ok
+        assert language_controllable(drift_plant, drift_language).ok
 
     def test_truncated_plant_language_controllable_when_floors_vanish(self, drift_plant):
         K = truncated_plant_language(drift_plant, 2)
-        assert language_controllable(drift_plant, K, 6).ok
+        assert language_controllable(drift_plant, K).ok
 
     def test_violation_is_detected_with_counterexample(self, treatment_plant):
         K = FuzzyLanguage.from_pairs([((), 1), (("d",), "0.5")])
-        verdict = language_controllable(treatment_plant, K, 6)
+        verdict = language_controllable(treatment_plant, K)
         assert not verdict.ok
         s, name = verdict.counterexample
         lhs = min(
@@ -155,16 +191,12 @@ class TestLanguageControllability:
             (treatment_plant, FuzzyLanguage.from_pairs([((), 1), (("b",), "0.1")])),
         ]
         for aut, K in fixtures:
-            assert language_controllable(aut, K, 6).ok == containment_controllable(aut, K)
+            assert language_controllable(aut, K).ok == containment_controllable(aut, K)
 
     def test_sublanguage_precondition(self, drift_plant):
         K = FuzzyLanguage.from_pairs([((), 1), (("a1",), "0.9")])
         with pytest.raises(PreconditionError):
-            language_controllable(drift_plant, K, 6)
-
-    def test_max_len_guard(self, drift_plant, drift_language):
-        with pytest.raises(ValidationError):
-            language_controllable(drift_plant, drift_language, 2)
+            language_controllable(drift_plant, K)
 
 
 class TestSupervisorFromLanguage:
@@ -232,10 +264,8 @@ class TestSupervisorFromController:
             )
 
     def test_controlled_language_is_controllable(self, treatment_plant, reference_controller):
-        assert controller_language_is_controllable(
-            treatment_plant, reference_controller, 4
-        )
-        assert controller_language_is_controllable(treatment_plant, make_controller({}), 4)
+        assert controller_language_is_controllable(treatment_plant, reference_controller)
+        assert controller_language_is_controllable(treatment_plant, make_controller({}))
 
     def test_random_pairs_uphold_both_properties(self):
         rng = random.Random(41)
@@ -246,7 +276,38 @@ class TestSupervisorFromController:
             closed = closed_loop_language_of_supervisor(aut, supervisor, 4)
             for s in all_strings(aut.event_names, 4):
                 assert closed.degree(s) == closed_loop_language_degree(aut, f, s)
-            assert controller_language_is_controllable(aut, f, 4)
+            assert controller_language_is_controllable(aut, f)
+
+
+class TestControllerLanguageIdentity:
+    """controller_language_is_controllable answers by the scaling identity in
+    its docstring; the horizon walk is the definition it stands in for."""
+
+    def test_horizon_walk_holds_on_redrawn_controllers(self):
+        rng = random.Random(907)
+        for _ in range(300):
+            aut = random_automaton(rng, max_n=3, max_events=3)
+            f = random_controller(rng, aut)
+            f = redrawn_on_closed_loop(rng, aut, redrawn_on_closed_loop(rng, aut, f))
+            assert horizon_controller_language_is_controllable(aut, f, 5)
+            assert controller_language_is_controllable(aut, f)
+
+    def test_invalid_controllers_still_raise(self, treatment_plant):
+        name = next(ev.name for ev in treatment_plant.events if ev.uc_degree == F(1, 10))
+        below = make_controller({(treatment_plant.initial, name): "0"})
+        unknown = make_controller({(treatment_plant.initial, "zz"): "1"})
+        for f, error in ((below, ValidationError), (unknown, UnknownEvent)):
+            with pytest.raises(error):
+                controller_language_is_controllable(treatment_plant, f)
+            with pytest.raises(error):
+                horizon_controller_language_is_controllable(treatment_plant, f, 5)
+
+    def test_no_composition_is_run(self, monkeypatch, treatment_plant, reference_controller):
+        calls = []
+        compose = automaton.maxmin_compose
+        monkeypatch.setattr(automaton, "maxmin_compose", lambda q, ev: calls.append(1) or compose(q, ev))
+        assert controller_language_is_controllable(treatment_plant, reference_controller)
+        assert calls == []
 
 
 class TestConsistency:
@@ -325,7 +386,7 @@ class TestControllerFromLanguage:
         move = make_event("m", [["0.5", "1"], ["0", "0.5"]], 0)
         aut = make_automaton(["x", "y"], ["1", "0.2"], [move])
         K = FuzzyLanguage.from_pairs([((), 1), (("m",), "0.6"), (("m", "m"), "0.4")])
-        assert language_controllable(aut, K, 6).ok
+        assert language_controllable(aut, K).ok
         assert consistency_check(aut, K).ok
         f = controller_from_language(aut, K)
         assert set(closed_loop_reachable(aut, f)) == set(reach_of_language(aut, K))
@@ -343,7 +404,7 @@ class TestNonNecessityRegression:
     def test_controllable_and_state_controllable_yet_inconsistent(
         self, drift_plant, drift_language
     ):
-        assert language_controllable(drift_plant, drift_language, 6).ok
+        assert language_controllable(drift_plant, drift_language).ok
         states = reach_of_language(drift_plant, drift_language)
         assert check_controllable(drift_plant, states).controllable
         assert not consistency_check(drift_plant, drift_language).ok

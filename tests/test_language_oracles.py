@@ -22,7 +22,6 @@ from fuzzydes import (
     FuzzyLanguage,
     PreconditionError,
     UnknownEvent,
-    ValidationError,
     closed_loop_language_of_supervisor,
     consistency_check,
     language_controllable,
@@ -52,15 +51,11 @@ def _require_sublanguage(aut, K):
             )
 
 
-def replay_language_controllable(aut, K, max_len=6):
+def replay_language_controllable(aut, K):
     """The replay check: every support string and every one-step extension
     off the support is run from the initial state and probed."""
     if K.is_empty:
         return LanguageVerdict(True)
-    if max_len < K.depth() + 1:
-        raise ValidationError(
-            f"max_len {max_len} is below the support depth plus one ({K.depth() + 1})"
-        )
     _require_sublanguage(aut, K)
     probes = list(K.support())
     probes.extend(
@@ -111,9 +106,8 @@ def outcome(check, *args):
 
 
 def assert_agrees(aut, K):
-    depth = K.depth() + 1
-    got = outcome(language_controllable, aut, K, depth)
-    assert got == outcome(replay_language_controllable, aut, K, depth)
+    got = outcome(language_controllable, aut, K)
+    assert got == outcome(replay_language_controllable, aut, K)
     consistency = outcome(consistency_check, aut, K)
     assert consistency == outcome(pairwise_consistency_check, aut, K)
     return got, consistency
@@ -228,18 +222,12 @@ class TestErrorsAgreeWithReplay:
     )
     def test_same_error_on_the_same_string(self, drift_plant, pairs, error):
         K = FuzzyLanguage.from_pairs(pairs)
-        got = outcome(language_controllable, drift_plant, K, 6)
+        got = outcome(language_controllable, drift_plant, K)
         assert got[0] is error
-        assert got == outcome(replay_language_controllable, drift_plant, K, 6)
+        assert got == outcome(replay_language_controllable, drift_plant, K)
         got = outcome(consistency_check, drift_plant, K)
         assert got[0] is UnknownEvent
         assert got == outcome(pairwise_consistency_check, drift_plant, K)
-
-    def test_max_len_guard_comes_first(self, drift_plant):
-        K = FuzzyLanguage.from_pairs([((), 1), (("zz",), "0.5"), (("zz", "a1"), "0.5")])
-        got = outcome(language_controllable, drift_plant, K, 2)
-        assert got[0] is ValidationError
-        assert got == outcome(replay_language_controllable, drift_plant, K, 2)
 
 
 class TestCountGuards:
@@ -250,7 +238,7 @@ class TestCountGuards:
         calls = []
         compose = automaton.maxmin_compose
         monkeypatch.setattr(automaton, "maxmin_compose", lambda q, ev: calls.append(1) or compose(q, ev))
-        assert language_controllable(aut, K, K.depth() + 1).ok
+        assert language_controllable(aut, K).ok
         assert 0 < len(calls) <= len(K.degrees) * (1 + len(aut.events))
 
     def test_consistency_is_linear_in_one_group(self):
