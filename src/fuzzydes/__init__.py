@@ -90,7 +90,6 @@ from .stability import (
     check_attractor,
     check_controllable_invariant,
     find_cycles,
-    grid_universe,
     infimal_attractor,
     is_stable,
     largest_controllable_invariant,

@@ -199,8 +199,8 @@ class StateFeedbackController:
     """A state feedback controller: a finite map from (state, event name) to
     an enabling possibility, with a default for unmapped pairs.
 
-    Validation against an automaton checks every stored value and the default
-    against the events' uncontrollability floors.
+    Validation against an automaton checks each entry's state dimension, and
+    every stored value and the default against the events' floors.
     """
 
     entries: Mapping[tuple[State, str], Fraction] = field(default_factory=dict)
@@ -212,6 +212,10 @@ class StateFeedbackController:
     def validate(self, aut: MaxMinAutomaton) -> None:
         floors = aut.uc_map()
         for (q, name), v in self.entries.items():
+            if len(q) != aut.n:
+                raise DimensionMismatch(
+                    f"controller state {format_state(q)} has {len(q)} components, expected {aut.n}"
+                )
             floor = floors.get(name)
             if floor is None:
                 raise UnknownEvent(f"controller maps unknown event {name!r}")

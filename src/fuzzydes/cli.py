@@ -41,10 +41,9 @@ from .possibility import format_possibility, format_state
 from .reachability import family_contains, reach_family
 from .stability import (
     StabilizabilityWitness,
+    candidate_universe,
     check_attractor,
-    grid_universe,
     infimal_attractor,
-    largest_controllable_invariant,
     search_stabilizing_witness,
     synthesize_stabilizing_controller,
 )
@@ -368,7 +367,7 @@ def _cmd_stabilize(args, aut):
         if found is None:
             # Scripts read this exact line as "inconclusive"; keep its bytes.
             text = "no stabilization witness found within budget (inconclusive)"
-            size = len(grid_universe(aut, legal, largest_controllable_invariant(aut, legal)))
+            size = len(candidate_universe(aut, legal))
             reason = f"no witness over the grid universe ({size} states)"
             return 1, {"stabilizable": None, "reason": reason}, text
         witness, controller = found, found.controller

@@ -8,14 +8,15 @@ reduces to a subset test.  Stabilizability asks for a controller whose
 closed loop has an attractor inside the legal set; witnesses pair a
 controllable invariant subset of the legal states with a controllable set
 that funnels into it, and are found by a controllable-attractor fixpoint
-over a finite grid of scaled states.
+over the grid scalings of the open-loop reachable states.  The invariant
+subset and its attractor are both computed by one counter worklist.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .automaton import (
     MaxMinAutomaton,
@@ -29,6 +30,7 @@ from .errors import InfeasibleControl, PreconditionError, ValidationError, Witne
 from .graph import bfs, closure, cycle_vertices
 from .possibility import (
     ZERO,
+    FuzzyEvent,
     State,
     format_state,
     maxmin_compose,
@@ -128,37 +130,59 @@ def largest_controllable_invariant(
     against the survivors until none do.  Unique because controllable
     invariant sets are closed under union.
 
-    A worklist over one scaling index: every forced event at a member keeps
-    a count of its targets still in the set, and removing a state lowers the
-    counts of the forced events that could land on it, so only those
-    members are looked at again.  Survivors keep their order in N.
+    The dropped states are an attractor over one scaling index: a member
+    leaves once one of its forced events has lost every target.  Survivors
+    keep their order in N.
     """
     states = validated_state_set(aut, N)
     index = ScalingIndex(states)
-    alive = [True] * len(states)
-    owner: list[int] = []  # owner[k]: the member whose forced event is slot k
-    live: list[int] = []  # live[k]: targets of slot k still in the set
-    landing: list[list[int]] = [[] for _ in states]  # t -> slots with target t
-    doomed: list[int] = []
-    for v, q in enumerate(states):
-        for ev, composed in forced_events(aut, q):
-            targets = index.targets(composed, ev.uc_degree)
-            if not targets:
-                doomed.append(v)
-            for t, _ in targets:
-                landing[t].append(len(owner))
-            owner.append(v)
-            live.append(len(targets))
-    while doomed:
-        v = doomed.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for k in landing[v]:
-            live[k] -= 1
-            if not live[k]:
-                doomed.append(owner[k])
-    return tuple(q for q, keep in zip(states, alive) if keep)
+    slots = [_targets(index, forced_events(aut, q)) for q in states]
+    seeds = [v for v, targets in enumerate(slots) if not all(targets)]
+    gone = _attract(slots, len, [1] * len(states), seeds)
+    return tuple(q for q, r in zip(states, gone) if r is None)
+
+
+def _targets(index: ScalingIndex, pairs: Iterable[tuple[FuzzyEvent, State]]) -> list[list[int]]:
+    """For each (event, composed) pair, the positions in the index of the
+    members that an admissible scaling of composed lands on."""
+    return [[t for t, _ in index.targets(c, ev.uc_degree)] for ev, c in pairs]
+
+
+def _attract(
+    slots: Sequence[Sequence[Sequence[int]]],
+    need: Callable[[Sequence[int]], int],
+    wanted: Sequence[int],
+    seeds: Iterable[int],
+    stop: Optional[int] = None,
+) -> list[Optional[int]]:
+    """The rank of each state v (None if it never joins) in the attractor of
+    the seeds, which join at rank 0.  slots[v] lists the target lists of v's
+    slots; a slot is met once need(targets) of them have joined, and v joins
+    once wanted[v] of its slots are met, one rank above the state that made
+    it join.  States join breadth first until stop has joined."""
+    rank: list[Optional[int]] = [None] * len(slots)
+    watchers: list[list[tuple[int, int]]] = [[] for _ in slots]  # t -> (v, k) holding t
+    missing = [[need(targets) for targets in state_slots] for state_slots in slots]
+    for v, state_slots in enumerate(slots):
+        for k, targets in enumerate(state_slots):
+            for t in targets:
+                watchers[t].append((v, k))
+    short = list(wanted)  # short[v]: met slots v still lacks
+    queue = deque(dict.fromkeys(seeds))
+    for v in queue:
+        rank[v] = 0
+    while queue and (stop is None or rank[stop] is None):
+        t = queue.popleft()
+        for v, k in watchers[t]:
+            if rank[v] is not None or not missing[v][k]:
+                continue
+            missing[v][k] -= 1
+            if not missing[v][k]:
+                short[v] -= 1
+                if not short[v]:
+                    rank[v] = rank[t] + 1
+                    queue.append(v)
+    return rank
 
 
 @dataclass(frozen=True)
@@ -175,40 +199,27 @@ class StabilizabilityWitness:
     subgraph: Optional[ControllableSubgraph] = None
 
 
-def _funnel_controller(
-    aut: MaxMinAutomaton, w: StabilizabilityWitness
-) -> Optional[StateFeedbackController]:
-    """The controller realizing the funnel set through the witness's own
-    subgraph, or through the one check_controllable finds when it carries
-    none; None when that subgraph is invalid or the funnel not controllable."""
-    if not w.p_set:
-        return None
-    if w.subgraph is not None:
-        try:
-            # synthesize_controller checks the subgraph with validate_subgraph.
-            return synthesize_controller(aut, w.p_set, w.subgraph)
-        except ValidationError:
-            return None
-    verdict = check_controllable(aut, w.p_set)
-    if not verdict.controllable:
-        return None
-    return synthesize_controller(aut, w.p_set, verdict.subgraph)
-
-
 def _verified_funnel(
     aut: MaxMinAutomaton, N: Sequence[State], w: StabilizabilityWitness
 ) -> Optional[StateFeedbackController]:
-    """The funnel controller of a witness that verifies, else None."""
+    """The funnel controller of a witness that verifies, else None.  It
+    realizes the funnel set through the witness's own subgraph, or through
+    the one check_controllable finds when the witness carries none."""
     legal = set(validated_state_set(aut, N))
     if not set(w.n_prime) <= legal:
         raise PreconditionError(
             "target set is not contained in the legal set",
             counterexample=tuple(q for q in w.n_prime if q not in legal),
         )
-    if not check_controllable_invariant(aut, w.n_prime).ok:
+    if not check_controllable_invariant(aut, w.n_prime).ok or not w.p_set:
         return None
-    f_prime = _funnel_controller(aut, w)
-    if f_prime is None:
+    subgraph = w.subgraph or check_controllable(aut, w.p_set).subgraph
+    if subgraph is None:  # the funnel set is not controllable
+        return None
+    try:
+        # synthesize_controller checks the subgraph with validate_subgraph.
+        f_prime = synthesize_controller(aut, w.p_set, subgraph)
+    except ValidationError:
         return None
     connected, acyclic = _funnels_into(closed_loop_graph(aut, f_prime), set(w.n_prime))
     return f_prime if connected and acyclic else None
@@ -280,34 +291,29 @@ def candidate_universe(
     return tuple(out)
 
 
-def grid_universe(
-    aut: MaxMinAutomaton, N: Sequence[State], invariant: Sequence[State]
-) -> tuple[State, ...]:
-    """The universe U that search_stabilizing_witness ranks:
-    candidate_universe(aut, N) followed by the members of invariant (the
-    largest controllable invariant subset of N) that it lacks."""
-    universe = candidate_universe(aut, N)
-    in_universe = set(universe)
-    return universe + tuple(q for q in invariant if q not in in_universe)
-
-
 def search_stabilizing_witness(
     aut: MaxMinAutomaton, N: Sequence[State]
 ) -> Optional[StabilizabilityWitness]:
-    """Decide stabilizability over the grid universe U = grid_universe(aut,
-    N, N*), N* the largest controllable invariant subset of N, with a
-    controllable attractor (Özveren, Willsky & Antsaklis, J. ACM 38(3), 1991).
+    """Decide stabilizability with a controllable attractor (Özveren, Willsky
+    & Antsaklis, J. ACM 38(3), 1991) of N*, the largest controllable invariant
+    subset of N, over the grid universe U = candidate_universe(aut, N).
 
-    N* has rank 0; another state of U gets rank r + 1 once every forced event
-    at it, or with none forced some event, has an admissible target of rank
-    at most r.  A counter worklist over one scaling index of U hands out the
-    ranks in order until the initial state has one.  The witness follows
-    the rank-decreasing choice: a forced event takes its lowest-rank target
-    (lowest position in U on ties), a state with no forced event enables
-    only the first event with a lower-rank target (none at rank 0), and the
-    rest are disabled.  Its funnel set is the closure of the initial state
-    under that choice in discovery order, its target set the funnel's
-    members of N*, and the choice travels as its subgraph.
+    The members of N* in U have rank 0; another state of U gets rank r + 1
+    once every forced event at it, or with none forced some event, has an
+    admissible target of rank at most r, until the initial state has a rank.
+    The witness follows the rank-decreasing choice: a forced event takes its
+    lowest-rank target (lowest position in U on ties), a state with no
+    forced event enables only the first event with a lower-rank target (none
+    at rank 0), and the rest are disabled.  Its funnel set is the closure of
+    the initial state under that choice in discovery order, its target set
+    the funnel's members of N*, and the choice travels as its subgraph.
+
+    Members of N* outside U are never targets from U, so U loses nothing.
+    Take q = min(alpha, v) in U, v accessible and alpha in the grid G; then
+    q.a = min(alpha, v.a), as composition commutes with scaling.  A legal p
+    that some scaling of q.a lands on is p = min(max(p), q.a) = min(min(max(p),
+    alpha), v.a) with max(p) in G, which holds every legal component, so p is
+    in U.  The initial state is in U as its own scaling by 1.
 
     None means no witness has its funnel inside U (the chosen edges of a
     funnel that verifies would rank all of it); whether a scaling off the
@@ -316,68 +322,36 @@ def search_stabilizing_witness(
     invariant = largest_controllable_invariant(aut, N)
     if not invariant:
         return None
-    states = grid_universe(aut, N, invariant)
+    states = candidate_universe(aut, N)
     ids = {q: v for v, q in enumerate(states)}
-    root = ids.get(aut.initial)
-    if root is None:
-        return None
+    root = ids[aut.initial]
     index = ScalingIndex(states)
-    slots = [_strategy_slots(aut, index, q) for q in states]
-    rank: list[Optional[int]] = [None] * len(states)
-    for q in invariant:
-        rank[ids[q]] = 0
-    # watchers[t]: (v, k) for every slot k of v holding target t; pending[v]
-    # the slots of v still lacking a ranked target.
-    watchers: list[list[tuple[int, int]]] = [[] for _ in states]
-    for v, (_, event_slots) in enumerate(slots):
-        for k, (_, targets) in enumerate(event_slots):
-            for t in targets:
-                watchers[t].append((v, k))
-    pending = [set(range(len(event_slots))) for _, event_slots in slots]
-    queue = deque(ids[q] for q in invariant)
-    while queue and rank[root] is None:
-        t = queue.popleft()
-        for v, k in watchers[t]:
-            if rank[v] is not None or k not in pending[v]:
-                continue
-            pending[v].discard(k)
-            if not slots[v][0] or not pending[v]:
-                rank[v] = rank[t] + 1
-                queue.append(v)
+    forced = [list(forced_events(aut, q)) for q in states]
+    # A strategy fills the forced events at a state, or every event when none is.
+    events = [f or [(ev, maxmin_compose(q, ev)) for ev in aut.events] for q, f in zip(states, forced)]
+    slots = [_targets(index, pairs) for pairs in events]
+    wanted = [len(targets) if f else 1 for f, targets in zip(forced, slots)]
+    rank = _attract(slots, lambda targets: 1, wanted, [ids[q] for q in invariant if q in ids], root)
     if rank[root] is None:
         return None
 
     def chosen(v: int) -> list[tuple[str, int]]:
-        forced, event_slots = slots[v]
         best = []  # (event, (rank, position) of its lowest-rank target)
-        for name, targets in event_slots:
+        for (ev, _), targets in zip(events[v], slots[v]):
             ranked = [(rank[t], t) for t in targets if rank[t] is not None]
             if ranked:
-                best.append((name, min(ranked)))
-        if forced:
+                best.append((ev.name, min(ranked)))
+        if forced[v]:
             return [(name, t) for name, (_, t) in best]
         return [(name, t) for name, (r, t) in best if r < rank[v]][:1]
 
     picks: dict[int, list[tuple[str, int]]] = {}
     funnel = bfs(root, lambda v: picks.setdefault(v, chosen(v))).dist
     witness = StabilizabilityWitness(
-        tuple(q for q in invariant if ids[q] in funnel),
+        tuple(q for q in invariant if ids.get(q) in funnel),
         tuple(states[v] for v in funnel),
         subgraph=ControllableSubgraph(
             {(states[v], name): states[t] for v in funnel for name, t in picks[v]}
         ),
     )
     return replace(witness, controller=synthesize_stabilizing_controller(aut, N, witness))
-
-
-def _strategy_slots(
-    aut: MaxMinAutomaton, index: ScalingIndex, q: State
-) -> tuple[bool, list[tuple[str, list[int]]]]:
-    """Whether some event is forced at q, and the target positions in the
-    index of the events a strategy fills there: the forced ones, or every
-    event when none is forced."""
-    forced = list(forced_events(aut, q))
-    pairs = forced or [(ev, maxmin_compose(q, ev)) for ev in aut.events]
-    return bool(forced), [
-        (ev.name, [t for t, _ in index.targets(c, ev.uc_degree)]) for ev, c in pairs
-    ]

@@ -1,7 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fuzzydes.stability as stability
 from fuzzydes import closed_loop_reachable, make_state, parse_spec, run_command
@@ -461,6 +466,18 @@ class TestExitCodeContract:
         code, _, err = invoke(capsys, "simulate", "--automaton", PLANT, "--spec", str(spec))
         assert code == 2 and err
 
+    def test_controller_entry_state_of_wrong_length_exits_two(self, capsys, tmp_path):
+        # A one-component entry state on the three-state plant matches no
+        # closed-loop state, so a run would silently ignore it.
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"kind": "fsfc", "entries": [
+            {"state": ["0.5"], "event": "a", "value": "0.5"},
+        ]}))
+        code, out, err = invoke(
+            capsys, "simulate", "--automaton", PLANT, "--spec", str(spec), "--string", "a b"
+        )
+        assert (code, out) == (2, "") and "components" in err
+
     def test_stability_legal_state_of_wrong_length_exits_two(self, capsys):
         code, _, err = invoke(
             capsys, "stability", "--automaton", PLANT, "--spec", "state:[0.1,0.1]"
@@ -598,3 +615,89 @@ class TestOutFile:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["entries"]
+
+
+# The boundary fuzz mutates the spec documents under data/ and golden/ (each
+# a few hundred bytes at most) together with the plant each one is written for,
+# and runs a subcommand that takes the spec's kind.
+FUZZ_SPECS = sorted(
+    [DATA / name for name in ("admissible_set.json", "reference_controller.json", "drift_language.json")]
+    + [p for prefix in ("cascade", "drift", "treatment") for p in GOLDEN.glob(prefix + "_*.json")]
+)
+FUZZ_COMMANDS = {
+    "state_set": ["member", "succ", "check-controllable", "synthesize", "stability", "stabilize",
+                  "export-dot"],
+    "language": ["check-language", "derive-supervisor", "bridge"],
+    "fsfc": ["simulate"],
+    "witness": ["stabilize"],
+}
+FUZZ_VALUES = [None, True, 3, 0.5, -1, "x", "", [], {}, "1", "1.5", "-0.1", "2", "1e-3",
+               "0.1234567891", "NaN", "0.5.5", 10**12]
+
+
+def _fuzz_plant(spec):
+    for prefix in ("cascade", "drift"):
+        if spec.name.startswith(prefix):
+            return DATA / f"{prefix}_plant.json"
+    return DATA / "treatment_plant.json"
+
+
+def _mutate(data, doc):
+    """One drawn boundary mutation at a drawn place in a JSON document: drop a
+    key or an item, swap in a value of another type, an out-of-range or
+    over-precise decimal, change a list's length, or nest deeply."""
+
+    def key(node):
+        return data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        path.append(key(node))
+        node = node[path[-1]]
+    kind = data.draw(st.sampled_from(["drop", "value", "length", "nest"]))
+    if kind == "drop" and isinstance(node, (dict, list)) and node:
+        node.pop(key(node))
+        return doc
+    if kind == "length" and isinstance(node, list):
+        if node and data.draw(st.booleans()):
+            node.append(node[-1])
+        else:
+            node[:] = node[:-1]
+        return doc
+    if kind == "nest":
+        new = node
+        for _ in range(data.draw(st.sampled_from([1, 3, 200]))):
+            new = [new]
+    else:
+        new = data.draw(st.sampled_from(FUZZ_VALUES))
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mutated_documents_keep_the_exit_code_contract(self, data):
+        # A regression net: every exit is 0, 1 or 2 and no exception escapes.
+        spec_path = data.draw(st.sampled_from(FUZZ_SPECS))
+        docs = [json.loads(p.read_text()) for p in (_fuzz_plant(spec_path), spec_path)]
+        command = data.draw(st.sampled_from(["reach"] + FUZZ_COMMANDS[docs[1]["kind"]]))
+        for i in range(2):
+            for _ in range(data.draw(st.integers(0, 2))):
+                docs[i] = _mutate(data, docs[i])
+        with tempfile.TemporaryDirectory() as tmp:
+            plant, spec = pathlib.Path(tmp, "plant.json"), pathlib.Path(tmp, "spec.json")
+            plant.write_text(json.dumps(docs[0]))
+            spec.write_text(json.dumps(docs[1]))
+            argv = [command, "--automaton", str(plant), "--spec", str(spec),
+                    "--format", data.draw(st.sampled_from(["json", "text"]))]
+            if command == "export-dot":
+                argv += ["--what", data.draw(st.sampled_from(["accessible", "successor", "subgraph"]))]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run_command(argv)
+        assert code in (0, 1, 2)

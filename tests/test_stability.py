@@ -16,10 +16,11 @@ from fuzzydes import (
     check_controllable_invariant,
     closed_loop_graph,
     find_cycles,
-    grid_universe,
     infimal_attractor,
     is_stable,
     largest_controllable_invariant,
+    make_automaton,
+    make_event,
     make_state,
     maxmin_compose,
     search_stabilizing_witness,
@@ -158,6 +159,18 @@ class TestControllableInvariant:
 
     def test_largest_fixpoint_of_empty_is_empty(self, treatment_plant):
         assert largest_controllable_invariant(treatment_plant, ()) == ()
+
+    def test_member_lost_through_several_forced_events_at_once(self):
+        # [0.2,0.5] loses every target of e0 and of e2 when [0.2,0.3] leaves;
+        # [0.2,0.2] and [0.3,0.4] keep targets for all their forced events.
+        aut = make_automaton(["s0", "s1"], ["0.2", "0.5"], [
+            make_event("e0", [["0.5", "0.1"], ["0.3", "0.7"]], "1"),
+            make_event("e1", [["0.2", "0.2"], ["0.1", "0.3"]], "0.1"),
+            make_event("e2", [["0.3", "0.7"], ["0.3", "0.4"]], "0.6"),
+            make_event("e3", [["0.9", "1"], ["0", "0.5"]], "0.2"),
+        ])
+        N = (S("0.2 0.3"), S("0.2 0.5"), S("0.2 0.2"), S("0.3 0.4"))
+        assert largest_controllable_invariant(aut, N) == (S("0.2 0.2"), S("0.3 0.4"))
 
     def test_largest_fixpoint_is_locally_maximal(self):
         rng = random.Random(61)
@@ -383,10 +396,11 @@ def enumerated_stabilizing_witness(aut, N, budget):
 
 
 def swept_attractor(aut, N):
-    """The controllable attractor by its definition: sweep the grid universe
-    until no state joins, testing each event against every state joined so
-    far with solve_scale.  A state joins when every forced event there has
-    an admissible target among them or, with none forced, some event has."""
+    """The controllable attractor by its definition: sweep the grid universe,
+    padded with the members of N* that it lacks, until no state joins,
+    testing each event against every state joined so far with solve_scale.
+    A state joins when every forced event there has an admissible target
+    among them or, with none forced, some event has."""
     invariant = largest_controllable_invariant(aut, N)
     joined = set(invariant)
 
@@ -402,7 +416,8 @@ def swept_attractor(aut, N):
             return all(lands(q, ev) for ev in forced)
         return any(lands(q, ev) for ev in aut.events)
 
-    universe = grid_universe(aut, N, invariant)
+    universe = candidate_universe(aut, N)
+    universe += tuple(q for q in invariant if q not in universe)
     while True:
         layer = {q for q in universe if q not in joined and joins(q)}
         if not layer:
@@ -443,6 +458,40 @@ class TestAttractorFixpoint:
                 plain = StabilizabilityWitness(witness.n_prime, witness.p_set)
                 assert not verify_stabilizability_witness(aut, legal, plain)
         assert outcomes["yes"] >= 20 and outcomes["no"] >= 50
+
+    def test_the_candidate_universe_loses_no_witness(self):
+        # Legal sets holding vectors off the candidate universe C: a random
+        # half of the accessible states plus up to three vectors on the 1/20
+        # grid.  The oracle sweeps C padded with the members of N* it lacks.
+        rng = random.Random(2024)
+        padded_cases = 0
+        for _ in range(270):
+            aut = random_automaton(rng, 3, 3)
+            V = accessible_part(aut).vertices
+            if len(V) > 14:
+                continue
+            extra = [
+                tuple(F(rng.randint(0, 20), 20) for _ in range(aut.n))
+                for _ in range(rng.randint(0, 3))
+            ]
+            half = rng.sample(V, max(1, len(V) // 2))
+            legal = tuple(dict.fromkeys(half + [q for q in extra if any(q)]))
+            universe = candidate_universe(aut, legal)
+            in_universe = set(universe)
+            stray = [p for p in legal if p not in in_universe]
+            padded_cases += any(q in stray for q in largest_controllable_invariant(aut, legal))
+            witness = search_stabilizing_witness(aut, legal)
+            assert (witness is not None) == (aut.initial in swept_attractor(aut, legal))
+            if witness is not None:
+                assert verify_stabilizability_witness(aut, legal, witness)
+            # No state of C has an admissible target among the legal states
+            # off C, which include the members of N* that C lacks.
+            for q in universe:
+                for ev in aut.events:
+                    composed = maxmin_compose(q, ev)
+                    for p in stray:
+                        assert solve_scale(composed, p).restrict(ev.uc_degree).is_empty
+        assert padded_cases >= 20
 
     def test_draw_44_decides_without_the_controllability_search(self, monkeypatch):
         # ROADMAP K2: with its smallest attractor as the legal set, draw 44's
