@@ -7,6 +7,9 @@ enabling possibility at least the event's uncontrollability floor; the
 closed-loop step scales the open-loop result by that possibility.  The
 all-zero vector counts as "no transition": it is excluded from the state set,
 so a step that scales to zero is simply absent.
+
+The explorations run on int-coded states (the events' coded matrices and
+the automaton's coded_initial) and decode their graphs once at the end.
 """
 
 from __future__ import annotations
@@ -20,10 +23,15 @@ from .errors import DimensionMismatch, UnknownEvent, ValidationError
 from .possibility import (
     ONE,
     ZERO,
+    Code,
     Fraction,
     FuzzyEvent,
     State,
     as_possibility,
+    decode_state,
+    decode_value,
+    encode_state,
+    encode_value,
     format_state,
     make_state,
     maxmin_compose,
@@ -75,6 +83,10 @@ class MaxMinAutomaton:
     def _by_name(self) -> Mapping[str, FuzzyEvent]:
         return {ev.name: ev for ev in self.events}
 
+    @cached_property
+    def coded_initial(self) -> Code:
+        return encode_state(self.initial)
+
     @property
     def event_names(self) -> tuple[str, ...]:
         return tuple(ev.name for ev in self.events)
@@ -109,15 +121,30 @@ def make_automaton(state_labels, initial, events) -> MaxMinAutomaton:
 
 def step(aut: MaxMinAutomaton, q: State, name: str) -> State:
     """One open-loop transition: q composed with the named event's matrix."""
-    return maxmin_compose(q, aut.event(name))
+    return decode_state(_step(aut, encode_state(q), name))
+
+
+def _step(aut: MaxMinAutomaton, q: Code, name: str) -> Code:
+    return maxmin_compose(q, aut.event(name).coded_matrix)
 
 
 def run(aut: MaxMinAutomaton, s) -> State:
     """Fold step over an event string starting from the initial state."""
-    q = aut.initial
-    for name in as_event_string(s):
-        q = step(aut, q, name)
-    return q
+    return decode_state(_run(aut, as_event_string(s))[-1])
+
+
+def _run(aut: MaxMinAutomaton, names: EventString, f=None) -> list[Code]:
+    """The coded states of the run over names from the initial state; under
+    the coded controller f it stops before the first step that vanishes."""
+    states = [aut.coded_initial]
+    for name in names:
+        q = _step(aut, states[-1], name)
+        if f is not None:
+            q = scale_product(f.value(states[-1], name), q)
+            if not any(q):
+                break
+        states.append(q)
+    return states
 
 
 def language_degree(aut: MaxMinAutomaton, s) -> Fraction:
@@ -133,7 +160,8 @@ def language_degree(aut: MaxMinAutomaton, s) -> Fraction:
 class TransitionGraph:
     """A finite, deterministic, labeled transition graph over fuzzy states,
     rooted at the initial state.  Produced by accessible_part (open loop) and
-    closed_loop_graph (under a controller)."""
+    closed_loop_graph (under a controller); the analyses build it over
+    int-coded states."""
 
     root: State
     vertices: tuple[State, ...]
@@ -164,25 +192,37 @@ class TransitionGraph:
         return None
 
 
+def _decode_graph(graph: TransitionGraph) -> TransitionGraph:
+    """The public form of a coded graph: each vertex decoded once."""
+    states = {q: decode_state(q) for q in graph.vertices}
+    edges = tuple((states[src], name, states[dst]) for src, name, dst in graph.edges)
+    return TransitionGraph(states[graph.root], tuple(states.values()), edges)
+
+
 def _explore(aut: MaxMinAutomaton, step) -> TransitionGraph:
-    """Breadth-first closure of the initial state under step(q, event),
-    dropping all-zero results (no transition)."""
-    vertices: list[State] = [aut.initial]
-    seen = {aut.initial}
-    edges: list[tuple[State, str, State]] = []
-    queue = deque([aut.initial])
+    """Breadth-first closure of the coded initial state under step(q,
+    coded event), dropping all-zero results (no transition)."""
+    root = aut.coded_initial
+    vertices: list[Code] = [root]
+    seen = {root}
+    edges: list[tuple[Code, str, Code]] = []
+    queue = deque([root])
     while queue:
         q = queue.popleft()
         for ev in aut.events:
             p = step(q, ev)
-            if state_is_zero(p):
+            if not any(p):
                 continue
             edges.append((q, ev.name, p))
             if p not in seen:
                 seen.add(p)
                 vertices.append(p)
                 queue.append(p)
-    return TransitionGraph(aut.initial, tuple(vertices), tuple(edges))
+    return TransitionGraph(root, tuple(vertices), tuple(edges))
+
+
+def _accessible(aut: MaxMinAutomaton) -> TransitionGraph:
+    return _explore(aut, lambda q, ev: maxmin_compose(q, ev.coded_matrix))
 
 
 def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
@@ -191,7 +231,7 @@ def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
     Terminates because every component of every reachable state is drawn from
     the finite grid of values appearing in the automaton.
     """
-    return _explore(aut, maxmin_compose)
+    return _decode_graph(_accessible(aut))
 
 
 @dataclass(frozen=True)
@@ -238,6 +278,12 @@ class StateFeedbackController:
         values.add(self.default)
         return values
 
+    def encoded(self) -> "StateFeedbackController":
+        """The same controller over int-coded states and values."""
+        entries = {(encode_state(q), name): encode_value(v) for (q, name), v in self.entries.items()}
+        return StateFeedbackController(entries, encode_value(self.default))
+
+
 
 def make_controller(entries=None, default=1) -> StateFeedbackController:
     """Build a controller from {(state, event): value} overrides; states and
@@ -260,10 +306,15 @@ def closed_loop_step(
     return scaled
 
 
+def _closed_loop(aut: MaxMinAutomaton, f: StateFeedbackController) -> TransitionGraph:
+    """closed_loop_graph over codes, for a coded controller f."""
+    return _explore(aut, lambda q, ev: scale_product(f.value(q, ev.name), maxmin_compose(q, ev.coded_matrix)))
+
+
 def closed_loop_graph(aut: MaxMinAutomaton, f: StateFeedbackController) -> TransitionGraph:
     """Breadth-first closure of the initial state under controlled steps."""
     f.validate(aut)
-    return _explore(aut, lambda q, ev: scale_product(f.value(q, ev.name), maxmin_compose(q, ev)))
+    return _decode_graph(_closed_loop(aut, f.encoded()))
 
 
 def closed_loop_reachable(
@@ -282,12 +333,8 @@ def closed_loop_language_degree(
     names = as_event_string(s)
     if not names:
         return ONE
-    q: Optional[State] = aut.initial
-    for name in names:
-        q = closed_loop_step(aut, f, q, name)
-        if q is None:
-            return ZERO
-    return max(q)
+    states = _run(aut, names, f.encoded())
+    return decode_value(max(states[-1])) if len(states) > len(names) else ZERO
 
 
 @dataclass(frozen=True)
@@ -305,22 +352,14 @@ class Trajectory:
 
 
 def open_loop_trajectory(aut: MaxMinAutomaton, s) -> Trajectory:
-    states = [aut.initial]
     names = as_event_string(s)
-    for name in names:
-        states.append(step(aut, states[-1], name))
-    return Trajectory(tuple(states), names)
+    return Trajectory(tuple(map(decode_state, _run(aut, names))), names)
 
 
 def closed_loop_trajectory(
     aut: MaxMinAutomaton, f: StateFeedbackController, s
 ) -> Trajectory:
-    states = [aut.initial]
-    taken: list[str] = []
-    for name in as_event_string(s):
-        nxt = closed_loop_step(aut, f, states[-1], name)
-        if nxt is None:
-            return Trajectory(tuple(states), tuple(taken), halted=True)
-        states.append(nxt)
-        taken.append(name)
-    return Trajectory(tuple(states), tuple(taken))
+    names = as_event_string(s)
+    states = _run(aut, names, f.encoded())
+    taken = names[: len(states) - 1]
+    return Trajectory(tuple(map(decode_state, states)), taken, halted=len(taken) < len(names))

@@ -31,13 +31,13 @@ from .fileio import (
     state_doc,
 )
 from .language import (
+    _language_controller,
+    _language_supervisor,
     consistency_check,
-    controller_from_language,
     language_controllable,
     reach_of_language,
-    supervisor_from_language,
 )
-from .possibility import format_possibility, format_state
+from .possibility import encode_state, format_possibility, format_state
 from .reachability import family_contains, reach_family
 from .stability import (
     StabilizabilityWitness,
@@ -152,10 +152,10 @@ def _language_not_controllable(verdict):
 
 
 def _controller_text(f) -> list[str]:
-    lines = [f"controller (default {format_possibility(f.default)}):"]
-    entries = sorted(f.entries.items(), key=lambda item: (item[0][0], item[0][1]))
-    for (state, name), value in entries:
-        lines.append(f"  f({format_state(state)})({name}) = {format_possibility(value)}")
+    doc = controller_doc(f)
+    lines = [f"controller (default {doc['default']}):"]
+    for entry in doc["entries"]:
+        lines.append(f"  f([{','.join(entry['state'])}])({entry['event']}) = {entry['value']}")
     return lines
 
 
@@ -202,12 +202,14 @@ def _cmd_member(args, aut):
 def _cmd_succ(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
     graph = build_successor_graph(aut, spec.states)
-    by_source: dict = {q: [] for q in graph.vertices}
-    for e in graph.edges:
-        by_source[e.source].append(e)
     payload = {"successors": []}
     lines = []
-    for q, edges in by_source.items():
+    # The edges are grouped by source, in vertex order.
+    pending = list(reversed(graph.edges))
+    for q in graph.vertices:
+        edges = []
+        while pending and pending[-1].source == q:
+            edges.append(pending.pop())
         payload["successors"].append(
             {
                 "state": state_doc(q),
@@ -227,7 +229,7 @@ def _cmd_check_controllable(args, aut):
     verdict = check_controllable(aut, spec.states)
     if not verdict.controllable:
         return _not_controllable(verdict)
-    edges = sorted(verdict.subgraph.edges(), key=lambda e: (e[0], e[1]))
+    edges = sorted(verdict.subgraph.edges(), key=lambda e: (encode_state(e[0]), e[1]))
     payload = {
         "controllable": True,
         "subgraph": [
@@ -267,7 +269,7 @@ def _cmd_derive_supervisor(args, aut):
     verdict = language_controllable(aut, K)
     if not verdict.ok:
         return _language_not_controllable(verdict)
-    supervisor = supervisor_from_language(aut, K)
+    supervisor = _language_supervisor(aut, K)
     rows = []
     for s in K.support():
         for name in aut.event_names:
@@ -314,7 +316,7 @@ def _cmd_bridge(args, aut):
             f"disagree on event {name}"
         )
         return 1, payload, "\n".join(lines)
-    controller = controller_from_language(aut, K)
+    controller = _language_controller(aut, K)
     payload["controller"] = controller_doc(controller)
     lines.extend(_controller_text(controller))
     return 0, payload, "\n".join(lines)

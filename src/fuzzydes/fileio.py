@@ -26,6 +26,7 @@ from .possibility import (
     FuzzyEvent,
     State,
     as_possibility,
+    encode_state,
     format_possibility,
     format_state,
     make_state,
@@ -226,8 +227,8 @@ def parse_inline_state(text: str) -> State:
 
 def controller_doc(f: StateFeedbackController) -> dict:
     """The default and the entries of a controller, entries sorted by state
-    and then event."""
-    entries = sorted(f.entries.items(), key=lambda item: (item[0][0], item[0][1]))
+    and then event (codes order states as their values do)."""
+    entries = sorted(f.entries.items(), key=lambda item: (encode_state(item[0][0]), item[0][1]))
     return {
         "default": format_possibility(f.default),
         "entries": [

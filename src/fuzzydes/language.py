@@ -8,30 +8,37 @@ and the floors E_uc is the containment K E_uc intersect L <= K, which by the
 unique last-letter split reduces to the pointwise inequality
 
     min(K(s), uc(a), L(sa)) <= K(sa)   for all strings s and events a.
+
+The checks run on int-coded states and degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .automaton import (
     EventString,
     MaxMinAutomaton,
     StateFeedbackController,
+    _run,
+    _step,
     as_event_string,
-    closed_loop_step,
-    step,
 )
 from .errors import DomainError, PreconditionError, ValidationError
 from .possibility import (
+    CODE_UNIT,
     ONE,
     ZERO,
+    Code,
     Fraction,
     State,
     as_possibility,
+    decode_state,
+    decode_value,
+    encode_value,
     scale_product,
-    state_is_zero,
 )
 
 DegreeMap = dict[EventString, Fraction]
@@ -76,6 +83,11 @@ class FuzzyLanguage:
     def is_empty(self) -> bool:
         return not self.degrees
 
+    @cached_property
+    def codes(self) -> dict[EventString, int]:
+        """The support's degrees in int-coded form."""
+        return {s: encode_value(d) for s, d in self.degrees.items()}
+
     def degree(self, s) -> Fraction:
         return self.degrees.get(as_event_string(s), ZERO)
 
@@ -92,13 +104,14 @@ class LanguageVerdict:
     counterexample: Optional[tuple[EventString, str]] = None
 
 
-def _support_states(aut: MaxMinAutomaton, K: FuzzyLanguage) -> Iterator[tuple[EventString, State]]:
-    """Each support string with its open-loop state, in support order.  The
-    support is prefix-closed and lists shorter strings first, so a string's
-    parent comes before it and its state is one step past the parent's."""
-    states: dict[EventString, State] = {}
+def _support_states(aut: MaxMinAutomaton, K: FuzzyLanguage) -> Iterator[tuple[EventString, Code]]:
+    """Each support string with its coded open-loop state, in support order.
+    The support is prefix-closed and lists shorter strings first, so a
+    string's parent comes before it and its state is one step past the
+    parent's."""
+    states: dict[EventString, Code] = {}
     for s in K.support():
-        states[s] = step(aut, states[s[:-1]], s[-1]) if s else aut.initial
+        states[s] = _step(aut, states[s[:-1]], s[-1]) if s else aut.coded_initial
         yield s, states[s]
 
 
@@ -109,9 +122,10 @@ def language_controllable(aut: MaxMinAutomaton, K: FuzzyLanguage) -> LanguageVer
     it needs a probe: the check is exact with no horizon."""
     if K.is_empty:
         return LanguageVerdict(True)
-    states: dict[EventString, State] = {}
+    degrees = K.codes
+    states: dict[EventString, Code] = {}
     for s, q in _support_states(aut, K):
-        if s and K.degrees[s] > max(q):
+        if s and degrees[s] > max(q):
             raise PreconditionError(
                 f"language degree at {s} exceeds the plant language", counterexample=s
             )
@@ -119,8 +133,8 @@ def language_controllable(aut: MaxMinAutomaton, K: FuzzyLanguage) -> LanguageVer
     for s, q in states.items():
         for ev in aut.events:
             t = s + (ev.name,)
-            extended = states[t] if t in states else step(aut, q, ev.name)
-            if min(K.degrees[s], ev.uc_degree, max(extended)) > K.degree(t):
+            extended = states[t] if t in states else _step(aut, q, ev.name)
+            if min(degrees[s], ev.coded_uc, max(extended)) > degrees.get(t, 0):
                 return LanguageVerdict(False, (s, ev.name))
     return LanguageVerdict(True)
 
@@ -139,13 +153,19 @@ class FuzzySupervisor:
 def supervisor_from_language(aut: MaxMinAutomaton, K: FuzzyLanguage) -> FuzzySupervisor:
     """Supervisor realizing a controllable language: enable a at s to degree
     K(sa), floored by the event's uncontrollability."""
-    if K.is_empty:
-        raise DomainError("the empty language has no realizing supervisor")
     verdict = language_controllable(aut, K)
     if not verdict.ok:
         raise PreconditionError(
             "language is not controllable", counterexample=verdict.counterexample
         )
+    return _language_supervisor(aut, K)
+
+
+def _language_supervisor(aut: MaxMinAutomaton, K: FuzzyLanguage) -> FuzzySupervisor:
+    """The supervisor of supervisor_from_language, for a language already
+    checked to be controllable."""
+    if K.is_empty:
+        raise DomainError("the empty language has no realizing supervisor")
     floors = aut.uc_map()
 
     def rule(s: EventString, name: str) -> Fraction:
@@ -161,17 +181,17 @@ def closed_loop_language_of_supervisor(
     L(sa) = min(plant degree of sa, supervisor value, L(s)) for every string
     up to max_len; exact on that range, zero branches pruned."""
     degrees: DegreeMap = {(): ONE}
-    frontier: list[tuple[EventString, State, Fraction]] = [((), aut.initial, ONE)]
+    frontier: list[tuple[EventString, Code, int]] = [((), aut.coded_initial, CODE_UNIT[1])]
     for _ in range(max_len):
-        nxt: list[tuple[EventString, State, Fraction]] = []
+        nxt: list[tuple[EventString, Code, int]] = []
         for s, q, d in frontier:
             for ev in aut.events:
-                q2 = step(aut, q, ev.name)
-                d2 = min(max(q2), supervisor.value(s, ev.name), d)
-                if d2 == ZERO:
+                q2 = _step(aut, q, ev.name)
+                d2 = min(max(q2), encode_value(supervisor.value(s, ev.name)), d)
+                if not d2:
                     continue
                 s2 = s + (ev.name,)
-                degrees[s2] = d2
+                degrees[s2] = decode_value(d2)
                 nxt.append((s2, q2, d2))
         frontier = nxt
     return FuzzyLanguage(degrees)
@@ -184,14 +204,13 @@ def supervisor_from_controller(
     run of the observed string and ask the controller at the state it ends
     in; fully enable once the controlled run has vanished."""
     f.validate(aut)
+    coded = f.encoded()
 
     def rule(s: EventString, name: str) -> Fraction:
-        q: Optional[State] = aut.initial
-        for sym in s:
-            q = closed_loop_step(aut, f, q, sym)
-            if q is None:
-                return ONE
-        return f.value(q, name)
+        states = _run(aut, s, coded)
+        if len(states) <= len(s):
+            return ONE
+        return decode_value(coded.value(states[-1], name))
 
     return FuzzySupervisor(rule)
 
@@ -215,14 +234,14 @@ class ConsistencyVerdict:
 
 def _scaled_state_groups(
     aut: MaxMinAutomaton, K: FuzzyLanguage
-) -> dict[State, list[EventString]]:
-    """Group support strings by the state they pass through: the string's
-    degree scaled onto the open-loop run.  Zero results are dropped (they no
-    longer name a state)."""
-    groups: dict[State, list[EventString]] = {}
+) -> dict[Code, list[EventString]]:
+    """Group support strings by the coded state they pass through: the
+    string's degree scaled onto the open-loop run.  Zero results are dropped
+    (they no longer name a state)."""
+    groups: dict[Code, list[EventString]] = {}
     for s, q in _support_states(aut, K):
-        scaled = scale_product(K.degrees[s], q)
-        if not state_is_zero(scaled):
+        scaled = scale_product(K.codes[s], q)
+        if any(scaled):
             groups.setdefault(scaled, []).append(s)
     return groups
 
@@ -233,10 +252,11 @@ def consistency_check(aut: MaxMinAutomaton, K: FuzzyLanguage) -> ConsistencyVerd
     the earliest clash pairs the first string with a nonzero extension and the
     first later one whose nonzero extension differs; the least of these over
     the events is what a pairwise scan in (first, second, event) order meets."""
+    degrees = K.codes
     for group in _scaled_state_groups(aut, K).values():
         clashes = []
         for e, name in enumerate(aut.event_names):
-            nonzero = [(i, d) for i, s in enumerate(group) if (d := K.degree(s + (name,))) != ZERO]
+            nonzero = [(i, d) for i, s in enumerate(group) if (d := degrees.get(s + (name,)))]
             clash = next((i for i, d in nonzero if d != nonzero[0][1]), None)
             if clash is not None:
                 clashes.append((nonzero[0][0], clash, e))
@@ -249,7 +269,7 @@ def consistency_check(aut: MaxMinAutomaton, K: FuzzyLanguage) -> ConsistencyVerd
 def reach_of_language(aut: MaxMinAutomaton, K: FuzzyLanguage) -> list[State]:
     """States passed through by the language: each support string's degree
     scaled onto its open-loop run, deduplicated in first-seen order."""
-    return list(_scaled_state_groups(aut, K))
+    return list(map(decode_state, _scaled_state_groups(aut, K)))
 
 
 def controller_from_language(
@@ -270,9 +290,17 @@ def controller_from_language(
         raise PreconditionError(
             "language is not consistent", counterexample=consistency.counterexample
         )
+    return _language_controller(aut, K)
+
+
+def _language_controller(aut: MaxMinAutomaton, K: FuzzyLanguage) -> StateFeedbackController:
+    """The controller of controller_from_language, for a language already
+    checked to be controllable and consistent."""
+    degrees = K.codes
     entries: dict[tuple[State, str], Fraction] = {}
     for q, strings in _scaled_state_groups(aut, K).items():
+        state = decode_state(q)
         for ev in aut.events:
-            best = max((K.degree(s + (ev.name,)) for s in strings), default=ZERO)
-            entries[(q, ev.name)] = max(best, ev.uc_degree)
+            best = max((degrees.get(s + (ev.name,), 0) for s in strings), default=0)
+            entries[(state, ev.name)] = decode_value(max(best, ev.coded_uc))
     return StateFeedbackController(entries, ONE)

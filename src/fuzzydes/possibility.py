@@ -4,6 +4,14 @@ Possibility values are Fractions whose denominators divide 10**9 (at most
 nine fractional digits in decimal form), so comparisons, min and max are
 exact and independently parsed literals compare equal.  Fuzzy states are
 tuples of such values; fuzzy events are named square matrices over them.
+
+Values are Fractions at the public edge and ints inside.  The algebra only
+compares and takes min and max, so every analysis runs on the int code
+k = v * 10**9 of each value, where comparison and hashing are native.  Each
+public function encodes its arguments once (encode_value, encode_state) and
+decodes its result once (decode_state) through a table of the values
+already seen, so decoding builds no new Fraction per value.  The kernels
+below (maxmin_compose, scale_product, solve_scale) serve both forms.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
@@ -18,12 +27,38 @@ from .errors import DimensionMismatch, ValidationError
 Possibility = Fraction
 State = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+Code = tuple[int, ...]  # an int-coded state
 
 PRECISION = 9
 _SCALE = 10**PRECISION
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# The bottom and top of each representation, for solve_scale.
+UNIT = (ZERO, ONE)
+CODE_UNIT = (0, _SCALE)
+
+
+def encode_value(value: Fraction) -> int:
+    """The int code value * 10**9 of a possibility value."""
+    if _SCALE % value.denominator:
+        raise ValidationError(
+            f"not representable with {PRECISION} fractional digits: {value!r}"
+        )
+    return value.numerator * (_SCALE // value.denominator)
+
+
+def encode_state(state: State) -> Code:
+    return tuple(map(encode_value, state))
+
+
+@cache
+def decode_value(code: int) -> Fraction:
+    return Fraction(code, _SCALE)
+
+
+def decode_state(code: Code) -> State:
+    return tuple(map(decode_value, code))
 
 
 def as_possibility(value) -> Fraction:
@@ -56,7 +91,7 @@ def as_possibility(value) -> Fraction:
         frac = Fraction(dec)
     else:
         raise ValidationError(f"not a possibility value: {value!r}")
-    if not ZERO <= frac <= ONE:
+    if not 0 <= frac.numerator <= frac.denominator:
         raise ValidationError(f"possibility outside [0, 1]: {value!r}")
     if _SCALE % frac.denominator:
         raise ValidationError(
@@ -67,12 +102,14 @@ def as_possibility(value) -> Fraction:
 
 def format_possibility(value: Fraction) -> str:
     """Render a possibility as its shortest exact decimal string."""
-    scaled = value.numerator * (_SCALE // value.denominator)
-    whole, frac = divmod(scaled, _SCALE)
-    if frac == 0:
-        return str(whole)
+    return _format_code(value.numerator * (_SCALE // value.denominator))
+
+
+@cache
+def _format_code(code: int) -> str:
+    whole, frac = divmod(code, _SCALE)
     digits = f"{frac:0{PRECISION}d}".rstrip("0")
-    return f"{whole}.{digits}"
+    return f"{whole}.{digits}" if digits else str(whole)
 
 
 def make_state(values: Iterable) -> State:
@@ -88,7 +125,7 @@ def format_state(state: State) -> str:
 
 
 def state_is_zero(state: State) -> bool:
-    return all(v == ZERO for v in state)
+    return not any(state)
 
 
 @dataclass(frozen=True)
@@ -109,6 +146,14 @@ class FuzzyEvent:
     def dimension(self) -> int:
         return len(self.matrix)
 
+    @cached_property
+    def coded_matrix(self) -> tuple[Code, ...]:
+        return tuple(map(encode_state, self.matrix))
+
+    @cached_property
+    def coded_uc(self) -> int:
+        return encode_value(self.uc_degree)
+
 
 def make_event(name: str, matrix: Sequence[Sequence], uc_degree=0) -> FuzzyEvent:
     """Build a fuzzy event, coercing matrix entries and the floor."""
@@ -124,10 +169,7 @@ def maxmin_compose(state: State, event: FuzzyEvent | Matrix) -> State:
         raise DimensionMismatch(
             f"state has {len(state)} components, matrix has {len(matrix)} rows"
         )
-    return tuple(
-        max(min(state[i], matrix[i][j]) for i in range(len(state)))
-        for j in range(len(matrix))
-    )
+    return tuple([max(map(min, state, column)) for column in zip(*matrix)])
 
 
 def scale_product(alpha: Fraction, state: State) -> State:
@@ -162,16 +204,17 @@ class ScaleSolution:
         return None if self.is_empty else self.lower
 
 
-def solve_scale(base: State, target: State) -> ScaleSolution:
-    """Solve scale_product(alpha, base) == target for alpha in [0, 1]."""
+def solve_scale(base: State, target: State, unit=UNIT) -> ScaleSolution:
+    """Solve scale_product(alpha, base) == target for alpha in [0, 1]; unit
+    is the (0, 1) pair of the states' representation, CODE_UNIT for codes."""
     if len(base) != len(target):
         raise DimensionMismatch(
             f"base has {len(base)} components, target has {len(target)}"
         )
-    lower, upper = ZERO, ONE
+    lower, upper = unit
     for b, t in zip(base, target):
         if t > b:
-            return ScaleSolution(ONE, ZERO)
+            return ScaleSolution(unit[1], unit[0])
         # Every component bounds alpha below by t; t < b also bounds it
         # above by t.
         if t > lower:

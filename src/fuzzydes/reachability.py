@@ -9,7 +9,7 @@ occurring on some root path to q (1 when no event is forced below 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .automaton import (
@@ -17,14 +17,20 @@ from .automaton import (
     MaxMinAutomaton,
     StateFeedbackController,
     TransitionGraph,
-    accessible_part,
+    _accessible,
+    _decode_graph,
 )
 from .errors import DimensionMismatch, DomainError
 from .graph import Search, bfs, closure
 from .possibility import (
+    CODE_UNIT,
     ONE,
+    Code,
     Fraction,
     State,
+    decode_state,
+    decode_value,
+    encode_state,
     solve_scale,
     state_is_zero,
 )
@@ -32,7 +38,7 @@ from .possibility import (
 
 def _floors(graph: TransitionGraph, uc: Mapping[str, Fraction]) -> dict[State, Fraction]:
     """The floor of every vertex some edge leads into, in one pass; a vertex
-    no edge leads into has floor 1.
+    no edge leads into has floor 1.  It serves public and coded graphs alike.
 
     Every vertex is root-reachable by construction, so an event qualifies for
     q exactly when one of its edges has a target from which q is reachable.
@@ -64,11 +70,13 @@ def scaling_floor(graph: TransitionGraph, uc: Mapping[str, Fraction], q: State) 
 class ReachFamily:
     """Symbolic form of the controlled-reachability family: one (base state,
     floor) entry per accessible vertex, representing {alpha . base :
-    floor <= alpha <= 1}."""
+    floor <= alpha <= 1}.  codes holds the coded graph and entries that
+    family_contains runs on; without them it recomputes them from aut."""
 
     aut: MaxMinAutomaton
     graph: TransitionGraph
     entries: tuple[tuple[State, Fraction], ...]
+    codes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def floor_of(self, base: State) -> Fraction:
         for b, floor in self.entries:
@@ -77,12 +85,18 @@ class ReachFamily:
         raise DomainError("state is not an accessible vertex")
 
 
+def _coded_family(aut: MaxMinAutomaton) -> tuple[TransitionGraph, tuple[tuple[Code, int], ...]]:
+    graph = _accessible(aut)
+    floors = _floors(graph, {ev.name: ev.coded_uc for ev in aut.events})
+    return graph, tuple((q, floors.get(q, CODE_UNIT[1])) for q in graph.vertices)
+
+
 def reach_family(aut: MaxMinAutomaton) -> ReachFamily:
     """Compute the family for every accessible vertex, in discovery order."""
-    graph = accessible_part(aut)
-    floors = _floors(graph, aut.uc_map())
-    entries = tuple((q, floors.get(q, ONE)) for q in graph.vertices)
-    return ReachFamily(aut, graph, entries)
+    codes = _coded_family(aut)
+    graph = _decode_graph(codes[0])
+    entries = tuple((q, decode_value(floor)) for q, (_, floor) in zip(graph.vertices, codes[1]))
+    return ReachFamily(aut, graph, entries, codes)
 
 
 @dataclass(frozen=True)
@@ -114,22 +128,27 @@ def family_contains(fam: ReachFamily, target: State) -> Optional[ReachWitness]:
         )
     if state_is_zero(target):
         raise DomainError("the all-zero vector is excluded from the state set")
-    for base, floor in fam.entries:
+    graph, entries = fam.codes or _coded_family(fam.aut)
+    target = encode_state(target)
+    for base, floor in entries:
         if target == base:
             # alpha = 1 is admissible under every floor: no override at all.
-            path = _forward(fam.graph, fam.graph.root).path(base)
-            return ReachWitness(base, ONE, path, StateFeedbackController())
-        alpha = solve_scale(base, target).restrict(floor).least()
+            path = _forward(graph, graph.root).path(base)
+            return ReachWitness(decode_state(base), ONE, path, StateFeedbackController())
+        alpha = solve_scale(base, target, CODE_UNIT).restrict(floor).least()
         if alpha is None:
             continue
-        witness = _override_witness(fam, base, alpha)
+        witness = _override_witness(fam.aut, graph, base, floor, alpha)
         if witness is not None:
             return witness
     return None
 
 
-def _override_witness(fam: ReachFamily, base: State, alpha: Fraction) -> Optional[ReachWitness]:
-    """Build the single-override controller reaching alpha . base.
+def _override_witness(
+    aut: MaxMinAutomaton, graph: TransitionGraph, base: Code, floor: int, alpha: int
+) -> Optional[ReachWitness]:
+    """Build the single-override controller reaching alpha . base, on the
+    coded graph.
 
     Chooses an event achieving the floor of base among events on root paths,
     preferring the shortest through-path and then alphabet order, and
@@ -137,9 +156,7 @@ def _override_witness(fam: ReachFamily, base: State, alpha: Fraction) -> Optiona
     along the replayed path is alpha no matter how often the override fires,
     so the closed-loop run lands exactly on the scaled state.
     """
-    graph, aut = fam.graph, fam.aut
-    uc = aut.uc_map()
-    floor = fam.floor_of(base)
+    uc = {ev.name: ev.coded_uc for ev in aut.events}
     from_root = _forward(graph, graph.root)
     dist_root = from_root.dist
     dist_back = bfs(base, lambda q: ((name, src) for src, name in graph.in_edges[q])).dist
@@ -161,8 +178,9 @@ def _override_witness(fam: ReachFamily, base: State, alpha: Fraction) -> Optiona
     _, src, name = best
     prefix = from_root.path(src)
     suffix = _forward(graph, graph.successor(src, name)).path(base)
-    controller = StateFeedbackController({(src, name): alpha})
-    return ReachWitness(base, alpha, prefix + (name,) + suffix, controller)
+    alpha = decode_value(alpha)
+    controller = StateFeedbackController({(decode_state(src), name): alpha})
+    return ReachWitness(decode_state(base), alpha, prefix + (name,) + suffix, controller)
 
 
 def _forward(graph: TransitionGraph, source: State) -> Search:

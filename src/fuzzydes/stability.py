@@ -9,7 +9,8 @@ closed loop has an attractor inside the legal set; witnesses pair a
 controllable invariant subset of the legal states with a controllable set
 that funnels into it, and are found by a controllable-attractor fixpoint
 over the grid scalings of the open-loop reachable states.  The invariant
-subset and its attractor are both computed by one counter worklist.
+subset and its attractor are both computed by one counter worklist, over
+int-coded states.
 """
 
 from __future__ import annotations
@@ -19,31 +20,34 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automaton import (
+    FuzzyEvent,
     MaxMinAutomaton,
     StateFeedbackController,
     TransitionGraph,
-    accessible_part,
-    closed_loop_graph,
-    closed_loop_step,
+    _accessible,
+    _closed_loop,
 )
 from .errors import InfeasibleControl, PreconditionError, ValidationError, WitnessRejected
 from .graph import bfs, closure, cycle_vertices
 from .possibility import (
     ZERO,
-    FuzzyEvent,
+    Code,
     State,
+    decode_state,
+    decode_value,
+    encode_state,
+    encode_value,
     format_state,
     maxmin_compose,
     scale_product,
-    state_is_zero,
 )
 from .statecontrol import (
     ControllableSubgraph,
     ScalingIndex,
+    _forced,
     check_controllable,
-    forced_events,
     synthesize_controller,
-    validated_state_set,
+    _validated_codes,
 )
 
 
@@ -114,11 +118,12 @@ def check_controllable_invariant(
 ) -> InvariantVerdict:
     """N is controllable invariant when every feasible, partially
     uncontrollable event at a member admits a scaling back into N."""
-    states = validated_state_set(aut, N)
-    index = ScalingIndex(states)
-    for q in states:
-        for ev, composed in forced_events(aut, q):
-            if not index.targets(composed, ev.uc_degree):
+    states = tuple(N)
+    codes = _validated_codes(aut, states)
+    index = ScalingIndex(codes)
+    for q, code in zip(states, codes):
+        for ev, composed in _forced(aut, code):
+            if not index.targets(composed, ev.coded_uc):
                 return InvariantVerdict(False, (q, ev.name))
     return InvariantVerdict(True)
 
@@ -134,18 +139,19 @@ def largest_controllable_invariant(
     leaves once one of its forced events has lost every target.  Survivors
     keep their order in N.
     """
-    states = validated_state_set(aut, N)
-    index = ScalingIndex(states)
-    slots = [_targets(index, forced_events(aut, q)) for q in states]
+    states = tuple(N)
+    codes = _validated_codes(aut, states)
+    index = ScalingIndex(codes)
+    slots = [_targets(index, _forced(aut, q)) for q in codes]
     seeds = [v for v, targets in enumerate(slots) if not all(targets)]
     gone = _attract(slots, len, [1] * len(states), seeds)
     return tuple(q for q, r in zip(states, gone) if r is None)
 
 
-def _targets(index: ScalingIndex, pairs: Iterable[tuple[FuzzyEvent, State]]) -> list[list[int]]:
+def _targets(index: ScalingIndex, pairs: Iterable[tuple[FuzzyEvent, Code]]) -> list[list[int]]:
     """For each (event, composed) pair, the positions in the index of the
     members that an admissible scaling of composed lands on."""
-    return [[t for t, _ in index.targets(c, ev.uc_degree)] for ev, c in pairs]
+    return [[t for t, _ in index.targets(c, ev.coded_uc)] for ev, c in pairs]
 
 
 def _attract(
@@ -205,11 +211,12 @@ def _verified_funnel(
     """The funnel controller of a witness that verifies, else None.  It
     realizes the funnel set through the witness's own subgraph, or through
     the one check_controllable finds when the witness carries none."""
-    legal = set(validated_state_set(aut, N))
-    if not set(w.n_prime) <= legal:
+    legal = set(_validated_codes(aut, tuple(N)))
+    n_prime = [encode_state(q) for q in w.n_prime]
+    if not legal.issuperset(n_prime):
         raise PreconditionError(
             "target set is not contained in the legal set",
-            counterexample=tuple(q for q in w.n_prime if q not in legal),
+            counterexample=tuple(q for q, code in zip(w.n_prime, n_prime) if code not in legal),
         )
     if not check_controllable_invariant(aut, w.n_prime).ok or not w.p_set:
         return None
@@ -221,7 +228,7 @@ def _verified_funnel(
         f_prime = synthesize_controller(aut, w.p_set, subgraph)
     except ValidationError:
         return None
-    connected, acyclic = _funnels_into(closed_loop_graph(aut, f_prime), set(w.n_prime))
+    connected, acyclic = _funnels_into(_closed_loop(aut, f_prime.encoded()), set(n_prime))
     return f_prime if connected and acyclic else None
 
 
@@ -247,27 +254,26 @@ def synthesize_stabilizing_controller(
     f_prime = _verified_funnel(aut, N, w)
     if f_prime is None:
         raise WitnessRejected("witness failed verification")
-    p_minus_n = set(w.p_set) - set(w.n_prime)
-    n_index = ScalingIndex(w.n_prime)
+    n_prime = [encode_state(q) for q in w.n_prime]
+    p_minus_n = set(map(encode_state, w.p_set)).difference(n_prime)
+    n_index = ScalingIndex(n_prime)
+    coded = f_prime.encoded()
     entries = dict(f_prime.entries)
-    for q in w.n_prime:
+    for q, code in zip(w.n_prime, n_prime):
         for ev in aut.events:
-            target = closed_loop_step(aut, f_prime, q, ev.name)
-            if target is None or target not in p_minus_n:
+            composed = maxmin_compose(code, ev.coded_matrix)
+            if scale_product(coded.value(code, ev.name), composed) not in p_minus_n:
                 continue
-            if ev.uc_degree == ZERO:
+            if not ev.coded_uc:
                 entries[(q, ev.name)] = ZERO
                 continue
-            admissible = [
-                alphas.least()
-                for _, alphas in n_index.targets(maxmin_compose(q, ev), ev.uc_degree)
-            ]
+            admissible = [alphas.least() for _, alphas in n_index.targets(composed, ev.coded_uc)]
             if not admissible:
                 raise InfeasibleControl(
                     f"no admissible redirection for event {ev.name!r} at "
                     f"{format_state(q)}"
                 )
-            entries[(q, ev.name)] = min(admissible)
+            entries[(q, ev.name)] = decode_value(min(admissible))
     return StateFeedbackController(entries, f_prime.default)
 
 
@@ -276,18 +282,21 @@ def candidate_universe(
 ) -> tuple[State, ...]:
     """All scalings of open-loop reachable states by grid values (automaton
     values plus components of the legal states), nonzero, deduplicated."""
-    grid = set(aut.value_grid())
-    for q in N:
+    return tuple(map(decode_state, _universe(aut, map(encode_state, N))))
+
+
+def _universe(aut: MaxMinAutomaton, legal: Iterable[Code]) -> tuple[Code, ...]:
+    """candidate_universe over codes."""
+    grid = set(map(encode_value, aut.value_grid()))
+    for q in legal:
         grid.update(q)
-    out: list[State] = []
-    seen: set[State] = set()
-    for q in accessible_part(aut).vertices:
-        for alpha in sorted(grid):
+    grid = sorted(grid)
+    out: dict[Code, None] = {}
+    for q in _accessible(aut).vertices:
+        for alpha in grid:
             scaled = scale_product(alpha, q)
-            if state_is_zero(scaled) or scaled in seen:
-                continue
-            seen.add(scaled)
-            out.append(scaled)
+            if any(scaled):
+                out.setdefault(scaled)
     return tuple(out)
 
 
@@ -322,16 +331,17 @@ def search_stabilizing_witness(
     invariant = largest_controllable_invariant(aut, N)
     if not invariant:
         return None
-    states = candidate_universe(aut, N)
+    kept = list(map(encode_state, invariant))
+    states = _universe(aut, map(encode_state, N))
     ids = {q: v for v, q in enumerate(states)}
-    root = ids[aut.initial]
+    root = ids[aut.coded_initial]
     index = ScalingIndex(states)
-    forced = [list(forced_events(aut, q)) for q in states]
+    forced = [list(_forced(aut, q)) for q in states]
     # A strategy fills the forced events at a state, or every event when none is.
-    events = [f or [(ev, maxmin_compose(q, ev)) for ev in aut.events] for q, f in zip(states, forced)]
+    events = [f or [(ev, maxmin_compose(q, ev.coded_matrix)) for ev in aut.events] for q, f in zip(states, forced)]
     slots = [_targets(index, pairs) for pairs in events]
     wanted = [len(targets) if f else 1 for f, targets in zip(forced, slots)]
-    rank = _attract(slots, lambda targets: 1, wanted, [ids[q] for q in invariant if q in ids], root)
+    rank = _attract(slots, lambda targets: 1, wanted, [ids[q] for q in kept if q in ids], root)
     if rank[root] is None:
         return None
 
@@ -346,12 +356,12 @@ def search_stabilizing_witness(
         return [(name, t) for name, (r, t) in best if r < rank[v]][:1]
 
     picks: dict[int, list[tuple[str, int]]] = {}
-    funnel = bfs(root, lambda v: picks.setdefault(v, chosen(v))).dist
+    funnel = {v: decode_state(states[v]) for v in bfs(root, lambda v: picks.setdefault(v, chosen(v))).dist}
     witness = StabilizabilityWitness(
-        tuple(q for q in invariant if ids.get(q) in funnel),
-        tuple(states[v] for v in funnel),
+        tuple(q for q, code in zip(invariant, kept) if ids.get(code) in funnel),
+        tuple(funnel.values()),
         subgraph=ControllableSubgraph(
-            {(states[v], name): states[t] for v in funnel for name, t in picks[v]}
+            {(funnel[v], name): funnel[t] for v in funnel for name, t in picks[v]}
         ),
     )
     return replace(witness, controller=synthesize_stabilizing_controller(aut, N, witness))

@@ -6,6 +6,9 @@ controllable exactly when a subgraph exists that is functional per event
 (C1), covers every partially uncontrollable feasible event (C2), and reaches
 every vertex from the initial state.  From such a subgraph a controller with
 closed-loop reachable set exactly P is synthesized by a three-case rule.
+
+Every check runs on the int codes of the states, by position in P; public
+results reuse the caller's own state objects.
 """
 
 from __future__ import annotations
@@ -17,16 +20,21 @@ from .automaton import MaxMinAutomaton, StateFeedbackController
 from .errors import DimensionMismatch, DomainError, ValidationError
 from .graph import bfs, closure
 from .possibility import (
+    CODE_UNIT,
     ONE,
+    UNIT,
     ZERO,
+    Code,
     Fraction,
     FuzzyEvent,
     ScaleSolution,
     State,
+    decode_state,
+    decode_value,
+    encode_state,
     format_state,
     maxmin_compose,
     solve_scale,
-    state_is_zero,
 )
 
 
@@ -90,68 +98,93 @@ class ControllabilityVerdict:
 
 def validated_state_set(aut: MaxMinAutomaton, P: Sequence[State]) -> tuple[State, ...]:
     states = tuple(P)
-    seen = set()
+    _validated_codes(aut, states)
+    return states
+
+
+def _validated_codes(aut: MaxMinAutomaton, states: Sequence[State]) -> tuple[Code, ...]:
+    """The codes of states, in order, once each is checked to have the
+    plant's dimension, to be nonzero and to appear once."""
+    codes: dict[Code, None] = {}
     for q in states:
         if len(q) != aut.n:
             raise DimensionMismatch(
                 f"state {format_state(q)} has {len(q)} components, expected {aut.n}"
             )
-        if state_is_zero(q):
+        code = encode_state(q)
+        if not any(code):
             raise ValidationError("the all-zero vector is excluded from the state set")
-        if q in seen:
+        if code in codes:
             raise ValidationError(f"duplicate state {format_state(q)} in the set")
-        seen.add(q)
-    return states
+        codes[code] = None
+    return tuple(codes)
+
+
+def _forced(aut: MaxMinAutomaton, q: Code) -> Iterator[tuple[FuzzyEvent, Code]]:
+    """(event, q . event) for every event that is feasible at the coded
+    state q and partially uncontrollable (condition C2): no controller can
+    disable it there."""
+    for ev in aut.events:
+        if ev.coded_uc:
+            composed = maxmin_compose(q, ev.coded_matrix)
+            if any(composed):
+                yield ev, composed
 
 
 def forced_events(aut: MaxMinAutomaton, q: State) -> Iterator[tuple[FuzzyEvent, State]]:
-    """(event, q . event) for every event that is feasible at q and partially
-    uncontrollable (condition C2): no controller can disable it there."""
-    for ev in aut.events:
-        if ev.uc_degree > ZERO:
-            composed = maxmin_compose(q, ev)
-            if not state_is_zero(composed):
-                yield ev, composed
+    """_forced for a public state."""
+    for ev, composed in _forced(aut, encode_state(q)):
+        yield ev, decode_state(composed)
 
 
 class ScalingIndex:
     """The members of a state set, grouped by their maximum, for finding the
-    members that scale a vector lands on.
+    members that scale a vector lands on.  The analyses index coded states;
+    an index of Fraction states answers in Fractions.
 
     A nonzero p is a scaling of c exactly when p == min(max(p), c)
     componentwise, so one dictionary probe per distinct maximum finds every
     candidate target; solve_scale then runs on those hits alone.
     """
 
-    def __init__(self, states: Sequence[State]):
+    def __init__(self, states: Sequence[Code]):
         self.states = tuple(states)
-        groups: dict[Fraction, dict[State, int]] = {}
+        self.unit = CODE_UNIT if self.states and type(self.states[0][0]) is int else UNIT
+        groups: dict[int, dict[Code, int]] = {}
         for i, p in enumerate(self.states):
             groups.setdefault(max(p), {})[p] = i
         self._groups = tuple(groups.items())
 
-    def targets(self, composed: State, floor: Fraction) -> list[tuple[int, ScaleSolution]]:
+    def targets(self, composed: Code, floor: int) -> list[tuple[int, ScaleSolution]]:
         """(position, alpha range) of every member that scaling composed by
         some alpha >= floor lands on, in position order."""
         hits = sorted(
             i
             for m, members in self._groups
-            if (i := members.get(tuple(min(m, v) for v in composed))) is not None
+            if (i := members.get(tuple([min(m, v) for v in composed]))) is not None
         )
         out = []
         for i in hits:
-            admissible = solve_scale(composed, self.states[i]).restrict(floor)
+            admissible = solve_scale(composed, self.states[i], self.unit).restrict(floor)
             if not admissible.is_empty:
                 out.append((i, admissible))
         return out
 
 
-def _successor_edges(aut: MaxMinAutomaton, index: ScalingIndex, q: State) -> list[SuccessorEdge]:
+def _successors(aut: MaxMinAutomaton, index: ScalingIndex, q: Code) -> list[tuple[str, int, ScaleSolution]]:
+    """(event, target position, coded alpha range) of every admissible move
+    from q, ordered by event then by target position."""
     return [
-        SuccessorEdge(q, ev.name, index.states[i], admissible)
+        (ev.name, i, admissible)
         for ev in aut.events
-        for i, admissible in index.targets(maxmin_compose(q, ev), ev.uc_degree)
+        for i, admissible in index.targets(maxmin_compose(q, ev.coded_matrix), ev.coded_uc)
     ]
+
+
+def _edge(states: Sequence[State], v: int, name: str, t: int, alphas: ScaleSolution) -> SuccessorEdge:
+    """The public form of a coded move between positions of states."""
+    decoded = ScaleSolution(decode_value(alphas.lower), decode_value(alphas.upper))
+    return SuccessorEdge(states[v], name, states[t], decoded)
 
 
 def successor_set(
@@ -159,16 +192,21 @@ def successor_set(
 ) -> tuple[SuccessorEdge, ...]:
     """All admissible (event, target) moves from q within P, ordered by event
     then by the target's position in P."""
-    states = validated_state_set(aut, P)
-    if q not in states:
+    states = tuple(P)
+    codes = _validated_codes(aut, states)
+    code = encode_state(q)
+    if code not in codes:
         raise DomainError(f"state {format_state(q)} is not a member of the set")
-    return tuple(_successor_edges(aut, ScalingIndex(states), q))
+    moves = _successors(aut, ScalingIndex(codes), code)
+    return tuple(_edge(states, codes.index(code), *move) for move in moves)
 
 
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:
     states = validated_state_set(aut, P)
-    index = ScalingIndex(states)
-    edges = tuple(e for q in states for e in _successor_edges(aut, index, q))
+    index = ScalingIndex(tuple(map(encode_state, states)))
+    edges = tuple(
+        _edge(states, v, *move) for v, q in enumerate(index.states) for move in _successors(aut, index, q)
+    )
     return SuccessorGraph(states, edges, aut.initial)
 
 
@@ -190,24 +228,26 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
     any partial assignment whose optimistic completion (all remaining
     candidates present) already strands a vertex.
     """
-    states = validated_state_set(aut, P)
-    if not states:
+    states = tuple(P)
+    codes = _validated_codes(aut, states)
+    if not codes:
         return ControllabilityVerdict(True, ControllableSubgraph({}))
-    if aut.initial not in states:
-        return ControllabilityVerdict(False, None, Obstruction("missing-initial"))
-
     # The search runs over vertex ids, the positions in P.
-    ids = {q: i for i, q in enumerate(states)}
-    root = ids[aut.initial]
+    ids = {q: i for i, q in enumerate(codes)}
+    root = ids.get(aut.coded_initial)
+    if root is None:
+        return ControllabilityVerdict(False, None, Obstruction("missing-initial"))
+    index = ScalingIndex(codes)
     candidates: dict[tuple[int, str], list[int]] = {}
-    for edge in build_successor_graph(aut, states).edges:
-        candidates.setdefault((ids[edge.source], edge.event), []).append(ids[edge.target])
+    for v, q in enumerate(codes):
+        for name, t, _ in _successors(aut, index, q):
+            candidates.setdefault((v, name), []).append(t)
 
-    for v, q in enumerate(states):
-        for ev, _ in forced_events(aut, q):
+    for v, q in enumerate(codes):
+        for ev, _ in _forced(aut, q):
             if (v, ev.name) not in candidates:
                 return ControllabilityVerdict(
-                    False, None, Obstruction("uncoverable-event", vertex=q, event=ev.name)
+                    False, None, Obstruction("uncoverable-event", vertex=states[v], event=ev.name)
                 )
 
     full_map: dict[int, list[tuple[str, int]]] = {}
@@ -299,36 +339,46 @@ def validate_subgraph(
 ) -> None:
     """Check a per-(vertex, event) choice against C1/C2/reachability; C1 is
     structural (a mapping holds one target per slot)."""
-    states = validated_state_set(aut, P)
-    state_set = set(states)
-    edge_map: dict[State, list[State]] = {}
+    _checked_choice(aut, _validated_codes(aut, tuple(P)), subgraph)
+
+
+def _checked_choice(
+    aut: MaxMinAutomaton, codes: tuple[Code, ...], subgraph: ControllableSubgraph
+) -> dict[tuple[Code, str], Code]:
+    """validate_subgraph over the coded set; returns the coded choice."""
+    members = set(codes)
+    choice: dict[tuple[Code, str], Code] = {}
+    edge_map: dict[Code, list[Code]] = {}
     for (q, name), t in subgraph.choice.items():
-        if q not in state_set or t not in state_set:
+        source, target = encode_state(q), encode_state(t)
+        if source not in members or target not in members:
             raise ValidationError(
                 f"chosen edge {format_state(q)} --{name}--> {format_state(t)} "
                 "leaves the candidate set"
             )
         ev = aut.event(name)
-        if solve_scale(maxmin_compose(q, ev), t).restrict(ev.uc_degree).is_empty:
+        if solve_scale(maxmin_compose(source, ev.coded_matrix), target, CODE_UNIT).restrict(ev.coded_uc).is_empty:
             raise ValidationError(
                 f"no admissible scaling realizes {format_state(q)} --{name}--> "
                 f"{format_state(t)}"
             )
-        edge_map.setdefault(q, []).append(t)
-    for q in states:
-        for ev, _ in forced_events(aut, q):
-            if (q, ev.name) not in subgraph.choice:
+        choice[source, name] = target
+        edge_map.setdefault(source, []).append(target)
+    for q in codes:
+        for ev, _ in _forced(aut, q):
+            if (q, ev.name) not in choice:
                 raise ValidationError(
                     f"event {ev.name!r} is feasible and partially uncontrollable at "
-                    f"{format_state(q)} but has no chosen edge"
+                    f"{format_state(decode_state(q))} but has no chosen edge"
                 )
-    if states:
-        if aut.initial not in state_set:
+    if codes:
+        if aut.coded_initial not in members:
             raise ValidationError("the initial state is not a member of the candidate set")
-        reach = closure([aut.initial], lambda q: edge_map.get(q, ()))
-        if reach != state_set:
-            missing = ", ".join(format_state(q) for q in states if q not in reach)
+        reach = closure([aut.coded_initial], lambda q: edge_map.get(q, ()))
+        if reach != members:
+            missing = ", ".join(format_state(decode_state(q)) for q in codes if q not in reach)
             raise ValidationError(f"chosen edges do not reach: {missing}")
+    return choice
 
 
 def synthesize_controller(
@@ -340,20 +390,21 @@ def synthesize_controller(
 
     The resulting closed loop reaches exactly P.
     """
-    states = validated_state_set(aut, P)
-    if not states:
+    states = tuple(P)
+    codes = _validated_codes(aut, states)
+    if not codes:
         raise DomainError("the empty set has no realizing controller; the initial state is always reached")
-    validate_subgraph(aut, states, subgraph)
+    choice = _checked_choice(aut, codes, subgraph)
     entries: dict[tuple[State, str], Fraction] = {}
-    for q in states:
+    for q, code in zip(states, codes):
         for ev in aut.events:
-            composed = maxmin_compose(q, ev)
-            if state_is_zero(composed):
+            composed = maxmin_compose(code, ev.coded_matrix)
+            if not any(composed):
                 continue
-            target = subgraph.choice.get((q, ev.name))
+            target = choice.get((code, ev.name))
             if target is None:
                 entries[(q, ev.name)] = ZERO
             else:
-                alpha = solve_scale(composed, target).restrict(ev.uc_degree).least()
-                entries[(q, ev.name)] = alpha
+                alpha = solve_scale(composed, target, CODE_UNIT).restrict(ev.coded_uc).least()
+                entries[(q, ev.name)] = decode_value(alpha)
     return StateFeedbackController(entries, ONE)

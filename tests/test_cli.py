@@ -3,11 +3,14 @@ import hashlib
 import io
 import json
 import pathlib
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fuzzydes.cli
+import fuzzydes.possibility as possibility
 import fuzzydes.stability as stability
 from fuzzydes import closed_loop_reachable, make_state, parse_spec, run_command
 from conftest import DATA
@@ -701,3 +704,51 @@ class TestBoundaryFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = run_command(argv)
         assert code in (0, 1, 2)
+
+
+class TestInProcessReport:
+    """The report goes to the sys.stdout of the moment, so a caller that
+    redirects it in process (after importing fuzzydes.cli) gets all of it
+    and the process's own descriptors get nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["reach", "--automaton", PLANT, "--format", "json"],
+        ["check-controllable", "--automaton", PLANT, "--spec", ADMISSIBLE, "--format", "json"],
+        ["stabilize", "--automaton", DRIFT, "--spec", str(GOLDEN / "drift_legal.json"), "--format", "json"],
+        ["bridge", "--automaton", DRIFT, "--spec", str(GOLDEN / "drift_consistent_language.json"),
+         "--format", "json"],
+    ])
+    def test_nothing_reaches_the_descriptors(self, argv, capfd):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = fuzzydes.cli.run_command(argv)
+        out, err = capfd.readouterr()
+        assert code == 0
+        assert isinstance(json.loads(buffer.getvalue()), dict)
+        assert (out, err) == ("", "")
+
+
+class TestLanguageCommandsCheckOnce:
+    """Compositions made by each language command on lang15, counted in
+    every fuzzydes module that binds maxmin_compose: the library functions
+    run no check the command has already run."""
+
+    @pytest.mark.parametrize("command, compositions", [
+        ("check-language", 972),
+        ("derive-supervisor", 972),
+        ("bridge", 1971),
+    ])
+    def test_compositions(self, command, compositions, monkeypatch, capsys):
+        calls = []
+        real = possibility.maxmin_compose
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fuzzydes") and getattr(module, "maxmin_compose", None) is real:
+                monkeypatch.setattr(module, "maxmin_compose", counted)
+        code, _, _ = invoke(capsys, command, "--automaton", str(GOLDEN / "lang15_plant.json"),
+                            "--spec", str(GOLDEN / "lang15_consistent.json"))
+        assert code == 0 and len(calls) == compositions

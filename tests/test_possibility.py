@@ -1,7 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzydes import (
@@ -13,9 +14,18 @@ from fuzzydes import (
     make_event,
     make_state,
     maxmin_compose,
+    parse_spec,
+    run_command,
     scale_product,
     solve_scale,
     state_is_zero,
+)
+from fuzzydes.possibility import (
+    CODE_UNIT,
+    decode_state,
+    decode_value,
+    encode_state,
+    encode_value,
 )
 
 S = lambda text: make_state(text.split())
@@ -175,3 +185,103 @@ class TestAlgebraProperties:
             assert component in pool
         for component in scale_product(alpha, q):
             assert component in pool
+
+
+# The possibility literal grammar as it stands: each literal with its value,
+# or None where it is rejected.  A parser change must keep every row.
+LITERALS = [
+    ("1E0", Fraction(1)),
+    ("+0.5", Fraction(1, 2)),
+    ("-0", Fraction(0)),
+    (" 0.5 ", Fraction(1, 2)),
+    ("0.5e-8", Fraction(1, 200_000_000)),
+    ("1e-10", None),
+    ("NaN", None),
+    ("Infinity", None),
+    ("0x1", None),
+    ("\u0661", Fraction(1)),  # ARABIC-INDIC DIGIT ONE
+    ("\uff15", None),  # FULLWIDTH DIGIT FIVE
+    ("1_0", None),
+    ("0.1234567890", None),
+    ("1.000000000", Fraction(1)),
+    ("0.", Fraction(0)),
+    (".5", Fraction(1, 2)),
+    ("True", None),
+    ("2", None),
+    (0.1, Fraction(1, 10)),
+    (True, None),
+]
+
+
+class TestLiteralGrammar:
+    @pytest.mark.parametrize("literal, value", LITERALS)
+    def test_accept_reject_and_value(self, literal, value, tmp_path):
+        spec = json.dumps({"kind": "state_set", "states": [[literal]]})
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps({
+            "n": 1, "state_labels": ["s"], "initial": ["1"],
+            "events": [{"name": "a", "uncontrollable_degree": literal, "matrix": [["1"]]}],
+        }))
+        code = run_command(["simulate", "--automaton", str(plant), "--steps", "0", "--out",
+                            str(tmp_path / "out.txt")])
+        if value is None:
+            with pytest.raises(ValidationError):
+                as_possibility(literal)
+            with pytest.raises(ValidationError):
+                parse_spec(spec)
+            assert code == 2
+        else:
+            parsed = as_possibility(literal)
+            assert type(parsed) is Fraction and parsed == value
+            assert parse_spec(spec).states == ((value,),)
+            assert code == 0
+
+
+nine_digit = st.integers(0, 10**9).map(lambda k: Fraction(k, 10**9))
+# Every denominator 2**a * 5**b that divides 10**9, with its extreme numerators.
+POWER_DENOMINATORS = [
+    Fraction(k, 2**a * 5**b)
+    for a in range(10)
+    for b in range(10)
+    for k in (1, 2**a * 5**b - 1)
+]
+
+
+class TestCodec:
+    @given(nine_digit, nine_digit)
+    @example(Fraction(1, 10**9), Fraction(999_999_999, 10**9))
+    @example(Fraction(1, 512), Fraction(1, 1_953_125))
+    @example(ZERO, ONE)
+    def test_round_trip_and_order(self, v, w):
+        for x in (v, w):
+            back = decode_value(encode_value(x))
+            assert type(back) is Fraction and back == x
+        assert (v < w) == (encode_value(v) < encode_value(w))
+        assert (v == w) == (encode_value(v) == encode_value(w))
+        assert decode_state(encode_state((v, w))) == (v, w)
+
+    def test_every_power_denominator_round_trips(self):
+        codes = [encode_value(v) for v in POWER_DENOMINATORS]
+        assert [decode_value(k) for k in codes] == POWER_DENOMINATORS
+        assert sorted(codes) == [encode_value(v) for v in sorted(POWER_DENOMINATORS)]
+        assert (encode_value(ZERO), encode_value(ONE)) == CODE_UNIT
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(1, 2**10), Fraction(1, 10**10)])
+    def test_values_off_the_nine_digit_grid_are_rejected(self, value):
+        with pytest.raises(ValidationError):
+            encode_value(value)
+
+    def test_decoding_looks_values_up(self):
+        assert decode_value(123_000_000) is decode_value(123_000_000)
+
+    @given(states.flatmap(lambda q: st.tuples(st.just(q), event_for(len(q)), possibilities)))
+    def test_kernels_commute_with_the_codec(self, case):
+        q, ev, alpha = case
+        coded = encode_state(q)
+        composed = maxmin_compose(q, ev)
+        assert decode_state(maxmin_compose(coded, tuple(map(encode_state, ev.matrix)))) == composed
+        scaled = scale_product(alpha, composed)
+        assert decode_state(scale_product(encode_value(alpha), encode_state(composed))) == scaled
+        want = solve_scale(composed, scaled)
+        got = solve_scale(encode_state(composed), encode_state(scaled), CODE_UNIT)
+        assert (decode_value(got.lower), decode_value(got.upper)) == (want.lower, want.upper)

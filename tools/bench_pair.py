@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Paired end-to-end benchmark runs of a parent and a change checkout.
+
+    python3 tools/bench_pair.py --parent PARENT_DIR --change CHANGE_DIR \
+        --workloads graph_control,stabilize_budget,cli_mix --pairs 10 \
+        --seed-base 1200 --pr PR
+
+For each workload and pair it runs `bench/run.py --workload W --seed S
+--seconds 30 --trace 0` once in each checkout, one run at a time, with
+PYTHONDONTWRITEBYTECODE=1 so that every run compiles the sources as a
+fresh checkout does.  The side that runs first alternates from pair to
+pair.  Each run's last stdout line is read as strict JSON: NaN and
+Infinity are rejected, and a run that exits non-zero or ends in a
+malformed line stops the tool with an error.  It writes BENCH_<pr>.json
+(in the schema of BENCH_6.json) into the current directory: per workload and
+metric the parent's and the change's runs, medians and quartiles, the
+pairs each side won, the change of the median as a fraction of the
+parent's, and the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
+def strict_result(stdout: str) -> dict:
+    """The JSON object on the last non-empty line of a run's stdout."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the run printed nothing")
+    result = json.loads(lines[-1], parse_constant=_reject_constant)
+    if not isinstance(result, dict) or not isinstance(result.get("metrics"), dict):
+        raise ValueError(f"the last line is not a result object: {lines[-1][:200]!r}")
+    return result
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(command)} exited {done.returncode}:\n"
+                         f"{done.stderr[-2000:]}")
+    try:
+        return strict_result(done.stdout)
+    except ValueError as exc:
+        raise SystemExit(f"{checkout}: {' '.join(command)}: {exc}") from None
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(metric: dict, runs: dict) -> dict:
+    """One metric of one workload: both sides' runs (in pair order) and how
+    the change compares, pair by pair and in the median."""
+    out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"]}
+    for side in SIDES:
+        q1, q3 = quartiles(runs[side])
+        out[side] = {"median": round(statistics.median(runs[side]), 6), "q1": round(q1, 6),
+                     "q3": round(q3, 6), "runs": [round(v, 6) for v in runs[side]]}
+    sign = 1 if metric["better"] == "higher" else -1
+    diffs = [sign * (c - p) for p, c in zip(runs["parent"], runs["change"])]
+    out["change_wins"] = sum(1 for d in diffs if d > 0)
+    out["change_losses"] = sum(1 for d in diffs if d < 0)
+    parent_median = statistics.median(runs["parent"])
+    change_median = statistics.median(runs["change"])
+    out["median_change_frac"] = (round((change_median - parent_median) / parent_median, 4)
+                                 if parent_median else 0.0)
+    out["parent_iqr"] = round(out["parent"]["q3"] - out["parent"]["q1"], 6)
+    return out
+
+
+def git_head(checkout: Path):
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--workloads", default="graph_control,stabilize_budget,cli_mix")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed-base", type=int, required=True,
+                        help="workload k (from 1) uses seeds seed_base + 100 k + 1 ...")
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
+    parser.add_argument("--parent-commit", help="recorded when the parent checkout is no git checkout")
+    parser.add_argument("--change-commit", help="recorded when the change checkout is no git checkout")
+    parser.add_argument("--note", default="", help="recorded as change_tree_note")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report = {
+        "description": "Paired end-to-end runs of bench/run.py (--trace 0) at the parent commit and "
+                       "at the change, order alternated per pair, each run with "
+                       "PYTHONDONTWRITEBYTECODE=1, made by tools/bench_pair.py.",
+        "parent_commit": args.parent_commit or git_head(checkouts["parent"]),
+        "change_commit": args.change_commit or git_head(checkouts["change"]),
+        "change_tree_note": args.note,
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "workloads": {},
+    }
+    for k, workload in enumerate(args.workloads.split(","), start=1):
+        seeds = [args.seed_base + 100 * k + i for i in range(1, args.pairs + 1)]
+        runs = {side: [] for side in SIDES}
+        first = {}
+        for i, seed in enumerate(seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            first[str(seed)] = order[0]
+            for side in order:
+                result = run_once(checkouts[side], workload, seed, args.seconds)
+                runs[side].append(result)
+                print(f"{workload} seed {seed} {side}: correct {result['correct']}, "
+                      f"failed {result['failed']}, throughput "
+                      f"{result['metrics'].get('throughput_qps', {}).get('value')}", flush=True)
+        entry = {
+            "seeds": seeds,
+            "first_side_per_seed": first,
+            "pairs": len(seeds),
+            "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
+            "failed_queries": sum(r["failed"] for side in SIDES for r in runs[side]),
+            "attempted_per_run": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
+            "metrics": {},
+        }
+        for name, metric in metrics.items():
+            values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+            entry["metrics"][name] = summarize(metric, values)
+        report["workloads"][workload] = entry
+    out = Path(f"BENCH_{args.pr}.json")
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
