@@ -75,7 +75,6 @@ from .language import (
     LanguageVerdict,
     consistency_check,
     controller_from_language,
-    controller_language_is_controllable,
     language_controllable,
     reach_of_language,
     supervisor_from_controller,
@@ -89,7 +88,6 @@ from .stability import (
     candidate_universe,
     check_attractor,
     check_controllable_invariant,
-    find_cycles,
     infimal_attractor,
     is_stable,
     largest_controllable_invariant,

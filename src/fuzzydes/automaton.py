@@ -14,12 +14,12 @@ the automaton's coded_initial) and decode their graphs once at the end.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatch, UnknownEvent, ValidationError
+from .graph import bfs
 from .possibility import (
     ONE,
     ZERO,
@@ -202,23 +202,17 @@ def _decode_graph(graph: TransitionGraph) -> TransitionGraph:
 def _explore(aut: MaxMinAutomaton, step) -> TransitionGraph:
     """Breadth-first closure of the coded initial state under step(q,
     coded event), dropping all-zero results (no transition)."""
-    root = aut.coded_initial
-    vertices: list[Code] = [root]
-    seen = {root}
     edges: list[tuple[Code, str, Code]] = []
-    queue = deque([root])
-    while queue:
-        q = queue.popleft()
+
+    def moves(q: Code):
         for ev in aut.events:
             p = step(q, ev)
-            if not any(p):
-                continue
-            edges.append((q, ev.name, p))
-            if p not in seen:
-                seen.add(p)
-                vertices.append(p)
-                queue.append(p)
-    return TransitionGraph(root, tuple(vertices), tuple(edges))
+            if any(p):
+                edges.append((q, ev.name, p))
+                yield ev.name, p
+
+    vertices = tuple(bfs(aut.coded_initial, moves).dist)
+    return TransitionGraph(aut.coded_initial, vertices, tuple(edges))
 
 
 def _accessible(aut: MaxMinAutomaton) -> TransitionGraph:

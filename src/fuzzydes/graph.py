@@ -1,8 +1,15 @@
-"""Graph walks shared by every analysis.
+"""The three graph walks shared by every analysis.
 
-Each walk takes its graph as a neighbour callable, so the same code serves
-transition graphs forward and backward and the candidate graphs of the
-controllability search.  All walks are iterative, so no graph is deep
+closure collects the vertices reachable from a set, bfs records a
+breadth-first search tree, and attractor ranks the vertices that a counter
+worklist draws into a seed set.  The attractor serves the stabilization
+fixpoints and, run over predecessor or successor lists, peels a graph from
+its sources or sinks: Kahn's topological sort (CACM 5(11), 1962), whose
+leftover vertices are exactly those a cycle reaches (or that reach one).
+
+closure and bfs take their graph as a neighbour callable, so the same code
+serves transition graphs forward and backward and the candidate graphs of
+the controllability search.  All walks are iterative, so no graph is deep
 enough to overflow the Python stack.
 """
 
@@ -10,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 Vertex = Hashable
 Neighbours = Callable[[Vertex], Iterable[Vertex]]
@@ -66,53 +73,38 @@ def bfs(source: Vertex, neighbours: LabeledNeighbours) -> Search:
     return Search(dist, parent)
 
 
-def cycle_vertices(vertices: Iterable[Vertex], neighbours: Neighbours) -> set:
-    """Vertices lying on a directed cycle (self-loops included) of the graph
-    induced on vertices; neighbours must stay inside vertices.
-
-    Uses Tarjan's strongly connected components (SIAM J. Comput. 1(2),
-    1972) with an explicit work stack: a vertex is on a cycle exactly when
-    its component has two or more vertices or it has a self-loop.
-    """
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    on_cycle: set = set()
-    for root in vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(neighbours(root)))]
-        while work:
-            v, children = work[-1]
-            pushed = False
-            for w in children:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(neighbours(w))))
-                    pushed = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
+def attractor(
+    slots: Sequence[Sequence[Sequence[int]]],
+    need: Callable[[Sequence[int]], int],
+    wanted: Sequence[int],
+    seeds: Iterable[int],
+    stop: Optional[int] = None,
+) -> list[Optional[int]]:
+    """The rank of each vertex v (None if it never joins) in the attractor
+    of the seeds, which join at rank 0.  slots[v] lists the target lists of
+    v's slots; a slot is met once need(targets) of them have joined, and v
+    joins once wanted[v] of its slots are met, one rank above the vertex
+    that made it join.  Vertices join breadth first until stop has joined."""
+    rank: list[Optional[int]] = [None] * len(slots)
+    watchers: list[list[tuple[int, int]]] = [[] for _ in slots]  # t -> (v, k) holding t
+    missing = [[need(targets) for targets in state_slots] for state_slots in slots]
+    for v, state_slots in enumerate(slots):
+        for k, targets in enumerate(state_slots):
+            for t in targets:
+                watchers[t].append((v, k))
+    short = list(wanted)  # short[v]: met slots v still lacks
+    queue = deque(dict.fromkeys(seeds))
+    for v in queue:
+        rank[v] = 0
+    while queue and (stop is None or rank[stop] is None):
+        t = queue.popleft()
+        for v, k in watchers[t]:
+            if rank[v] is not None or not missing[v][k]:
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                if len(component) > 1 or v in neighbours(v):
-                    on_cycle.update(component)
-    return on_cycle
+            missing[v][k] -= 1
+            if not missing[v][k]:
+                short[v] -= 1
+                if not short[v]:
+                    rank[v] = rank[t] + 1
+                    queue.append(v)
+    return rank

@@ -202,7 +202,14 @@ def supervisor_from_controller(
 ) -> FuzzySupervisor:
     """Translate state feedback into event feedback: follow the controlled
     run of the observed string and ask the controller at the state it ends
-    in; fully enable once the controlled run has vanished."""
+    in; fully enable once the controlled run has vanished.
+
+    The controlled language L_f is always controllable once f validates
+    against the plant's floors (it raises otherwise).  Composition commutes
+    with scaling, so the controlled state q_s after s is the open-loop one
+    scaled by b(s), the least control value applied along s, and
+    L_f(sa) = min(f(q_s, a), b(s), L(sa)) >= min(uc(a), L_f(s), L(sa)) since
+    f >= uc and b(s) >= L_f(s): the inequality holds with no horizon."""
     f.validate(aut)
     coded = f.encoded()
 
@@ -213,17 +220,6 @@ def supervisor_from_controller(
         return decode_value(coded.value(states[-1], name))
 
     return FuzzySupervisor(rule)
-
-
-def controller_language_is_controllable(aut: MaxMinAutomaton, f: StateFeedbackController) -> bool:
-    """The controlled system's language is controllable whenever f validates
-    against the plant's floors (it raises otherwise).  Composition commutes
-    with scaling, so the controlled state q_s after s is the open-loop one
-    scaled by b(s), the least control value applied along s, and
-    L_f(sa) = min(f(q_s, a), b(s), L(sa)) >= min(uc(a), L_f(s), L(sa)) since
-    f >= uc and b(s) >= L_f(s): the inequality holds with no horizon."""
-    f.validate(aut)
-    return True
 
 
 @dataclass(frozen=True)

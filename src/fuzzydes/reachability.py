@@ -71,12 +71,12 @@ class ReachFamily:
     """Symbolic form of the controlled-reachability family: one (base state,
     floor) entry per accessible vertex, representing {alpha . base :
     floor <= alpha <= 1}.  codes holds the coded graph and entries that
-    family_contains runs on; without them it recomputes them from aut."""
+    family_contains runs on."""
 
     aut: MaxMinAutomaton
     graph: TransitionGraph
     entries: tuple[tuple[State, Fraction], ...]
-    codes: Optional[tuple] = field(default=None, repr=False, compare=False)
+    codes: tuple = field(repr=False, compare=False)
 
     def floor_of(self, base: State) -> Fraction:
         for b, floor in self.entries:
@@ -85,18 +85,14 @@ class ReachFamily:
         raise DomainError("state is not an accessible vertex")
 
 
-def _coded_family(aut: MaxMinAutomaton) -> tuple[TransitionGraph, tuple[tuple[Code, int], ...]]:
-    graph = _accessible(aut)
-    floors = _floors(graph, {ev.name: ev.coded_uc for ev in aut.events})
-    return graph, tuple((q, floors.get(q, CODE_UNIT[1])) for q in graph.vertices)
-
-
 def reach_family(aut: MaxMinAutomaton) -> ReachFamily:
     """Compute the family for every accessible vertex, in discovery order."""
-    codes = _coded_family(aut)
-    graph = _decode_graph(codes[0])
-    entries = tuple((q, decode_value(floor)) for q, (_, floor) in zip(graph.vertices, codes[1]))
-    return ReachFamily(aut, graph, entries, codes)
+    coded = _accessible(aut)
+    floors = _floors(coded, {ev.name: ev.coded_uc for ev in aut.events})
+    coded_entries = tuple((q, floors.get(q, CODE_UNIT[1])) for q in coded.vertices)
+    graph = _decode_graph(coded)
+    entries = tuple((q, decode_value(floor)) for q, (_, floor) in zip(graph.vertices, coded_entries))
+    return ReachFamily(aut, graph, entries, (coded, coded_entries))
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ def family_contains(fam: ReachFamily, target: State) -> Optional[ReachWitness]:
         )
     if state_is_zero(target):
         raise DomainError("the all-zero vector is excluded from the state set")
-    graph, entries = fam.codes or _coded_family(fam.aut)
+    graph, entries = fam.codes
     target = encode_state(target)
     for base, floor in entries:
         if target == base:

@@ -8,14 +8,15 @@ reduces to a subset test.  Stabilizability asks for a controller whose
 closed loop has an attractor inside the legal set; witnesses pair a
 controllable invariant subset of the legal states with a controllable set
 that funnels into it, and are found by a controllable-attractor fixpoint
-over the grid scalings of the open-loop reachable states.  The invariant
-subset and its attractor are both computed by one counter worklist, over
-int-coded states.
+over the grid scalings of the open-loop reachable states.
+
+Every fixpoint here is one call of graph.attractor, the counter worklist:
+the invariant subset and its attractor over int-coded states, and the
+peelings that find the smallest attractor and test "acyclic outside N".
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -28,7 +29,7 @@ from .automaton import (
     _closed_loop,
 )
 from .errors import InfeasibleControl, PreconditionError, ValidationError, WitnessRejected
-from .graph import bfs, closure, cycle_vertices
+from .graph import attractor, bfs, closure
 from .possibility import (
     ZERO,
     Code,
@@ -49,11 +50,6 @@ from .statecontrol import (
     synthesize_controller,
     _validated_codes,
 )
-
-
-def find_cycles(g: TransitionGraph) -> set[State]:
-    """Vertices lying on some directed cycle (including self-loops)."""
-    return cycle_vertices(g.vertices, lambda q: (dst for _, dst in g.out_edges[q]))
 
 
 @dataclass(frozen=True)
@@ -88,18 +84,26 @@ def _funnels_into(g: TransitionGraph, n_set: set[State]) -> tuple[bool, bool]:
     )
     outside = [q for q in g.vertices if q not in n_set]
     connected = all(q in into_n for q in outside)
-    acyclic = not cycle_vertices(
-        outside, lambda q: (dst for _, dst in g.out_edges[q] if dst not in n_set)
-    )
+    acyclic = not _unpeeled(outside, lambda q: (dst for _, dst in g.out_edges[q] if dst not in n_set))
     return connected, acyclic
+
+
+def _unpeeled(vertices: Sequence[State], blockers: Callable[[State], Iterable[State]]) -> list[State]:
+    """The vertices that peeling never takes: a vertex is taken once every
+    one of its blockers, which must lie in vertices, has been taken."""
+    ids = {q: v for v, q in enumerate(vertices)}
+    slots = [[[ids[p] for p in blockers(q)]] for q in vertices]
+    rank = attractor(slots, len, [1] * len(slots), [v for v, [ps] in enumerate(slots) if not ps])
+    return [q for q, r in zip(vertices, rank) if r is None]
 
 
 def infimal_attractor(g: TransitionGraph) -> set[State]:
     """The smallest attractor: everything reachable from a cycle vertex,
-    together with the dead vertices (no outgoing transition)."""
-    cycles = find_cycles(g)
+    together with the dead vertices (no outgoing transition).  Peeling the
+    graph from its sources, a vertex once all its predecessors are taken,
+    leaves exactly the vertices some cycle reaches."""
     dead = {q for q in g.vertices if not g.out_edges[q]}
-    return closure(cycles, lambda q: (dst for _, dst in g.out_edges[q])) | dead
+    return set(_unpeeled(g.vertices, lambda q: (src for src, _ in g.in_edges[q]))) | dead
 
 
 def is_stable(g: TransitionGraph, N: Iterable[State]) -> bool:
@@ -144,7 +148,7 @@ def largest_controllable_invariant(
     index = ScalingIndex(codes)
     slots = [_targets(index, _forced(aut, q)) for q in codes]
     seeds = [v for v, targets in enumerate(slots) if not all(targets)]
-    gone = _attract(slots, len, [1] * len(states), seeds)
+    gone = attractor(slots, len, [1] * len(states), seeds)
     return tuple(q for q, r in zip(states, gone) if r is None)
 
 
@@ -152,43 +156,6 @@ def _targets(index: ScalingIndex, pairs: Iterable[tuple[FuzzyEvent, Code]]) -> l
     """For each (event, composed) pair, the positions in the index of the
     members that an admissible scaling of composed lands on."""
     return [[t for t, _ in index.targets(c, ev.coded_uc)] for ev, c in pairs]
-
-
-def _attract(
-    slots: Sequence[Sequence[Sequence[int]]],
-    need: Callable[[Sequence[int]], int],
-    wanted: Sequence[int],
-    seeds: Iterable[int],
-    stop: Optional[int] = None,
-) -> list[Optional[int]]:
-    """The rank of each state v (None if it never joins) in the attractor of
-    the seeds, which join at rank 0.  slots[v] lists the target lists of v's
-    slots; a slot is met once need(targets) of them have joined, and v joins
-    once wanted[v] of its slots are met, one rank above the state that made
-    it join.  States join breadth first until stop has joined."""
-    rank: list[Optional[int]] = [None] * len(slots)
-    watchers: list[list[tuple[int, int]]] = [[] for _ in slots]  # t -> (v, k) holding t
-    missing = [[need(targets) for targets in state_slots] for state_slots in slots]
-    for v, state_slots in enumerate(slots):
-        for k, targets in enumerate(state_slots):
-            for t in targets:
-                watchers[t].append((v, k))
-    short = list(wanted)  # short[v]: met slots v still lacks
-    queue = deque(dict.fromkeys(seeds))
-    for v in queue:
-        rank[v] = 0
-    while queue and (stop is None or rank[stop] is None):
-        t = queue.popleft()
-        for v, k in watchers[t]:
-            if rank[v] is not None or not missing[v][k]:
-                continue
-            missing[v][k] -= 1
-            if not missing[v][k]:
-                short[v] -= 1
-                if not short[v]:
-                    rank[v] = rank[t] + 1
-                    queue.append(v)
-    return rank
 
 
 @dataclass(frozen=True)
@@ -341,7 +308,7 @@ def search_stabilizing_witness(
     events = [f or [(ev, maxmin_compose(q, ev.coded_matrix)) for ev in aut.events] for q, f in zip(states, forced)]
     slots = [_targets(index, pairs) for pairs in events]
     wanted = [len(targets) if f else 1 for f, targets in zip(forced, slots)]
-    rank = _attract(slots, lambda targets: 1, wanted, [ids[q] for q in kept if q in ids], root)
+    rank = attractor(slots, lambda targets: 1, wanted, [ids[q] for q in kept if q in ids], root)
     if rank[root] is None:
         return None
 

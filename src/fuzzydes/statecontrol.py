@@ -96,12 +96,6 @@ class ControllabilityVerdict:
     obstruction: Optional[Obstruction] = None
 
 
-def validated_state_set(aut: MaxMinAutomaton, P: Sequence[State]) -> tuple[State, ...]:
-    states = tuple(P)
-    _validated_codes(aut, states)
-    return states
-
-
 def _validated_codes(aut: MaxMinAutomaton, states: Sequence[State]) -> tuple[Code, ...]:
     """The codes of states, in order, once each is checked to have the
     plant's dimension, to be nonzero and to appear once."""
@@ -129,12 +123,6 @@ def _forced(aut: MaxMinAutomaton, q: Code) -> Iterator[tuple[FuzzyEvent, Code]]:
             composed = maxmin_compose(q, ev.coded_matrix)
             if any(composed):
                 yield ev, composed
-
-
-def forced_events(aut: MaxMinAutomaton, q: State) -> Iterator[tuple[FuzzyEvent, State]]:
-    """_forced for a public state."""
-    for ev, composed in _forced(aut, encode_state(q)):
-        yield ev, decode_state(composed)
 
 
 class ScalingIndex:
@@ -202,8 +190,8 @@ def successor_set(
 
 
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:
-    states = validated_state_set(aut, P)
-    index = ScalingIndex(tuple(map(encode_state, states)))
+    states = tuple(P)
+    index = ScalingIndex(_validated_codes(aut, states))
     edges = tuple(
         _edge(states, v, *move) for v, q in enumerate(index.states) for move in _successors(aut, index, q)
     )

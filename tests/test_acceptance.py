@@ -22,7 +22,6 @@ from fuzzydes import (
     closed_loop_reachable,
     closed_loop_trajectory,
     consistency_check,
-    controller_language_is_controllable,
     family_contains,
     infimal_attractor,
     language_controllable,
@@ -48,6 +47,7 @@ from generators import (
     random_automaton,
     random_controller,
 )
+from test_language import horizon_controller_language_is_controllable
 from test_reachability import INSIDE_PROBES, OUTSIDE_PROBES, printed_union_member
 from test_statecontrol import EXPECTED_SUCC, Q, exhaustive_verdict
 from test_stability import CASCADE_X, CASCADE_Z, oracle_stabilizable
@@ -209,7 +209,7 @@ def test_criterion_10_supervisor_translation_suite():
             closed = closed_loop_language_of_supervisor(aut, supervisor, 4)
             for s in all_strings(aut.event_names, 4):
                 assert closed.degree(s) == closed_loop_language_degree(aut, f, s)
-            assert controller_language_is_controllable(aut, f)
+            assert horizon_controller_language_is_controllable(aut, f, 5)
 
 
 def test_criterion_11_round_trip_suite(treatment_plant, admissible_set, single_event_plant):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-import fuzzydes.automaton as automaton
 from fuzzydes import (
     FuzzyLanguage,
     PreconditionError,
@@ -18,7 +17,6 @@ from fuzzydes import (
     closed_loop_step,
     consistency_check,
     controller_from_language,
-    controller_language_is_controllable,
     language_controllable,
     language_degree,
     make_automaton,
@@ -264,8 +262,8 @@ class TestSupervisorFromController:
             )
 
     def test_controlled_language_is_controllable(self, treatment_plant, reference_controller):
-        assert controller_language_is_controllable(treatment_plant, reference_controller)
-        assert controller_language_is_controllable(treatment_plant, make_controller({}))
+        assert horizon_controller_language_is_controllable(treatment_plant, reference_controller, 5)
+        assert horizon_controller_language_is_controllable(treatment_plant, make_controller({}), 5)
 
     def test_random_pairs_uphold_both_properties(self):
         rng = random.Random(41)
@@ -276,12 +274,12 @@ class TestSupervisorFromController:
             closed = closed_loop_language_of_supervisor(aut, supervisor, 4)
             for s in all_strings(aut.event_names, 4):
                 assert closed.degree(s) == closed_loop_language_degree(aut, f, s)
-            assert controller_language_is_controllable(aut, f)
+            assert horizon_controller_language_is_controllable(aut, f, 5)
 
 
 class TestControllerLanguageIdentity:
-    """controller_language_is_controllable answers by the scaling identity in
-    its docstring; the horizon walk is the definition it stands in for."""
+    """The controlled language is controllable by the scaling identity in
+    supervisor_from_controller's docstring; the horizon walk checks it."""
 
     def test_horizon_walk_holds_on_redrawn_controllers(self):
         rng = random.Random(907)
@@ -290,7 +288,6 @@ class TestControllerLanguageIdentity:
             f = random_controller(rng, aut)
             f = redrawn_on_closed_loop(rng, aut, redrawn_on_closed_loop(rng, aut, f))
             assert horizon_controller_language_is_controllable(aut, f, 5)
-            assert controller_language_is_controllable(aut, f)
 
     def test_invalid_controllers_still_raise(self, treatment_plant):
         name = next(ev.name for ev in treatment_plant.events if ev.uc_degree == F(1, 10))
@@ -298,16 +295,9 @@ class TestControllerLanguageIdentity:
         unknown = make_controller({(treatment_plant.initial, "zz"): "1"})
         for f, error in ((below, ValidationError), (unknown, UnknownEvent)):
             with pytest.raises(error):
-                controller_language_is_controllable(treatment_plant, f)
+                f.validate(treatment_plant)
             with pytest.raises(error):
                 horizon_controller_language_is_controllable(treatment_plant, f, 5)
-
-    def test_no_composition_is_run(self, monkeypatch, treatment_plant, reference_controller):
-        calls = []
-        compose = automaton.maxmin_compose
-        monkeypatch.setattr(automaton, "maxmin_compose", lambda q, ev: calls.append(1) or compose(q, ev))
-        assert controller_language_is_controllable(treatment_plant, reference_controller)
-        assert calls == []
 
 
 class TestConsistency:

@@ -20,8 +20,8 @@ from fuzzydes import (
     synthesize_controller,
     validate_subgraph,
 )
-from fuzzydes.statecontrol import forced_events
 from generators import COARSE, random_automaton, random_controller
+from test_statecontrol_equivalence import forced_events
 
 S = lambda text: make_state(text.split())
 

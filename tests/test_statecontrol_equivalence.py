@@ -35,10 +35,11 @@ from fuzzydes import (
     run_command,
     scale_product,
     solve_scale,
+    state_is_zero,
     successor_set,
 )
 from fuzzydes.graph import bfs, closure
-from fuzzydes.statecontrol import ScalingIndex, forced_events, validated_state_set
+from fuzzydes.statecontrol import ScalingIndex
 from generators import GRID11, random_automaton, random_controller
 
 F = Fraction
@@ -52,6 +53,23 @@ def draws():
     rng = random.Random(1)
     plants = [random_automaton(rng, 6, 4) for _ in range(25)]
     return [(i, aut, accessible_part(aut).vertices) for i, aut in enumerate(plants)]
+
+
+def validated_state_set(aut, P):
+    """P as a tuple, once the library has checked its dimension, zero and
+    duplicate states."""
+    states = tuple(P)
+    statecontrol._validated_codes(aut, states)
+    return states
+
+
+def forced_events(aut, q):
+    """(event, q . event) for every event that is feasible at q and
+    partially uncontrollable (condition C2)."""
+    for ev in aut.events:
+        composed = maxmin_compose(q, ev)
+        if ev.uc_degree and not state_is_zero(composed):
+            yield ev, composed
 
 
 def brute_force_successor_edges(aut, states, q):
@@ -326,9 +344,9 @@ class TestComplexity:
 
     def test_succ_validates_the_set_once(self, monkeypatch):
         calls = []
-        real = statecontrol.validated_state_set
+        real = statecontrol._validated_codes
         monkeypatch.setattr(
-            statecontrol, "validated_state_set", lambda aut, P: calls.append(1) or real(aut, P)
+            statecontrol, "_validated_codes", lambda aut, P: calls.append(1) or real(aut, P)
         )
         argv = ["succ", "--automaton", str(GOLDEN / "draw23_plant.json"),
                 "--spec", str(GOLDEN / "draw23_states.json")]

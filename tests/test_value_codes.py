@@ -42,7 +42,6 @@ from fuzzydes import (
     synthesize_controller,
     synthesize_stabilizing_controller,
 )
-from fuzzydes.statecontrol import forced_events
 from generators import random_automaton, random_controller
 from test_language_oracles import assert_agrees
 from test_reachability import brute_force_floor
@@ -51,6 +50,7 @@ from test_statecontrol_equivalence import (
     brute_force_invariant_violation,
     brute_force_largest_invariant,
     brute_force_successor_edges,
+    forced_events,
     reference_check_controllable,
 )
 
