@@ -14,10 +14,10 @@ the automaton's coded_initial) and decode their graphs once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
+from ._record import Record
 from .errors import DimensionMismatch, UnknownEvent, ValidationError
 from .graph import bfs
 from .possibility import (
@@ -47,8 +47,7 @@ def as_event_string(s) -> EventString:
     return tuple(s)
 
 
-@dataclass(frozen=True)
-class MaxMinAutomaton:
+class MaxMinAutomaton(Record):
     """A fuzzy discrete-event plant: crisp dimension n, state labels, a
     nonzero initial fuzzy state, and a finite alphabet of fuzzy events."""
 
@@ -156,8 +155,7 @@ def language_degree(aut: MaxMinAutomaton, s) -> Fraction:
     return max(run(aut, names))
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
+class TransitionGraph(Record):
     """A finite, deterministic, labeled transition graph over fuzzy states,
     rooted at the initial state.  Produced by accessible_part (open loop) and
     closed_loop_graph (under a controller); the analyses build it over
@@ -228,8 +226,7 @@ def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
     return _decode_graph(_accessible(aut))
 
 
-@dataclass(frozen=True)
-class StateFeedbackController:
+class StateFeedbackController(Record):
     """A state feedback controller: a finite map from (state, event name) to
     an enabling possibility, with a default for unmapped pairs.
 
@@ -237,8 +234,11 @@ class StateFeedbackController:
     every stored value and the default against the events' floors.
     """
 
-    entries: Mapping[tuple[State, str], Fraction] = field(default_factory=dict)
-    default: Fraction = ONE
+    entries: Mapping[tuple[State, str], Fraction]
+    default: Fraction
+
+    def __init__(self, entries: Optional[Mapping] = None, default: Fraction = ONE):
+        super().__init__({} if entries is None else entries, default)
 
     def value(self, q: State, name: str) -> Fraction:
         return self.entries.get((q, name), self.default)
@@ -331,8 +331,7 @@ def closed_loop_language_degree(
     return decode_value(max(states[-1])) if len(states) > len(names) else ZERO
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """An alternating run q0, a1, q1, ..., ak, qk; closed-loop runs may stop
     early when a step is disabled."""
 

@@ -16,6 +16,7 @@ from typing import Sequence
 from . import fileio
 from .automaton import (
     MaxMinAutomaton,
+    _accessible,
     accessible_part,
     closed_loop_trajectory,
     open_loop_trajectory,
@@ -37,7 +38,7 @@ from .language import (
     language_controllable,
     reach_of_language,
 )
-from .possibility import encode_state, format_possibility, format_state
+from .possibility import decode_state, encode_state, format_possibility, format_state
 from .reachability import family_contains, reach_family
 from .stability import (
     StabilizabilityWitness,
@@ -329,11 +330,13 @@ def _cmd_stability(args, aut):
             raise DimensionMismatch(
                 f"legal state {format_state(q)} has {len(q)} components, expected {aut.n}"
             )
-    graph = accessible_part(aut)
+    # Both checks run on the coded graph; only the printed states are decoded.
+    graph = _accessible(aut)
+    legal = set(map(encode_state, spec.states))
     infimal = infimal_attractor(graph)
-    ordered = [q for q in graph.vertices if q in infimal]
-    stable = infimal <= set(spec.states)
-    report = check_attractor(graph, spec.states)
+    ordered = [decode_state(q) for q in graph.vertices if q in infimal]
+    stable = infimal <= legal
+    report = check_attractor(graph, legal)
     payload = {
         "stable": stable,
         "infimal_attractor": [state_doc(q) for q in ordered],
@@ -480,6 +483,8 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.format == "dot" and args.command != "export-dot":
+            raise FuzzyDESError("--format dot is only available for export-dot")
         aut = _load_automaton(args.automaton)
         code, payload, text = _HANDLERS[args.command](args, aut)
         _write_report(args, payload, text)
@@ -492,11 +497,9 @@ def run_command(argv: Sequence[str]) -> int:
 def _write_report(args, payload: dict, text: str) -> None:
     if args.format == "json":
         rendered = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "dot":
-        if "dot" not in payload:
-            raise FuzzyDESError("--format dot is only available for export-dot")
+    elif args.format == "dot" and "dot" in payload:
         rendered = payload["dot"]
-    else:
+    else:  # text, and the diagnostic of an export-dot with no graph to draw
         rendered = text + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

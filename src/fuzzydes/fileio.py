@@ -9,9 +9,9 @@ field-addressed message.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import Record
 from .automaton import (
     MaxMinAutomaton,
     StateFeedbackController,
@@ -124,23 +124,19 @@ def serialize_automaton(aut: MaxMinAutomaton) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class StateSetSpec:
+class StateSetSpec(Record):
     states: tuple[State, ...]
 
 
-@dataclass(frozen=True)
-class LanguageSpec:
+class LanguageSpec(Record):
     language: FuzzyLanguage
 
 
-@dataclass(frozen=True)
-class ControllerSpec:
+class ControllerSpec(Record):
     controller: StateFeedbackController
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(Record):
     legal: tuple[State, ...]
     n_prime: Optional[tuple[State, ...]]
     p_set: Optional[tuple[State, ...]]

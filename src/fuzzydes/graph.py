@@ -16,8 +16,9 @@ enough to overflow the Python stack.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
+
+from ._record import Record
 
 Vertex = Hashable
 Neighbours = Callable[[Vertex], Iterable[Vertex]]
@@ -36,8 +37,7 @@ def closure(starts: Iterable[Vertex], neighbours: Neighbours) -> set:
     return seen
 
 
-@dataclass(frozen=True)
-class Search:
+class Search(Record):
     """A breadth-first search tree: the distance of every reached vertex
     from the source, keyed in discovery order, and the (parent, label) edge
     each vertex but the source was first discovered through."""

@@ -14,10 +14,10 @@ The checks run on int-coded states and degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
+from ._record import Record
 from .automaton import (
     EventString,
     MaxMinAutomaton,
@@ -44,8 +44,7 @@ from .possibility import (
 DegreeMap = dict[EventString, Fraction]
 
 
-@dataclass(frozen=True)
-class FuzzyLanguage:
+class FuzzyLanguage(Record):
     """Finite-support fuzzy language.  degrees holds the nonzero support only
     (unlisted strings have degree 0); an empty mapping is the empty language,
     otherwise the empty string must carry degree 1 and degrees may never grow
@@ -98,8 +97,7 @@ class FuzzyLanguage:
         return max((len(s) for s in self.degrees), default=0)
 
 
-@dataclass(frozen=True)
-class LanguageVerdict:
+class LanguageVerdict(Record):
     ok: bool
     counterexample: Optional[tuple[EventString, str]] = None
 
@@ -139,8 +137,7 @@ def language_controllable(aut: MaxMinAutomaton, K: FuzzyLanguage) -> LanguageVer
     return LanguageVerdict(True)
 
 
-@dataclass(frozen=True)
-class FuzzySupervisor:
+class FuzzySupervisor(Record):
     """An event-feedback supervisor realized lazily: a rule mapping (observed
     string, event) to an enabling possibility at least the event's floor."""
 
@@ -222,8 +219,7 @@ def supervisor_from_controller(
     return FuzzySupervisor(rule)
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(Record):
     ok: bool
     counterexample: Optional[tuple[EventString, EventString, str]] = None
 

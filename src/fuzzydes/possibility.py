@@ -16,12 +16,12 @@ below (maxmin_compose, scale_product, solve_scale) serve both forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import DimensionMismatch, ValidationError
 
 Possibility = Fraction
@@ -128,8 +128,7 @@ def state_is_zero(state: State) -> bool:
     return not any(state)
 
 
-@dataclass(frozen=True)
-class FuzzyEvent:
+class FuzzyEvent(Record):
     """A named fuzzy event: an n-by-n possibility matrix plus the floor below
     which a controller may not suppress the event."""
 
@@ -177,8 +176,7 @@ def scale_product(alpha: Fraction, state: State) -> State:
     return tuple(min(alpha, v) for v in state)
 
 
-@dataclass(frozen=True)
-class ScaleSolution:
+class ScaleSolution(Record):
     """The set of alpha with scale_product(alpha, base) == target: the closed
     interval [lower, upper], empty when lower > upper.
 
@@ -190,6 +188,12 @@ class ScaleSolution:
 
     lower: Fraction
     upper: Fraction
+
+    def __init__(self, lower: Fraction, upper: Fraction):
+        # Built once per solve_scale call: set the two fields directly.
+        values = self.__dict__
+        values["lower"] = lower
+        values["upper"] = upper
 
     @property
     def is_empty(self) -> bool:

@@ -9,9 +9,9 @@ occurring on some root path to q (1 when no event is forced below 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from ._record import Record
 from .automaton import (
     EventString,
     MaxMinAutomaton,
@@ -66,17 +66,16 @@ def scaling_floor(graph: TransitionGraph, uc: Mapping[str, Fraction], q: State) 
     return _floors(graph, uc).get(q, ONE)
 
 
-@dataclass(frozen=True)
-class ReachFamily:
+class ReachFamily(Record, hidden=("codes",)):
     """Symbolic form of the controlled-reachability family: one (base state,
     floor) entry per accessible vertex, representing {alpha . base :
     floor <= alpha <= 1}.  codes holds the coded graph and entries that
-    family_contains runs on."""
+    family_contains runs on; it stays out of equality, hash and repr."""
 
     aut: MaxMinAutomaton
     graph: TransitionGraph
     entries: tuple[tuple[State, Fraction], ...]
-    codes: tuple = field(repr=False, compare=False)
+    codes: tuple
 
     def floor_of(self, base: State) -> Fraction:
         for b, floor in self.entries:
@@ -95,8 +94,7 @@ def reach_family(aut: MaxMinAutomaton) -> ReachFamily:
     return ReachFamily(aut, graph, entries, (coded, coded_entries))
 
 
-@dataclass(frozen=True)
-class ReachWitness:
+class ReachWitness(Record):
     """Evidence that a state is controller-reachable: the accessible base it
     scales from, the scaling alpha, a path string, and a single-override
     controller whose closed-loop run over the path ends at the target."""

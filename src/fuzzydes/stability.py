@@ -17,9 +17,9 @@ peelings that find the smallest attractor and test "acyclic outside N".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import Record
 from .automaton import (
     FuzzyEvent,
     MaxMinAutomaton,
@@ -52,8 +52,7 @@ from .statecontrol import (
 )
 
 
-@dataclass(frozen=True)
-class AttractorReport:
+class AttractorReport(Record):
     """The three attractor conditions, their conjunction, and any queried
     states that are not vertices of the graph (reported, not errors)."""
 
@@ -111,8 +110,7 @@ def is_stable(g: TransitionGraph, N: Iterable[State]) -> bool:
     return infimal_attractor(g) <= set(N)
 
 
-@dataclass(frozen=True)
-class InvariantVerdict:
+class InvariantVerdict(Record):
     ok: bool
     violation: Optional[tuple[State, str]] = None
 
@@ -158,8 +156,7 @@ def _targets(index: ScalingIndex, pairs: Iterable[tuple[FuzzyEvent, Code]]) -> l
     return [[t for t, _ in index.targets(c, ev.coded_uc)] for ev, c in pairs]
 
 
-@dataclass(frozen=True)
-class StabilizabilityWitness:
+class StabilizabilityWitness(Record):
     """A candidate stabilization certificate: an invariant target set inside
     the legal states, a controllable funnel set, and (once synthesized) a
     controller whose closed loop has the target as an attractor.  A witness
@@ -331,4 +328,5 @@ def search_stabilizing_witness(
             {(funnel[v], name): funnel[t] for v in funnel for name, t in picks[v]}
         ),
     )
-    return replace(witness, controller=synthesize_stabilizing_controller(aut, N, witness))
+    controller = synthesize_stabilizing_controller(aut, N, witness)
+    return StabilizabilityWitness(witness.n_prime, witness.p_set, controller, witness.subgraph)

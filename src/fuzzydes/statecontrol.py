@@ -13,9 +13,9 @@ results reuse the caller's own state objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
+from ._record import Record
 from .automaton import MaxMinAutomaton, StateFeedbackController
 from .errors import DimensionMismatch, DomainError, ValidationError
 from .graph import bfs, closure
@@ -38,8 +38,7 @@ from .possibility import (
 )
 
 
-@dataclass(frozen=True)
-class SuccessorEdge:
+class SuccessorEdge(Record):
     """One admissible move within P: scaling the composition of source with
     the event by any alpha in alpha_range (already cut down to the event's
     floor) lands exactly on target."""
@@ -50,15 +49,13 @@ class SuccessorEdge:
     alpha_range: ScaleSolution
 
 
-@dataclass(frozen=True)
-class SuccessorGraph:
+class SuccessorGraph(Record):
     vertices: tuple[State, ...]
     edges: tuple[SuccessorEdge, ...]
     root: State
 
 
-@dataclass(frozen=True)
-class ControllableSubgraph:
+class ControllableSubgraph(Record):
     """A per-(vertex, event) choice of successor edges satisfying C1/C2 with
     every vertex reachable from the root through chosen edges."""
 
@@ -68,8 +65,7 @@ class ControllableSubgraph:
         return tuple((q, name, t) for (q, name), t in self.choice.items())
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     """Why a set failed the controllability check."""
 
     kind: str  # "missing-initial" | "uncoverable-event" | "unreachable"
@@ -89,8 +85,7 @@ class Obstruction:
         return f"no admissible selection reaches: {missing}"
 
 
-@dataclass(frozen=True)
-class ControllabilityVerdict:
+class ControllabilityVerdict(Record):
     controllable: bool
     subgraph: Optional[ControllableSubgraph] = None
     obstruction: Optional[Obstruction] = None

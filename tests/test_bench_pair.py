@@ -1,7 +1,9 @@
-"""tools/bench_pair.py reads each benchmark run's last line as strict JSON."""
+"""tools/bench_pair.py reads each benchmark run's last line as strict JSON,
+checks the traced run, and records whether each checkout is clean."""
 
 import importlib.util
 import pathlib
+import subprocess
 
 import pytest
 
@@ -35,3 +37,46 @@ def test_pairs_are_summarized_against_the_parent():
     assert (out["change_wins"], out["change_losses"]) == (2, 1)
     assert out["parent"]["median"] == 5.1 and out["change"]["median"] == 6.0
     assert out["median_change_frac"] == round(0.9 / 5.1, 4)
+
+
+TRACED = ("workload graph_control, seed 1, trace 1\n"
+          "  32 queries traced, spans and sizes in .bench_out/trace-graph_control-1.json\n"
+          "  cli.import_s = 0.06 s\n"
+          "probe FAIL: D1 check-controllable on the V=809 plant (5.008 s) no answer\n")
+
+
+def test_a_clean_traced_run_passes():
+    last = '{"correct": true, "attempted": 215, "failed": 0, "metrics": {"m": {"value": 1, "unit": "s"}}}'
+    assert bench_pair.traced_result(TRACED + last)["attempted"] == 215
+
+
+@pytest.mark.parametrize("stdout", [
+    TRACED + '{"correct": false, "attempted": 215, "failed": 3, "metrics": {}}',
+    TRACED + "  missing per-layer metrics (function not found): stability.candidates_tried\n"
+    + '{"correct": true, "attempted": 215, "failed": 0, "metrics": {}}',
+    TRACED,
+    TRACED + '{"correct": true, "attempted": 215, "failed": 0, "metrics": {"m": {"value": NaN}}}',
+])
+def test_a_traced_run_that_is_wrong_or_incomplete_fails(stdout):
+    with pytest.raises(ValueError):
+        bench_pair.traced_result(stdout)
+
+
+def test_the_tree_of_each_checkout_is_recorded(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "one")
+    assert bench_pair.git_tree(tmp_path) == {"clean": True, "changed": []}
+    (tmp_path / "a.py").write_text("x = 2\n")
+    (tmp_path / "b.py").write_text("y = 1\n")
+    assert bench_pair.git_tree(tmp_path) == {"clean": False, "changed": ["a.py", "b.py"]}
+
+
+def test_no_tree_is_recorded_outside_git(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert bench_pair.git_tree(tmp_path) is None

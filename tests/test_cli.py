@@ -246,6 +246,14 @@ class TestStabilityCommands:
         )
         assert code == 1
 
+    def test_stability_runs_on_the_coded_graph(self, capsys, monkeypatch):
+        monkeypatch.setattr(fuzzydes.cli, "accessible_part", lambda aut: pytest.fail("graph decoded"))
+        code, out, _ = invoke(
+            capsys, "stability", "--automaton", DRIFT, "--spec", "state:[0.4,0.1,0]", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["infimal_attractor"] == [["0.4", "0.1", "0"]]
+
     def test_stabilize_searches_witness(self, capsys, tmp_path):
         spec = tmp_path / "w.json"
         spec.write_text(
@@ -586,6 +594,28 @@ class TestExitCodeContract:
     def test_dot_format_restricted(self, capsys):
         code, _, err = invoke(capsys, "reach", "--automaton", PLANT, "--format", "dot")
         assert code == 2 and err
+
+    @pytest.mark.parametrize("command, entry, extra", [
+        ("reach", "reach_family", []),
+        ("check-controllable", "check_controllable", ["--spec", ADMISSIBLE]),
+        ("stability", "infimal_attractor", ["--spec", ADMISSIBLE]),
+    ])
+    def test_dot_format_is_refused_before_any_analysis(self, capsys, monkeypatch, command, entry, extra):
+        def analysis(*args, **kwargs):
+            raise AssertionError(f"{entry} ran under --format dot")
+
+        monkeypatch.setattr(fuzzydes.cli, entry, analysis)
+        code, out, err = invoke(capsys, command, "--automaton", PLANT, *extra, "--format", "dot")
+        assert (code, out) == (2, "")
+        assert err == "error: --format dot is only available for export-dot\n"
+
+    def test_dot_format_without_a_graph_prints_the_negative_verdict(self, capsys, tmp_path):
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({"kind": "state_set", "states": [["0.1", "0.1", "0.1"]]}))
+        argv = ["export-dot", "--automaton", PLANT, "--spec", str(spec), "--what", "subgraph"]
+        dot = invoke(capsys, *argv, "--format", "dot")
+        assert dot == invoke(capsys, *argv, "--format", "text")
+        assert dot[0] == 1 and dot[1].startswith("not controllable: ") and dot[2] == ""
 
     def test_negative_verdict_never_conflated_with_error(self, capsys):
         # Same command shape: one is a clean negative (1), one a parse error (2).

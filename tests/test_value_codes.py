@@ -7,7 +7,6 @@ are checked against the definition-level oracles of the other suites on
 them.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -42,6 +41,7 @@ from fuzzydes import (
     synthesize_controller,
     synthesize_stabilizing_controller,
 )
+from fuzzydes._record import Record
 from generators import random_automaton, random_controller
 from test_language_oracles import assert_agrees
 from test_reachability import brute_force_floor
@@ -69,10 +69,10 @@ def fractions_in(value, path="result") -> int:
     assert not isinstance(value, int), f"{path} is the int {value}"
     if isinstance(value, Fraction):
         return 1
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, Record):
         # ReachFamily.codes is the coded form family_contains runs on.
-        return sum(fractions_in(getattr(value, f.name), f"{path}.{f.name}")
-                   for f in dataclasses.fields(value) if f.name != "codes")
+        return sum(fractions_in(getattr(value, name), f"{path}.{name}")
+                   for name in value._fields if name != "codes")
     if isinstance(value, dict):
         return sum(fractions_in(k, f"{path} key") + fractions_in(v, f"{path}[{k!r}]")
                    for k, v in value.items())

@@ -11,11 +11,16 @@ PYTHONDONTWRITEBYTECODE=1 so that every run compiles the sources as a
 fresh checkout does.  The side that runs first alternates from pair to
 pair.  Each run's last stdout line is read as strict JSON: NaN and
 Infinity are rejected, and a run that exits non-zero or ends in a
-malformed line stops the tool with an error.  It writes BENCH_<pr>.json
-(in the schema of BENCH_6.json) into the current directory: per workload and
-metric the parent's and the change's runs, medians and quartiles, the
-pairs each side won, the change of the median as a fraction of the
-parent's, and the parent's interquartile range.
+malformed line stops the tool with an error.  After the pairs it runs
+`bench/run.py --workload all --seed SEED_BASE --seconds 30 --trace 1` once
+in each checkout, and stops with an error when that run exits non-zero,
+ends in a line that is not strict JSON, reports `correct: false` or prints a
+`missing per-layer metrics` line.  It writes BENCH_<pr>.json (in the schema
+of BENCH_6.json) into the current directory: whether each checkout's tree
+matches its commit (and the paths that differ), per workload and metric the
+parent's and the change's runs, medians and quartiles, the pairs each side
+won, the change of the median as a fraction of the parent's, the parent's
+interquartile range, and the outcome of each side's traced run.
 """
 
 from __future__ import annotations
@@ -46,16 +51,30 @@ def strict_result(stdout: str) -> dict:
     return result
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def traced_result(stdout: str) -> dict:
+    """The result of a --trace 1 run, which must be strict JSON, correct,
+    and print no missing per-layer metrics line."""
+    result = strict_result(stdout)
+    if not result.get("correct"):
+        raise ValueError(f"the run is not correct: {result.get('failed')} of "
+                         f"{result.get('attempted')} queries failed")
+    for line in stdout.splitlines():
+        if "missing per-layer metrics" in line:
+            raise ValueError(line.strip())
+    return result
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0,
+             read=strict_result) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(command)} exited {done.returncode}:\n"
                          f"{done.stderr[-2000:]}")
     try:
-        return strict_result(done.stdout)
+        return read(done.stdout)
     except ValueError as exc:
         raise SystemExit(f"{checkout}: {' '.join(command)}: {exc}") from None
 
@@ -92,6 +111,17 @@ def git_head(checkout: Path):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def git_tree(checkout: Path):
+    """Whether the checkout's tree matches its HEAD commit, and the paths
+    that differ (untracked ones included); None outside a git checkout."""
+    done = subprocess.run(["git", "status", "--porcelain"], cwd=checkout, capture_output=True,
+                          text=True)
+    if done.returncode != 0:
+        return None
+    changed = [line[3:] for line in done.stdout.splitlines() if line.strip()]
+    return {"clean": not changed, "changed": changed}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -117,6 +147,8 @@ def main(argv=None) -> int:
         "parent_commit": args.parent_commit or git_head(checkouts["parent"]),
         "change_commit": args.change_commit or git_head(checkouts["change"]),
         "change_tree_note": args.note,
+        "parent_tree": git_tree(checkouts["parent"]),
+        "change_tree": git_tree(checkouts["change"]),
         "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "workloads": {},
     }
@@ -146,6 +178,20 @@ def main(argv=None) -> int:
             values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
             entry["metrics"][name] = summarize(metric, values)
         report["workloads"][workload] = entry
+    report["traced_check"] = {
+        "command": f"python3 bench/run.py --workload all --seed {args.seed_base} "
+                   f"--seconds {args.seconds:g} --trace 1",
+    }
+    for side in SIDES:
+        result = run_once(checkouts[side], "all", args.seed_base, args.seconds, trace=1,
+                          read=traced_result)
+        report["traced_check"][side] = {"correct": result["correct"],
+                                        "attempted": result["attempted"],
+                                        "failed": result["failed"],
+                                        "metrics": {name: metric["value"] for name, metric
+                                                    in result["metrics"].items()}}
+        print(f"traced check {side}: correct, {result['attempted']} queries, "
+              f"{len(result['metrics'])} metrics", flush=True)
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
