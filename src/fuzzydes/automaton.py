@@ -10,6 +10,8 @@ so a step that scales to zero is simply absent.
 
 The explorations run on int-coded states (the events' coded matrices and
 the automaton's coded_initial) and decode their graphs once at the end.
+_feasible expands a coded state into its feasible events and their
+compositions; every exploration and state-set analysis reads it.
 """
 
 from __future__ import annotations
@@ -197,24 +199,34 @@ def _decode_graph(graph: TransitionGraph) -> TransitionGraph:
     return TransitionGraph(states[graph.root], tuple(states.values()), edges)
 
 
-def _explore(aut: MaxMinAutomaton, step) -> TransitionGraph:
-    """Breadth-first closure of the coded initial state under step(q,
-    coded event), dropping all-zero results (no transition)."""
+def _feasible(aut: MaxMinAutomaton, q: Code, events=None) -> list[tuple[FuzzyEvent, Code]]:
+    """(event, q . event) for every event of events (the alphabet by
+    default) that is feasible at the coded state q, a nonzero composition,
+    in alphabet order.  Every analysis expands a state through here."""
+    return [
+        (ev, p)
+        for ev in (aut.events if events is None else events)
+        if any(p := maxmin_compose(q, ev.coded_matrix))
+    ]
+
+
+def _explore(aut: MaxMinAutomaton, f: Optional[StateFeedbackController] = None) -> TransitionGraph:
+    """Breadth-first closure of the coded initial state under open-loop
+    steps or, for a coded controller f, under controlled steps; a step that
+    f scales to zero is absent."""
     edges: list[tuple[Code, str, Code]] = []
 
     def moves(q: Code):
-        for ev in aut.events:
-            p = step(q, ev)
-            if any(p):
-                edges.append((q, ev.name, p))
-                yield ev.name, p
+        for ev, p in _feasible(aut, q):
+            if f is not None:
+                p = scale_product(f.value(q, ev.name), p)
+                if not any(p):
+                    continue
+            edges.append((q, ev.name, p))
+            yield ev.name, p
 
     vertices = tuple(bfs(aut.coded_initial, moves).dist)
     return TransitionGraph(aut.coded_initial, vertices, tuple(edges))
-
-
-def _accessible(aut: MaxMinAutomaton) -> TransitionGraph:
-    return _explore(aut, lambda q, ev: maxmin_compose(q, ev.coded_matrix))
 
 
 def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
@@ -223,7 +235,7 @@ def accessible_part(aut: MaxMinAutomaton) -> TransitionGraph:
     Terminates because every component of every reachable state is drawn from
     the finite grid of values appearing in the automaton.
     """
-    return _decode_graph(_accessible(aut))
+    return _decode_graph(_explore(aut))
 
 
 class StateFeedbackController(Record):
@@ -300,15 +312,10 @@ def closed_loop_step(
     return scaled
 
 
-def _closed_loop(aut: MaxMinAutomaton, f: StateFeedbackController) -> TransitionGraph:
-    """closed_loop_graph over codes, for a coded controller f."""
-    return _explore(aut, lambda q, ev: scale_product(f.value(q, ev.name), maxmin_compose(q, ev.coded_matrix)))
-
-
 def closed_loop_graph(aut: MaxMinAutomaton, f: StateFeedbackController) -> TransitionGraph:
     """Breadth-first closure of the initial state under controlled steps."""
     f.validate(aut)
-    return _decode_graph(_closed_loop(aut, f.encoded()))
+    return _decode_graph(_explore(aut, f.encoded()))
 
 
 def closed_loop_reachable(

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import fileio
 from .automaton import (
     MaxMinAutomaton,
-    _accessible,
+    _explore,
     accessible_part,
     closed_loop_trajectory,
     open_loop_trajectory,
@@ -67,6 +67,24 @@ def _count(text: str) -> int:
     return value
 
 
+# The options of each subcommand beyond the common ones, as (flag, settings).
+_OPTIONS = {
+    "stabilize": [
+        ("--budget", {"type": _count, "default": 5000, "help": "accepted for compatibility and "
+                      "ignored: the witness search is a fixpoint that always finishes (must be a "
+                      "non-negative int)"}),
+    ],
+    "simulate": [
+        ("--seed", {"type": int, "default": 0}),
+        ("--steps", {"type": _count, "default": 8}),
+        ("--string", {"metavar": "EVENTS", "help": "space-separated scripted event string"}),
+    ],
+    "export-dot": [
+        ("--what", {"choices": ["accessible", "successor", "subgraph"], "default": "accessible"}),
+    ],
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--automaton", required=True, metavar="FILE")
@@ -81,31 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analysis and controller synthesis for max-min fuzzy discrete-event systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("reach", parents=[common])
-    sub.add_parser("member", parents=[common])
-    sub.add_parser("succ", parents=[common])
-    sub.add_parser("check-controllable", parents=[common])
-    sub.add_parser("synthesize", parents=[common])
-    sub.add_parser("check-language", parents=[common])
-    sub.add_parser("derive-supervisor", parents=[common])
-    sub.add_parser("bridge", parents=[common])
-    sub.add_parser("stability", parents=[common])
-    stabilize = sub.add_parser("stabilize", parents=[common])
-    stabilize.add_argument(
-        "--budget",
-        type=_count,
-        default=5000,
-        help="accepted for compatibility and ignored: the witness search is a "
-        "fixpoint that always finishes (must be a non-negative int)",
-    )
-    simulate = sub.add_parser("simulate", parents=[common])
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--steps", type=_count, default=8)
-    simulate.add_argument("--string", metavar="EVENTS", help="space-separated scripted event string")
-    export = sub.add_parser("export-dot", parents=[common])
-    export.add_argument(
-        "--what", choices=["accessible", "successor", "subgraph"], default="accessible"
-    )
+    for command in _HANDLERS:
+        subparser = sub.add_parser(command, parents=[common])
+        for flag, settings in _OPTIONS.get(command, ()):
+            subparser.add_argument(flag, **settings)
     return parser
 
 
@@ -331,7 +328,7 @@ def _cmd_stability(args, aut):
                 f"legal state {format_state(q)} has {len(q)} components, expected {aut.n}"
             )
     # Both checks run on the coded graph; only the printed states are decoded.
-    graph = _accessible(aut)
+    graph = _explore(aut)
     legal = set(map(encode_state, spec.states))
     infimal = infimal_attractor(graph)
     ordered = [decode_state(q) for q in graph.vertices if q in infimal]

@@ -252,13 +252,10 @@ def export_dot(graph: TransitionGraph | SuccessorGraph) -> str:
     vectors, edges labeled with event names (plus admissible alpha ranges on
     successor graphs)."""
     lines = ["digraph fuzzydes {", "  rankdir=LR;"]
+    vertices, root = graph.vertices, graph.root
     if isinstance(graph, TransitionGraph):
-        vertices = graph.vertices
-        root = graph.root
         edge_rows = [(src, name, dst, None) for src, name, dst in graph.edges]
     else:
-        vertices = graph.vertices
-        root = graph.root
         edge_rows = [(e.source, e.event, e.target, e.alpha_range) for e in graph.edges]
     ids = {q: f"q{i}" for i, q in enumerate(vertices)}
     for q in vertices:

@@ -22,6 +22,7 @@ from .automaton import (
     EventString,
     MaxMinAutomaton,
     StateFeedbackController,
+    _feasible,
     _run,
     _step,
     as_event_string,
@@ -182,8 +183,7 @@ def closed_loop_language_of_supervisor(
     for _ in range(max_len):
         nxt: list[tuple[EventString, Code, int]] = []
         for s, q, d in frontier:
-            for ev in aut.events:
-                q2 = _step(aut, q, ev.name)
+            for ev, q2 in _feasible(aut, q):
                 d2 = min(max(q2), encode_value(supervisor.value(s, ev.name)), d)
                 if not d2:
                     continue

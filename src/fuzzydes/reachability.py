@@ -17,8 +17,8 @@ from .automaton import (
     MaxMinAutomaton,
     StateFeedbackController,
     TransitionGraph,
-    _accessible,
     _decode_graph,
+    _explore,
 )
 from .errors import DimensionMismatch, DomainError
 from .graph import Search, bfs, closure
@@ -77,16 +77,10 @@ class ReachFamily(Record, hidden=("codes",)):
     entries: tuple[tuple[State, Fraction], ...]
     codes: tuple
 
-    def floor_of(self, base: State) -> Fraction:
-        for b, floor in self.entries:
-            if b == base:
-                return floor
-        raise DomainError("state is not an accessible vertex")
-
 
 def reach_family(aut: MaxMinAutomaton) -> ReachFamily:
     """Compute the family for every accessible vertex, in discovery order."""
-    coded = _accessible(aut)
+    coded = _explore(aut)
     floors = _floors(coded, {ev.name: ev.coded_uc for ev in aut.events})
     coded_entries = tuple((q, floors.get(q, CODE_UNIT[1])) for q in coded.vertices)
     graph = _decode_graph(coded)
@@ -150,23 +144,21 @@ def _override_witness(
     along the replayed path is alpha no matter how often the override fires,
     so the closed-loop run lands exactly on the scaled state.
     """
-    uc = {ev.name: ev.coded_uc for ev in aut.events}
+    index = {ev.name: i for i, ev in enumerate(aut.events) if ev.coded_uc == floor}
     from_root = _forward(graph, graph.root)
     dist_root = from_root.dist
     dist_back = bfs(base, lambda q: ((name, src) for src, name in graph.in_edges[q])).dist
-    best = None  # (total length, event index, source, event name)
-    for index, name in enumerate(aut.event_names):
-        if uc[name] != floor:
+    best = None  # ((total length, event index), source, event name)
+    for src, name, dst in graph.edges:
+        if name not in index:
             continue
-        for src, label, dst in graph.edges:
-            if label != name:
-                continue
-            d1, d2 = dist_root.get(src), dist_back.get(dst)
-            if d1 is None or d2 is None:
-                continue
-            key = (d1 + 1 + d2, index)
-            if best is None or key < best[0]:
-                best = (key, src, name)
+        d1, d2 = dist_root.get(src), dist_back.get(dst)
+        if d1 is None or d2 is None:
+            continue
+        # Strictly smaller: on a tie the first such edge in graph order stays.
+        key = (d1 + 1 + d2, index[name])
+        if best is None or key < best[0]:
+            best = (key, src, name)
     if best is None:
         return None
     _, src, name = best

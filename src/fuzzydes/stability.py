@@ -25,8 +25,8 @@ from .automaton import (
     MaxMinAutomaton,
     StateFeedbackController,
     TransitionGraph,
-    _accessible,
-    _closed_loop,
+    _explore,
+    _feasible,
 )
 from .errors import InfeasibleControl, PreconditionError, ValidationError, WitnessRejected
 from .graph import attractor, bfs, closure
@@ -39,7 +39,6 @@ from .possibility import (
     encode_state,
     encode_value,
     format_state,
-    maxmin_compose,
     scale_product,
 )
 from .statecontrol import (
@@ -192,7 +191,7 @@ def _verified_funnel(
         f_prime = synthesize_controller(aut, w.p_set, subgraph)
     except ValidationError:
         return None
-    connected, acyclic = _funnels_into(_closed_loop(aut, f_prime.encoded()), set(n_prime))
+    connected, acyclic = _funnels_into(_explore(aut, f_prime.encoded()), set(n_prime))
     return f_prime if connected and acyclic else None
 
 
@@ -224,8 +223,7 @@ def synthesize_stabilizing_controller(
     coded = f_prime.encoded()
     entries = dict(f_prime.entries)
     for q, code in zip(w.n_prime, n_prime):
-        for ev in aut.events:
-            composed = maxmin_compose(code, ev.coded_matrix)
+        for ev, composed in _feasible(aut, code):
             if scale_product(coded.value(code, ev.name), composed) not in p_minus_n:
                 continue
             if not ev.coded_uc:
@@ -256,7 +254,7 @@ def _universe(aut: MaxMinAutomaton, legal: Iterable[Code]) -> tuple[Code, ...]:
         grid.update(q)
     grid = sorted(grid)
     out: dict[Code, None] = {}
-    for q in _accessible(aut).vertices:
+    for q in _explore(aut).vertices:
         for alpha in grid:
             scaled = scale_product(alpha, q)
             if any(scaled):
@@ -300,9 +298,9 @@ def search_stabilizing_witness(
     ids = {q: v for v, q in enumerate(states)}
     root = ids[aut.coded_initial]
     index = ScalingIndex(states)
-    forced = [list(_forced(aut, q)) for q in states]
+    forced = [_forced(aut, q) for q in states]
     # A strategy fills the forced events at a state, or every event when none is.
-    events = [f or [(ev, maxmin_compose(q, ev.coded_matrix)) for ev in aut.events] for q, f in zip(states, forced)]
+    events = [f or _feasible(aut, q) for q, f in zip(states, forced)]
     slots = [_targets(index, pairs) for pairs in events]
     wanted = [len(targets) if f else 1 for f, targets in zip(forced, slots)]
     rank = attractor(slots, lambda targets: 1, wanted, [ids[q] for q in kept if q in ids], root)

@@ -8,22 +8,25 @@ every vertex from the initial state.  From such a subgraph a controller with
 closed-loop reachable set exactly P is synthesized by a three-case rule.
 
 Every check runs on the int codes of the states, by position in P; public
-results reuse the caller's own state objects.
+results reuse the caller's own state objects.  A member is expanded through
+automaton._feasible (its feasible events with their compositions), or
+through _forced for the partially uncontrollable ones, and a ScalingIndex of
+the coded set finds the members each composition scales onto.
+check_controllable builds its candidate table and checks C2 in one such
+pass.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ._record import Record
-from .automaton import MaxMinAutomaton, StateFeedbackController
+from .automaton import MaxMinAutomaton, StateFeedbackController, _feasible
 from .errors import DimensionMismatch, DomainError, ValidationError
 from .graph import bfs, closure
 from .possibility import (
     CODE_UNIT,
     ONE,
-    UNIT,
-    ZERO,
     Code,
     Fraction,
     FuzzyEvent,
@@ -109,21 +112,15 @@ def _validated_codes(aut: MaxMinAutomaton, states: Sequence[State]) -> tuple[Cod
     return tuple(codes)
 
 
-def _forced(aut: MaxMinAutomaton, q: Code) -> Iterator[tuple[FuzzyEvent, Code]]:
-    """(event, q . event) for every event that is feasible at the coded
-    state q and partially uncontrollable (condition C2): no controller can
-    disable it there."""
-    for ev in aut.events:
-        if ev.coded_uc:
-            composed = maxmin_compose(q, ev.coded_matrix)
-            if any(composed):
-                yield ev, composed
+def _forced(aut: MaxMinAutomaton, q: Code) -> list[tuple[FuzzyEvent, Code]]:
+    """_feasible over the partially uncontrollable events (condition C2):
+    the feasible events at q that no controller can disable there."""
+    return _feasible(aut, q, [ev for ev in aut.events if ev.coded_uc])
 
 
 class ScalingIndex:
-    """The members of a state set, grouped by their maximum, for finding the
-    members that scale a vector lands on.  The analyses index coded states;
-    an index of Fraction states answers in Fractions.
+    """The members of a coded state set, grouped by their maximum, for
+    finding the members that scale a coded vector lands on.
 
     A nonzero p is a scaling of c exactly when p == min(max(p), c)
     componentwise, so one dictionary probe per distinct maximum finds every
@@ -132,7 +129,6 @@ class ScalingIndex:
 
     def __init__(self, states: Sequence[Code]):
         self.states = tuple(states)
-        self.unit = CODE_UNIT if self.states and type(self.states[0][0]) is int else UNIT
         groups: dict[int, dict[Code, int]] = {}
         for i, p in enumerate(self.states):
             groups.setdefault(max(p), {})[p] = i
@@ -148,7 +144,7 @@ class ScalingIndex:
         )
         out = []
         for i in hits:
-            admissible = solve_scale(composed, self.states[i], self.unit).restrict(floor)
+            admissible = solve_scale(composed, self.states[i], CODE_UNIT).restrict(floor)
             if not admissible.is_empty:
                 out.append((i, admissible))
         return out
@@ -159,8 +155,8 @@ def _successors(aut: MaxMinAutomaton, index: ScalingIndex, q: Code) -> list[tupl
     from q, ordered by event then by target position."""
     return [
         (ev.name, i, admissible)
-        for ev in aut.events
-        for i, admissible in index.targets(maxmin_compose(q, ev.coded_matrix), ev.coded_uc)
+        for ev, composed in _feasible(aut, q)
+        for i, admissible in index.targets(composed, ev.coded_uc)
     ]
 
 
@@ -221,39 +217,33 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
     if root is None:
         return ControllabilityVerdict(False, None, Obstruction("missing-initial"))
     index = ScalingIndex(codes)
-    candidates: dict[tuple[int, str], list[int]] = {}
+    # One pass, members in P order and events in alphabet order: the
+    # candidate targets of every feasible event, stopping at the first
+    # forced event that has none (C2).
+    candidates: list[list[tuple[str, list[int]]]] = []
     for v, q in enumerate(codes):
-        for name, t, _ in _successors(aut, index, q):
-            candidates.setdefault((v, name), []).append(t)
-
-    for v, q in enumerate(codes):
-        for ev, _ in _forced(aut, q):
-            if (v, ev.name) not in candidates:
+        row = []
+        for ev, composed in _feasible(aut, q):
+            targets = [t for t, _ in index.targets(composed, ev.coded_uc)]
+            if targets:
+                row.append((ev.name, targets))
+            elif ev.coded_uc:
                 return ControllabilityVerdict(
                     False, None, Obstruction("uncoverable-event", vertex=states[v], event=ev.name)
                 )
-
-    full_map: dict[int, list[tuple[str, int]]] = {}
-    for (v, name), targets in candidates.items():
-        full_map.setdefault(v, []).extend((name, t) for t in targets)
+        candidates.append(row)
     # Slot order: vertices in BFS discovery order over the full candidate
     # graph (a state it misses is unreachable under every selection), events
     # in alphabet order.  Only slots with candidates exist; C2-mandatory
     # slots were verified non-empty above.
-    reached = bfs(root, lambda v: full_map.get(v, ())).dist
+    reached = bfs(root, lambda v: ((name, t) for name, targets in candidates[v] for t in targets)).dist
     if len(reached) != len(states):
         missing = tuple(q for v, q in enumerate(states) if v not in reached)
         return ControllabilityVerdict(
             False, None, Obstruction("unreachable", vertices=missing)
         )
-    slots: list[tuple[int, list[int]]] = []
-    slot_events: list[str] = []
-    for v in reached:
-        for ev in aut.events:
-            targets = candidates.get((v, ev.name))
-            if targets:
-                slots.append((v, targets))
-                slot_events.append(ev.name)
+    slots = [(v, targets) for v in reached for _, targets in candidates[v]]
+    slot_events = [name for v in reached for name, _ in candidates[v]]
 
     picks, best_reached = _search(root, len(states), slots)
     if picks is not None:
@@ -327,10 +317,11 @@ def validate_subgraph(
 
 def _checked_choice(
     aut: MaxMinAutomaton, codes: tuple[Code, ...], subgraph: ControllableSubgraph
-) -> dict[tuple[Code, str], Code]:
-    """validate_subgraph over the coded set; returns the coded choice."""
+) -> dict[tuple[Code, str], int]:
+    """validate_subgraph over the coded set; returns the least admissible
+    coded scaling of each chosen edge, by coded (source, event)."""
     members = set(codes)
-    choice: dict[tuple[Code, str], Code] = {}
+    alphas: dict[tuple[Code, str], int] = {}
     edge_map: dict[Code, list[Code]] = {}
     for (q, name), t in subgraph.choice.items():
         source, target = encode_state(q), encode_state(t)
@@ -340,16 +331,17 @@ def _checked_choice(
                 "leaves the candidate set"
             )
         ev = aut.event(name)
-        if solve_scale(maxmin_compose(source, ev.coded_matrix), target, CODE_UNIT).restrict(ev.coded_uc).is_empty:
+        alpha = solve_scale(maxmin_compose(source, ev.coded_matrix), target, CODE_UNIT).restrict(ev.coded_uc).least()
+        if alpha is None:
             raise ValidationError(
                 f"no admissible scaling realizes {format_state(q)} --{name}--> "
                 f"{format_state(t)}"
             )
-        choice[source, name] = target
+        alphas[source, name] = alpha
         edge_map.setdefault(source, []).append(target)
     for q in codes:
         for ev, _ in _forced(aut, q):
-            if (q, ev.name) not in choice:
+            if (q, ev.name) not in alphas:
                 raise ValidationError(
                     f"event {ev.name!r} is feasible and partially uncontrollable at "
                     f"{format_state(decode_state(q))} but has no chosen edge"
@@ -361,7 +353,7 @@ def _checked_choice(
         if reach != members:
             missing = ", ".join(format_state(decode_state(q)) for q in codes if q not in reach)
             raise ValidationError(f"chosen edges do not reach: {missing}")
-    return choice
+    return alphas
 
 
 def synthesize_controller(
@@ -377,17 +369,10 @@ def synthesize_controller(
     codes = _validated_codes(aut, states)
     if not codes:
         raise DomainError("the empty set has no realizing controller; the initial state is always reached")
-    choice = _checked_choice(aut, codes, subgraph)
+    alphas = _checked_choice(aut, codes, subgraph)
     entries: dict[tuple[State, str], Fraction] = {}
     for q, code in zip(states, codes):
-        for ev in aut.events:
-            composed = maxmin_compose(code, ev.coded_matrix)
-            if not any(composed):
-                continue
-            target = choice.get((code, ev.name))
-            if target is None:
-                entries[(q, ev.name)] = ZERO
-            else:
-                alpha = solve_scale(composed, target, CODE_UNIT).restrict(ev.coded_uc).least()
-                entries[(q, ev.name)] = decode_value(alpha)
+        for ev, _ in _feasible(aut, code):
+            # An unchosen feasible event gets 0: hard-disabled.
+            entries[(q, ev.name)] = decode_value(alphas.get((code, ev.name), 0))
     return StateFeedbackController(entries, ONE)

@@ -15,6 +15,8 @@ from fuzzydes import (
     check_controllable,
     chosen_graph,
     closed_loop_reachable,
+    make_automaton,
+    make_event,
     make_state,
     successor_set,
     synthesize_controller,
@@ -241,6 +243,18 @@ class TestControllability:
         assert not verdict.controllable
         assert verdict.obstruction.kind == "uncoverable-event"
         assert verdict.obstruction.event == "a"
+
+    def test_first_uncoverable_event_in_set_then_alphabet_order(self):
+        # Both events swap the components.  At [1,0] only b (floor 0.6)
+        # misses [0,0.5], which needs alpha 0.5; at [0,0.5] neither event
+        # has a target.  The report is the first member of P with an
+        # uncoverable event, and there the first such event.
+        swap = [[0, 1], [1, 0]]
+        aut = make_automaton(["x", "y"], [1, 0], [make_event("a", swap, "0.4"), make_event("b", swap, "0.6")])
+        first, second = S("1 0"), S("0 0.5")
+        for P, expected in (((first, second), (first, "b")), ((second, first), (second, "a"))):
+            obstruction = check_controllable(aut, P).obstruction
+            assert (obstruction.kind, obstruction.vertex, obstruction.event) == ("uncoverable-event", *expected)
 
     def test_split_sets_agree_with_exhaustive_enumeration(self, single_event_plant):
         p1 = (S("0.9 0.1 0"), S("0.1 0.9 0.1"), S("0.1 0.1 0.9"))

@@ -18,6 +18,7 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, strategies as st
 
+import fuzzydes.automaton as automaton
 import fuzzydes.stability as stability
 import fuzzydes.statecontrol as statecontrol
 from fuzzydes import (
@@ -37,8 +38,10 @@ from fuzzydes import (
     solve_scale,
     state_is_zero,
     successor_set,
+    synthesize_controller,
 )
 from fuzzydes.graph import bfs, closure
+from fuzzydes.possibility import ScaleSolution, decode_value, encode_state, encode_value
 from fuzzydes.statecontrol import ScalingIndex
 from generators import GRID11, random_automaton, random_controller
 
@@ -230,13 +233,16 @@ class TestScalingIndex:
     # A floor above the point solution 0.5 empties it.
     @example(((F(4, 5), F(1, 5)), ((F(1, 2), F(1, 5)), (F(4, 5), F(1, 5))), F(3, 5)))
     def test_targets_match_the_scan_of_every_member(self, case):
+        # The index takes codes; its alpha ranges are compared decoded.
         composed, members, floor = case
         expected = []
         for i, p in enumerate(members):
             admissible = solve_scale(composed, p).restrict(floor)
             if not admissible.is_empty:
                 expected.append((i, admissible))
-        assert ScalingIndex(members).targets(composed, floor) == expected
+        index = ScalingIndex([encode_state(p) for p in members])
+        got = index.targets(encode_state(composed), encode_value(floor))
+        assert [(i, ScaleSolution(decode_value(a.lower), decode_value(a.upper))) for i, a in got] == expected
 
     def test_successor_graphs_of_the_seeded_draws(self, draws):
         checked = 0
@@ -327,6 +333,28 @@ class TestComplexity:
         maxima = len({max(p) for p in P})
         assert (len(P), len(aut.events), maxima) == (255, 4, 5)
         assert len(calls) <= len(P) * len(aut.events) * maxima
+
+    def test_check_controllable_composes_each_member_event_once(self, draws, monkeypatch):
+        # Draw 24: V=35 and 3 events, each with a nonzero floor and forced
+        # at every vertex; the set is controllable, so every member is
+        # expanded and then checked for C2.
+        _, aut, P = draws[24]
+        seen = []
+        real = maxmin_compose
+        for module in (automaton, statecontrol):
+            monkeypatch.setattr(module, "maxmin_compose", lambda q, m: seen.append((q, m)) or real(q, m))
+        assert check_controllable(aut, P).controllable
+        assert any(ev.uc_degree for ev in aut.events)
+        assert len(seen) == len(set(seen)) == len(P) * len(aut.events)
+
+    def test_synthesize_controller_solves_each_chosen_edge_once(self, draws, monkeypatch):
+        _, aut, P = draws[24]
+        subgraph = check_controllable(aut, P).subgraph
+        calls = []
+        real = statecontrol.solve_scale
+        monkeypatch.setattr(statecontrol, "solve_scale", lambda *a: calls.append(1) or real(*a))
+        synthesize_controller(aut, P, subgraph)
+        assert len(calls) == len(subgraph.choice)
 
     def test_largest_invariant_builds_one_index(self, draws, monkeypatch):
         # Draw 21: 58 of the 82 scaled states drop out of the fixpoint.
