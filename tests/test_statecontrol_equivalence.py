@@ -335,9 +335,9 @@ class TestComplexity:
         assert len(calls) <= len(P) * len(aut.events) * maxima
 
     def test_check_controllable_composes_each_member_event_once(self, draws, monkeypatch):
-        # Draw 24: V=35 and 3 events, each with a nonzero floor and forced
-        # at every vertex; the set is controllable, so every member is
-        # expanded and then checked for C2.
+        # Draw 24: V=35 and 3 events, all with a nonzero floor, and a forced
+        # event at every vertex; the set is controllable, so every member is
+        # expanded and checked for C2.
         _, aut, P = draws[24]
         seen = []
         real = maxmin_compose
