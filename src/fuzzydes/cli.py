@@ -32,11 +32,11 @@ from .fileio import (
     state_doc,
 )
 from .language import (
-    _language_controller,
-    _language_supervisor,
     consistency_check,
+    controller_from_language,
     language_controllable,
     reach_of_language,
+    supervisor_from_language,
 )
 from .possibility import decode_state, encode_state, format_possibility, format_state
 from .reachability import family_contains, reach_family
@@ -267,7 +267,7 @@ def _cmd_derive_supervisor(args, aut):
     verdict = language_controllable(aut, K)
     if not verdict.ok:
         return _language_not_controllable(verdict)
-    supervisor = _language_supervisor(aut, K)
+    supervisor = supervisor_from_language(aut, K)
     rows = []
     for s in K.support():
         for name in aut.event_names:
@@ -314,7 +314,7 @@ def _cmd_bridge(args, aut):
             f"disagree on event {name}"
         )
         return 1, payload, "\n".join(lines)
-    controller = _language_controller(aut, K)
+    controller = controller_from_language(aut, K)
     payload["controller"] = controller_doc(controller)
     lines.extend(_controller_text(controller))
     return 0, payload, "\n".join(lines)

@@ -9,13 +9,14 @@ unique last-letter split reduces to the pointwise inequality
 
     min(K(s), uc(a), L(sa)) <= K(sa)   for all strings s and events a.
 
-The checks run on int-coded states and degrees.
+The checks run on int-coded states and degrees, and all read one walk of
+the support over the plant, which K keeps for the last plant asked.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from ._record import Record
 from .automaton import (
@@ -27,7 +28,7 @@ from .automaton import (
     _step,
     as_event_string,
 )
-from .errors import DomainError, PreconditionError, ValidationError
+from .errors import DomainError, PreconditionError, UnknownEvent, ValidationError
 from .possibility import (
     CODE_UNIT,
     ONE,
@@ -103,15 +104,80 @@ class LanguageVerdict(Record):
     counterexample: Optional[tuple[EventString, str]] = None
 
 
-def _support_states(aut: MaxMinAutomaton, K: FuzzyLanguage) -> Iterator[tuple[EventString, Code]]:
-    """Each support string with its coded open-loop state, in support order.
-    The support is prefix-closed and lists shorter strings first, so a
-    string's parent comes before it and its state is one step past the
-    parent's."""
-    states: dict[EventString, Code] = {}
-    for s in K.support():
-        states[s] = _step(aut, states[s[:-1]], s[-1]) if s else aut.coded_initial
-        yield s, states[s]
+class ConsistencyVerdict(Record):
+    ok: bool
+    counterexample: Optional[tuple[EventString, EventString, str]] = None
+
+
+class _Walk:
+    """K walked once over one plant: each support string's coded open-loop
+    state, in support order, one step past its parent's (the support is
+    prefix-closed, shorter strings first).  The walk stops at the first event
+    the plant does not know; a check raises that error once it has checked
+    the strings before it.  The groups and verdicts are kept once computed."""
+
+    def __init__(self, aut: MaxMinAutomaton, K: FuzzyLanguage):
+        self.aut, self.degrees = aut, K.codes
+        self.states: dict[EventString, Code] = {}
+        self.unknown: Optional[str] = None
+        try:
+            for s in K.support():
+                self.states[s] = _step(aut, self.states[s[:-1]], s[-1]) if s else aut.coded_initial
+        except UnknownEvent as error:
+            self.unknown = str(error)
+
+    @cached_property
+    def controllable(self) -> LanguageVerdict:
+        aut, degrees, states = self.aut, self.degrees, self.states
+        for s, q in states.items():
+            if s and degrees[s] > max(q):
+                raise PreconditionError(f"language degree at {s} exceeds the plant language", counterexample=s)
+        if self.unknown is not None:
+            raise UnknownEvent(self.unknown)
+        for s, q in states.items():
+            for ev in aut.events:
+                t = s + (ev.name,)
+                extended = states[t] if t in states else _step(aut, q, ev.name)
+                if min(degrees[s], ev.coded_uc, max(extended)) > degrees.get(t, 0):
+                    return LanguageVerdict(False, (s, ev.name))
+        return LanguageVerdict(True)
+
+    @cached_property
+    def groups(self) -> dict[Code, list[EventString]]:
+        """Support strings grouped by the coded state they pass through: the
+        string's degree scaled onto its open-loop state.  Zero results are
+        dropped (they no longer name a state)."""
+        if self.unknown is not None:
+            raise UnknownEvent(self.unknown)
+        groups: dict[Code, list[EventString]] = {}
+        for s, q in self.states.items():
+            scaled = scale_product(self.degrees[s], q)
+            if any(scaled):
+                groups.setdefault(scaled, []).append(s)
+        return groups
+
+    @cached_property
+    def consistent(self) -> ConsistencyVerdict:
+        degrees, names = self.degrees, self.aut.event_names
+        for group in self.groups.values():
+            clashes = []
+            for e, name in enumerate(names):
+                nonzero = [(i, d) for i, s in enumerate(group) if (d := degrees.get(s + (name,)))]
+                clash = next((i for i, d in nonzero if d != nonzero[0][1]), None)
+                if clash is not None:
+                    clashes.append((nonzero[0][0], clash, e))
+            if clashes:
+                first, second, e = min(clashes)
+                return ConsistencyVerdict(False, (group[first], group[second], names[e]))
+        return ConsistencyVerdict(True)
+
+
+def _walk(aut: MaxMinAutomaton, K: FuzzyLanguage) -> _Walk:
+    """K's walk over aut, kept on K for the last plant asked."""
+    walk = K.__dict__.get("_walk")
+    if walk is None or walk.aut is not aut:
+        walk = K.__dict__["_walk"] = _Walk(aut, K)
+    return walk
 
 
 def language_controllable(aut: MaxMinAutomaton, K: FuzzyLanguage) -> LanguageVerdict:
@@ -119,23 +185,7 @@ def language_controllable(aut: MaxMinAutomaton, K: FuzzyLanguage) -> LanguageVer
     every event a, after requiring K <= L on the support.  A string t off the
     support has K(t) = 0, so the left side at t vanishes and no extension of
     it needs a probe: the check is exact with no horizon."""
-    if K.is_empty:
-        return LanguageVerdict(True)
-    degrees = K.codes
-    states: dict[EventString, Code] = {}
-    for s, q in _support_states(aut, K):
-        if s and degrees[s] > max(q):
-            raise PreconditionError(
-                f"language degree at {s} exceeds the plant language", counterexample=s
-            )
-        states[s] = q
-    for s, q in states.items():
-        for ev in aut.events:
-            t = s + (ev.name,)
-            extended = states[t] if t in states else _step(aut, q, ev.name)
-            if min(degrees[s], ev.coded_uc, max(extended)) > degrees.get(t, 0):
-                return LanguageVerdict(False, (s, ev.name))
-    return LanguageVerdict(True)
+    return _walk(aut, K).controllable
 
 
 class FuzzySupervisor(Record):
@@ -148,20 +198,15 @@ class FuzzySupervisor(Record):
         return self.rule(as_event_string(s), str(name))
 
 
+def _require(verdict, what: str) -> None:
+    if not verdict.ok:
+        raise PreconditionError(f"language is not {what}", counterexample=verdict.counterexample)
+
+
 def supervisor_from_language(aut: MaxMinAutomaton, K: FuzzyLanguage) -> FuzzySupervisor:
     """Supervisor realizing a controllable language: enable a at s to degree
     K(sa), floored by the event's uncontrollability."""
-    verdict = language_controllable(aut, K)
-    if not verdict.ok:
-        raise PreconditionError(
-            "language is not controllable", counterexample=verdict.counterexample
-        )
-    return _language_supervisor(aut, K)
-
-
-def _language_supervisor(aut: MaxMinAutomaton, K: FuzzyLanguage) -> FuzzySupervisor:
-    """The supervisor of supervisor_from_language, for a language already
-    checked to be controllable."""
+    _require(language_controllable(aut, K), "controllable")
     if K.is_empty:
         raise DomainError("the empty language has no realizing supervisor")
     floors = aut.uc_map()
@@ -219,49 +264,19 @@ def supervisor_from_controller(
     return FuzzySupervisor(rule)
 
 
-class ConsistencyVerdict(Record):
-    ok: bool
-    counterexample: Optional[tuple[EventString, EventString, str]] = None
-
-
-def _scaled_state_groups(
-    aut: MaxMinAutomaton, K: FuzzyLanguage
-) -> dict[Code, list[EventString]]:
-    """Group support strings by the coded state they pass through: the
-    string's degree scaled onto the open-loop run.  Zero results are dropped
-    (they no longer name a state)."""
-    groups: dict[Code, list[EventString]] = {}
-    for s, q in _support_states(aut, K):
-        scaled = scale_product(K.codes[s], q)
-        if any(scaled):
-            groups.setdefault(scaled, []).append(s)
-    return groups
-
-
 def consistency_check(aut: MaxMinAutomaton, K: FuzzyLanguage) -> ConsistencyVerdict:
     """Two support strings passing through the same state must give every
     common possible one-event extension the same degree.  Per group and event
     the earliest clash pairs the first string with a nonzero extension and the
     first later one whose nonzero extension differs; the least of these over
     the events is what a pairwise scan in (first, second, event) order meets."""
-    degrees = K.codes
-    for group in _scaled_state_groups(aut, K).values():
-        clashes = []
-        for e, name in enumerate(aut.event_names):
-            nonzero = [(i, d) for i, s in enumerate(group) if (d := degrees.get(s + (name,)))]
-            clash = next((i for i, d in nonzero if d != nonzero[0][1]), None)
-            if clash is not None:
-                clashes.append((nonzero[0][0], clash, e))
-        if clashes:
-            first, second, e = min(clashes)
-            return ConsistencyVerdict(False, (group[first], group[second], aut.event_names[e]))
-    return ConsistencyVerdict(True)
+    return _walk(aut, K).consistent
 
 
 def reach_of_language(aut: MaxMinAutomaton, K: FuzzyLanguage) -> list[State]:
     """States passed through by the language: each support string's degree
     scaled onto its open-loop run, deduplicated in first-seen order."""
-    return list(map(decode_state, _scaled_state_groups(aut, K)))
+    return list(map(decode_state, _walk(aut, K).groups))
 
 
 def controller_from_language(
@@ -272,25 +287,11 @@ def controller_from_language(
     degree the language grants any string passing there, floored by the
     event's uncontrollability.  The closed loop then reaches exactly the
     language's passed states."""
-    verdict = language_controllable(aut, K)
-    if not verdict.ok:
-        raise PreconditionError(
-            "language is not controllable", counterexample=verdict.counterexample
-        )
-    consistency = consistency_check(aut, K)
-    if not consistency.ok:
-        raise PreconditionError(
-            "language is not consistent", counterexample=consistency.counterexample
-        )
-    return _language_controller(aut, K)
-
-
-def _language_controller(aut: MaxMinAutomaton, K: FuzzyLanguage) -> StateFeedbackController:
-    """The controller of controller_from_language, for a language already
-    checked to be controllable and consistent."""
+    _require(language_controllable(aut, K), "controllable")
+    _require(consistency_check(aut, K), "consistent")
     degrees = K.codes
     entries: dict[tuple[State, str], Fraction] = {}
-    for q, strings in _scaled_state_groups(aut, K).items():
+    for q, strings in _walk(aut, K).groups.items():
         state = decode_state(q)
         for ev in aut.events:
             best = max((degrees.get(s + (ev.name,), 0) for s in strings), default=0)

@@ -28,7 +28,6 @@ from .possibility import (
     CODE_UNIT,
     ONE,
     Code,
-    Fraction,
     FuzzyEvent,
     ScaleSolution,
     State,
@@ -36,7 +35,6 @@ from .possibility import (
     decode_value,
     encode_state,
     format_state,
-    maxmin_compose,
     solve_scale,
 )
 
@@ -317,11 +315,14 @@ def validate_subgraph(
 
 def _checked_choice(
     aut: MaxMinAutomaton, codes: tuple[Code, ...], subgraph: ControllableSubgraph
-) -> dict[tuple[Code, str], int]:
-    """validate_subgraph over the coded set; returns the least admissible
-    coded scaling of each chosen edge, by coded (source, event)."""
+) -> dict[Code, dict[str, int]]:
+    """validate_subgraph over the coded set, expanding each member once;
+    returns each member's feasible events, in alphabet order, with the least
+    admissible coded scaling of the chosen edge, or 0 for an unchosen event
+    (a chosen edge's is positive, as its target is nonzero)."""
     members = set(codes)
-    alphas: dict[tuple[Code, str], int] = {}
+    feasible = {q: {ev.name: (ev, p) for ev, p in _feasible(aut, q)} for q in codes}
+    alphas = {q: dict.fromkeys(events, 0) for q, events in feasible.items()}
     edge_map: dict[Code, list[Code]] = {}
     for (q, name), t in subgraph.choice.items():
         source, target = encode_state(q), encode_state(t)
@@ -330,20 +331,21 @@ def _checked_choice(
                 f"chosen edge {format_state(q)} --{name}--> {format_state(t)} "
                 "leaves the candidate set"
             )
-        ev = aut.event(name)
-        alpha = solve_scale(maxmin_compose(source, ev.coded_matrix), target, CODE_UNIT).restrict(ev.coded_uc).least()
+        # An infeasible event composes to zero, which scales onto no member.
+        ev, composed = feasible[source].get(name) or (aut.event(name), (0,) * aut.n)
+        alpha = solve_scale(composed, target, CODE_UNIT).restrict(ev.coded_uc).least()
         if alpha is None:
             raise ValidationError(
                 f"no admissible scaling realizes {format_state(q)} --{name}--> "
                 f"{format_state(t)}"
             )
-        alphas[source, name] = alpha
+        alphas[source][name] = alpha
         edge_map.setdefault(source, []).append(target)
     for q in codes:
-        for ev, _ in _forced(aut, q):
-            if (q, ev.name) not in alphas:
+        for name, (ev, _) in feasible[q].items():
+            if ev.coded_uc and not alphas[q][name]:
                 raise ValidationError(
-                    f"event {ev.name!r} is feasible and partially uncontrollable at "
+                    f"event {name!r} is feasible and partially uncontrollable at "
                     f"{format_state(decode_state(q))} but has no chosen edge"
                 )
     if codes:
@@ -370,9 +372,10 @@ def synthesize_controller(
     if not codes:
         raise DomainError("the empty set has no realizing controller; the initial state is always reached")
     alphas = _checked_choice(aut, codes, subgraph)
-    entries: dict[tuple[State, str], Fraction] = {}
-    for q, code in zip(states, codes):
-        for ev, _ in _feasible(aut, code):
-            # An unchosen feasible event gets 0: hard-disabled.
-            entries[(q, ev.name)] = decode_value(alphas.get((code, ev.name), 0))
+    # An unchosen feasible event gets 0: hard-disabled.
+    entries = {
+        (q, name): decode_value(alpha)
+        for q, code in zip(states, codes)
+        for name, alpha in alphas[code].items()
+    }
     return StateFeedbackController(entries, ONE)

@@ -31,11 +31,13 @@ from fuzzydes import (
     closed_loop_language_of_supervisor,
     consistency_check,
     format_possibility,
+    run,
     run_command,
+    scale_product,
     serialize_automaton,
+    state_is_zero,
     supervisor_from_controller,
 )
-from fuzzydes.language import _scaled_state_groups
 from generators import random_automaton, random_controller
 
 HERE = Path(__file__).resolve().parent
@@ -53,6 +55,18 @@ def _language_doc(K: FuzzyLanguage) -> dict:
     }
 
 
+def _state_groups(aut, K: FuzzyLanguage) -> dict:
+    """Support strings grouped by the state they pass through, in support
+    order: the string's degree scaled onto its open-loop state, zero results
+    dropped."""
+    groups = {}
+    for s in K.support():
+        scaled = scale_product(K.degree(s), run(aut, s))
+        if not state_is_zero(scaled):
+            groups.setdefault(scaled, []).append(s)
+    return groups
+
+
 def seeded_languages():
     """Draw 15 of random_automaton(Random(3), 3, 3, max_uc=0), each draw
     followed by its random_controller, and the language that controller's
@@ -66,7 +80,7 @@ def seeded_languages():
         controller = random_controller(rng, aut)
     K = closed_loop_language_of_supervisor(aut, supervisor_from_controller(aut, controller), 5)
     step = Fraction(1, 10)
-    for strings in _scaled_state_groups(aut, K).values():
+    for strings in _state_groups(aut, K).values():
         for name in aut.event_names:
             both = [s for s in strings if K.degree(s + (name,)) > step]
             if len(both) > 1:
@@ -258,7 +272,7 @@ def resolve(argv: list[str]) -> list[str]:
     return [str(TESTS / arg[1:]) if arg.startswith("@") else arg for arg in argv]
 
 
-def run(argv: list[str]) -> tuple[int, str]:
+def run_case(argv: list[str]) -> tuple[int, str]:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = run_command(resolve(argv))
@@ -269,12 +283,12 @@ def main() -> None:
     write_documents()
     records = []
     for argv in cases():
-        code, out = run(argv)
+        code, out = run_case(argv)
         records.append({"argv": argv, "code": code, "stdout": out})
     (HERE / "cli_golden.json").write_text(json.dumps(records, indent=1) + "\n")
     digests = []
     for argv in digest_cases():
-        code, out = run(argv)
+        code, out = run_case(argv)
         digests.append({"argv": argv, "code": code, **stdout_digest(out)})
     (HERE / "cli_golden_digests.json").write_text(json.dumps(digests, indent=1) + "\n")
     print(f"recorded {len(records)} cases and {len(digests)} digests", file=sys.stderr)

@@ -763,12 +763,13 @@ class TestLanguageCommandsCheckOnce:
     every fuzzydes module that binds maxmin_compose: the library functions
     run no check the command has already run."""
 
-    @pytest.mark.parametrize("command, compositions", [
-        ("check-language", 972),
-        ("derive-supervisor", 972),
-        ("bridge", 1971),
+    @pytest.mark.parametrize("command, spec, exit_code, compositions", [
+        ("check-language", "lang15_consistent", 0, 972),
+        ("derive-supervisor", "lang15_consistent", 0, 972),
+        ("bridge", "lang15_consistent", 0, 1002),
+        ("bridge", "lang15_inconsistent", 1, 1005),
     ])
-    def test_compositions(self, command, compositions, monkeypatch, capsys):
+    def test_compositions(self, command, spec, exit_code, compositions, monkeypatch, capsys):
         calls = []
         real = possibility.maxmin_compose
 
@@ -780,5 +781,5 @@ class TestLanguageCommandsCheckOnce:
             if name.startswith("fuzzydes") and getattr(module, "maxmin_compose", None) is real:
                 monkeypatch.setattr(module, "maxmin_compose", counted)
         code, _, _ = invoke(capsys, command, "--automaton", str(GOLDEN / "lang15_plant.json"),
-                            "--spec", str(GOLDEN / "lang15_consistent.json"))
-        assert code == 0 and len(calls) == compositions
+                            "--spec", str(GOLDEN / f"{spec}.json"))
+        assert code == exit_code and len(calls) == compositions

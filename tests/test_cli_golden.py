@@ -4,7 +4,8 @@ code and the recorded stdout, byte for byte.
 The snapshot (golden/cli_golden.json, plus golden/cli_golden_digests.json
 for stdout too large to store) was recorded by golden/record_cli_golden.py;
 see that script for the cases and for how to re-record after an intended
-output change.
+output change.  The script must still draw the seeded language documents
+the cases read.
 """
 
 import hashlib
@@ -13,7 +14,8 @@ import pathlib
 
 import pytest
 
-from fuzzydes import run_command
+from fuzzydes import run_command, serialize_automaton
+from golden.record_cli_golden import _language_doc, seeded_languages
 
 TESTS = pathlib.Path(__file__).parent
 CASES = json.loads((TESTS / "golden" / "cli_golden.json").read_text())
@@ -37,3 +39,12 @@ def test_cli_output_matches_digest(capsys, case):
     data = capsys.readouterr().out.encode("utf-8")
     got = (code, hashlib.sha256(data).hexdigest(), len(data))
     assert got == (case["code"], case["sha256"], case["bytes"])
+
+
+def test_the_recorder_reproduces_the_seeded_language_documents():
+    aut, consistent, inconsistent = seeded_languages()
+    golden = TESTS / "golden"
+    assert serialize_automaton(aut) == (golden / "lang15_plant.json").read_text()
+    for name, K in [("lang15_consistent", consistent), ("lang15_inconsistent", inconsistent)]:
+        text = json.dumps(_language_doc(K), indent=1) + "\n"
+        assert text == (golden / f"{name}.json").read_text()

@@ -334,6 +334,15 @@ class TestReachOfLanguage:
         states = reach_of_language(drift_plant, drift_language)
         assert check_controllable(drift_plant, states).controllable
 
+    def test_each_call_reads_the_plant_it_is_given(self, drift_plant, treatment_plant):
+        # The language keeps its walk for the last plant asked only.
+        K = FuzzyLanguage.from_pairs([((), 1), (("a1",), "0.2")])
+        want = reach_of_language(drift_plant, FuzzyLanguage(dict(K.degrees)))
+        assert reach_of_language(drift_plant, K) == want
+        with pytest.raises(UnknownEvent):
+            reach_of_language(treatment_plant, K)
+        assert reach_of_language(drift_plant, K) == want
+
 
 class TestControllerFromLanguage:
     def test_two_string_restriction(self, drift_plant):

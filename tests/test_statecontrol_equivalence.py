@@ -12,13 +12,13 @@ obstructions, in the same order.
 
 import pathlib
 import random
+import sys
 from fractions import Fraction
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-import fuzzydes.automaton as automaton
 import fuzzydes.stability as stability
 import fuzzydes.statecontrol as statecontrol
 from fuzzydes import (
@@ -321,6 +321,17 @@ class TestSearchOverIds:
         assert kinds["unreachable"] >= 3
 
 
+def _recorded_compositions(monkeypatch) -> list:
+    """The (state, matrix) of every composition made from here on, in every
+    fuzzydes module that binds maxmin_compose."""
+    seen = []
+    real = maxmin_compose
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fuzzydes") and getattr(module, "maxmin_compose", None) is real:
+            monkeypatch.setattr(module, "maxmin_compose", lambda q, m: seen.append((q, m)) or real(q, m))
+    return seen
+
+
 class TestComplexity:
     def test_successor_graph_solves_once_per_maximum(self, draws, monkeypatch):
         # Draw 23: V=255, |events|=4, 5 distinct maxima; a scan of every
@@ -339,13 +350,19 @@ class TestComplexity:
         # event at every vertex; the set is controllable, so every member is
         # expanded and checked for C2.
         _, aut, P = draws[24]
-        seen = []
-        real = maxmin_compose
-        for module in (automaton, statecontrol):
-            monkeypatch.setattr(module, "maxmin_compose", lambda q, m: seen.append((q, m)) or real(q, m))
+        seen = _recorded_compositions(monkeypatch)
         assert check_controllable(aut, P).controllable
         assert any(ev.uc_degree for ev in aut.events)
         assert len(seen) == len(set(seen)) == len(P) * len(aut.events)
+
+    def test_synthesize_controller_composes_each_member_event_once(self, draws, monkeypatch):
+        # Validating the choice and filling the entries share one expansion
+        # of each member: 105 compositions on draw 24, not 315.
+        _, aut, P = draws[24]
+        subgraph = check_controllable(aut, P).subgraph
+        seen = _recorded_compositions(monkeypatch)
+        synthesize_controller(aut, P, subgraph)
+        assert len(seen) == len(set(seen)) == len(P) * len(aut.events) == 105
 
     def test_synthesize_controller_solves_each_chosen_edge_once(self, draws, monkeypatch):
         _, aut, P = draws[24]
