@@ -124,17 +124,14 @@ def family_contains(fam: ReachFamily, target: State) -> Optional[ReachWitness]:
             path = _forward(graph, graph.root).path(base)
             return ReachWitness(decode_state(base), ONE, path, StateFeedbackController())
         alpha = solve_scale(base, target, CODE_UNIT).restrict(floor).least()
-        if alpha is None:
-            continue
-        witness = _override_witness(fam.aut, graph, base, floor, alpha)
-        if witness is not None:
-            return witness
+        if alpha is not None:
+            return _override_witness(fam.aut, graph, base, floor, alpha)
     return None
 
 
 def _override_witness(
     aut: MaxMinAutomaton, graph: TransitionGraph, base: Code, floor: int, alpha: int
-) -> Optional[ReachWitness]:
+) -> ReachWitness:
     """Build the single-override controller reaching alpha . base, on the
     coded graph.
 
@@ -143,12 +140,17 @@ def _override_witness(
     overrides the controller at the through-edge's source.  Min over controls
     along the replayed path is alpha no matter how often the override fires,
     so the closed-loop run lands exactly on the scaled state.
+
+    Such an edge exists: alpha != 1 (alpha = 1 lands on base itself, which
+    family_contains answers first), so the floor is below 1, and _floors
+    took it from an edge (src, a, dst) with uc(a) = floor and base
+    reachable from dst; src, as every vertex, is reachable from the root.
     """
     index = {ev.name: i for i, ev in enumerate(aut.events) if ev.coded_uc == floor}
     from_root = _forward(graph, graph.root)
     dist_root = from_root.dist
     dist_back = bfs(base, lambda q: ((name, src) for src, name in graph.in_edges[q])).dist
-    best = None  # ((total length, event index), source, event name)
+    best = None  # ((total length, event index), source, event name, target)
     for src, name, dst in graph.edges:
         if name not in index:
             continue
@@ -158,12 +160,10 @@ def _override_witness(
         # Strictly smaller: on a tie the first such edge in graph order stays.
         key = (d1 + 1 + d2, index[name])
         if best is None or key < best[0]:
-            best = (key, src, name)
-    if best is None:
-        return None
-    _, src, name = best
+            best = (key, src, name, dst)
+    _, src, name, dst = best
     prefix = from_root.path(src)
-    suffix = _forward(graph, graph.successor(src, name)).path(base)
+    suffix = _forward(graph, dst).path(base)
     alpha = decode_value(alpha)
     controller = StateFeedbackController({(decode_state(src), name): alpha})
     return ReachWitness(decode_state(base), alpha, prefix + (name,) + suffix, controller)

@@ -17,11 +17,10 @@ peelings that find the smallest attractor and test "acyclic outside N".
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._record import Record
 from .automaton import (
-    FuzzyEvent,
     MaxMinAutomaton,
     StateFeedbackController,
     TransitionGraph,
@@ -44,7 +43,7 @@ from .possibility import (
 from .statecontrol import (
     ControllableSubgraph,
     ScalingIndex,
-    _forced,
+    _moves,
     check_controllable,
     synthesize_controller,
     _validated_codes,
@@ -114,17 +113,22 @@ class InvariantVerdict(Record):
     violation: Optional[tuple[State, str]] = None
 
 
+def _forced_moves(aut: MaxMinAutomaton, N: Sequence[State]) -> list[tuple[State, Iterator]]:
+    """Each member of N, in order, with the moves of its forced events
+    within N (statecontrol._moves with forced), expanded as they are read."""
+    states = tuple(N)
+    index = ScalingIndex(_validated_codes(aut, states))
+    return [(q, _moves(aut, index, code, forced=True)) for q, code in zip(states, index.states)]
+
+
 def check_controllable_invariant(
     aut: MaxMinAutomaton, N: Sequence[State]
 ) -> InvariantVerdict:
     """N is controllable invariant when every feasible, partially
     uncontrollable event at a member admits a scaling back into N."""
-    states = tuple(N)
-    codes = _validated_codes(aut, states)
-    index = ScalingIndex(codes)
-    for q, code in zip(states, codes):
-        for ev, composed in _forced(aut, code):
-            if not index.targets(composed, ev.coded_uc):
+    for q, moves in _forced_moves(aut, N):
+        for ev, targets in moves:
+            if not targets:
                 return InvariantVerdict(False, (q, ev.name))
     return InvariantVerdict(True)
 
@@ -140,19 +144,11 @@ def largest_controllable_invariant(
     leaves once one of its forced events has lost every target.  Survivors
     keep their order in N.
     """
-    states = tuple(N)
-    codes = _validated_codes(aut, states)
-    index = ScalingIndex(codes)
-    slots = [_targets(index, _forced(aut, q)) for q in codes]
+    members = _forced_moves(aut, N)
+    slots = [[[t for t, _ in targets] for _, targets in moves] for _, moves in members]
     seeds = [v for v, targets in enumerate(slots) if not all(targets)]
-    gone = attractor(slots, len, [1] * len(states), seeds)
-    return tuple(q for q, r in zip(states, gone) if r is None)
-
-
-def _targets(index: ScalingIndex, pairs: Iterable[tuple[FuzzyEvent, Code]]) -> list[list[int]]:
-    """For each (event, composed) pair, the positions in the index of the
-    members that an admissible scaling of composed lands on."""
-    return [[t for t, _ in index.targets(c, ev.coded_uc)] for ev, c in pairs]
+    gone = attractor(slots, len, [1] * len(slots), seeds)
+    return tuple(q for (q, _), r in zip(members, gone) if r is None)
 
 
 class StabilizabilityWitness(Record):
@@ -298,10 +294,10 @@ def search_stabilizing_witness(
     ids = {q: v for v, q in enumerate(states)}
     root = ids[aut.coded_initial]
     index = ScalingIndex(states)
-    forced = [_forced(aut, q) for q in states]
+    forced = [list(_moves(aut, index, q, forced=True)) for q in states]
     # A strategy fills the forced events at a state, or every event when none is.
-    events = [f or _feasible(aut, q) for q, f in zip(states, forced)]
-    slots = [_targets(index, pairs) for pairs in events]
+    events = [f or list(_moves(aut, index, q)) for q, f in zip(states, forced)]
+    slots = [[[t for t, _ in targets] for _, targets in moves] for moves in events]
     wanted = [len(targets) if f else 1 for f, targets in zip(forced, slots)]
     rank = attractor(slots, lambda targets: 1, wanted, [ids[q] for q in kept if q in ids], root)
     if rank[root] is None:

@@ -8,17 +8,18 @@ every vertex from the initial state.  From such a subgraph a controller with
 closed-loop reachable set exactly P is synthesized by a three-case rule.
 
 Every check runs on the int codes of the states, by position in P; public
-results reuse the caller's own state objects.  A member is expanded through
-automaton._feasible (its feasible events with their compositions), or
-through _forced for the partially uncontrollable ones, and a ScalingIndex of
-the coded set finds the members each composition scales onto.
-check_controllable builds its candidate table and checks C2 in one such
-pass.
+results reuse the caller's own state objects.  _moves is the one place that
+asks which members an admissible scaling of q . a lands on: for each
+feasible event at a member, or only for the partially uncontrollable ones,
+it gives the target positions with their alpha ranges, found through a
+ScalingIndex of the coded set.  The successor graph, the candidate table and
+C2 test of check_controllable, and the invariance and stabilization
+analyses in stability all read it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ._record import Record
 from .automaton import MaxMinAutomaton, StateFeedbackController, _feasible
@@ -110,12 +111,6 @@ def _validated_codes(aut: MaxMinAutomaton, states: Sequence[State]) -> tuple[Cod
     return tuple(codes)
 
 
-def _forced(aut: MaxMinAutomaton, q: Code) -> list[tuple[FuzzyEvent, Code]]:
-    """_feasible over the partially uncontrollable events (condition C2):
-    the feasible events at q that no controller can disable there."""
-    return _feasible(aut, q, [ev for ev in aut.events if ev.coded_uc])
-
-
 class ScalingIndex:
     """The members of a coded state set, grouped by their maximum, for
     finding the members that scale a coded vector lands on.
@@ -148,20 +143,29 @@ class ScalingIndex:
         return out
 
 
-def _successors(aut: MaxMinAutomaton, index: ScalingIndex, q: Code) -> list[tuple[str, int, ScaleSolution]]:
-    """(event, target position, coded alpha range) of every admissible move
-    from q, ordered by event then by target position."""
-    return [
-        (ev.name, i, admissible)
-        for ev, composed in _feasible(aut, q)
-        for i, admissible in index.targets(composed, ev.coded_uc)
-    ]
+def _moves(
+    aut: MaxMinAutomaton, index: ScalingIndex, q: Code, forced: bool = False
+) -> Iterator[tuple[FuzzyEvent, list[tuple[int, ScaleSolution]]]]:
+    """Every feasible event at the coded state q, in alphabet order, with
+    its admissible moves within the index: (target position, coded alpha
+    range cut down to the event's floor), in position order.  With forced,
+    only the partially uncontrollable events (condition C2), which no
+    controller can disable at q.  Each event's targets are found as it is
+    reached, so a caller that stops early solves no more."""
+    events = [ev for ev in aut.events if ev.coded_uc] if forced else None
+    for ev, composed in _feasible(aut, q, events):
+        yield ev, index.targets(composed, ev.coded_uc)
 
 
-def _edge(states: Sequence[State], v: int, name: str, t: int, alphas: ScaleSolution) -> SuccessorEdge:
-    """The public form of a coded move between positions of states."""
-    decoded = ScaleSolution(decode_value(alphas.lower), decode_value(alphas.upper))
-    return SuccessorEdge(states[v], name, states[t], decoded)
+def _edges(
+    aut: MaxMinAutomaton, states: Sequence[State], index: ScalingIndex, v: int
+) -> Iterator[SuccessorEdge]:
+    """The public form of the admissible moves out of position v of
+    states, whose codes the index holds."""
+    for ev, moves in _moves(aut, index, index.states[v]):
+        for t, alphas in moves:
+            decoded = ScaleSolution(decode_value(alphas.lower), decode_value(alphas.upper))
+            yield SuccessorEdge(states[v], ev.name, states[t], decoded)
 
 
 def successor_set(
@@ -174,16 +178,13 @@ def successor_set(
     code = encode_state(q)
     if code not in codes:
         raise DomainError(f"state {format_state(q)} is not a member of the set")
-    moves = _successors(aut, ScalingIndex(codes), code)
-    return tuple(_edge(states, codes.index(code), *move) for move in moves)
+    return tuple(_edges(aut, states, ScalingIndex(codes), codes.index(code)))
 
 
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:
     states = tuple(P)
     index = ScalingIndex(_validated_codes(aut, states))
-    edges = tuple(
-        _edge(states, v, *move) for v, q in enumerate(index.states) for move in _successors(aut, index, q)
-    )
+    edges = tuple(e for v in range(len(states)) for e in _edges(aut, states, index, v))
     return SuccessorGraph(states, edges, aut.initial)
 
 
@@ -221,10 +222,9 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
     candidates: list[list[tuple[str, list[int]]]] = []
     for v, q in enumerate(codes):
         row = []
-        for ev, composed in _feasible(aut, q):
-            targets = [t for t, _ in index.targets(composed, ev.coded_uc)]
-            if targets:
-                row.append((ev.name, targets))
+        for ev, moves in _moves(aut, index, q):
+            if moves:
+                row.append((ev.name, [t for t, _ in moves]))
             elif ev.coded_uc:
                 return ControllabilityVerdict(
                     False, None, Obstruction("uncoverable-event", vertex=states[v], event=ev.name)

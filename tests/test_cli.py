@@ -495,6 +495,41 @@ class TestExitCodeContract:
         )
         assert code == 2 and "components" in err
 
+    def test_empty_event_name_exits_two(self, capsys, tmp_path):
+        doc = json.loads((DATA / "treatment_plant.json").read_text())
+        doc["events"][0]["name"] = ""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "reach", "--automaton", str(path))
+        assert (code, out, err) == (2, "", "error: events[0].name: expected a non-empty string\n")
+
+    @pytest.mark.parametrize("command,spec,message", [
+        ("check-language", {"kind": "language", "pairs": 5},
+         "pairs: expected a list of {string, degree} objects"),
+        ("check-language", {"kind": "language", "pairs": [{"string": "a"}]},
+         "pairs[0]: expected an object with string and degree"),
+        ("check-language", {"kind": "language", "pairs": [{"string": 5, "degree": "1"}]},
+         "pairs[0].string: expected an event-name list or space-separated string"),
+        ("simulate", {"kind": "fsfc", "entries": [5]}, "entries[0]: expected an object"),
+        ("simulate", {"kind": "fsfc", "entries": [{"state": ["1", "0", "0"], "event": 3, "value": "0"}]},
+         "entries[0].event: expected an event name"),
+        ("stabilize", {"kind": "witness"}, "n: required field is missing"),
+        ("stabilize", {"kind": "witness", "n": "x"}, "n: expected a list of state vectors"),
+        ("member", "state:[]", "inline state is empty"),
+        ("check-language", "state:[0.5,0.5,0.5]", "check-language requires a language spec, got StateSetSpec"),
+        ("stabilize", None, "stabilize requires --spec with a witness or state_set document"),
+        ("stabilize", LANGUAGE, "stabilize requires a witness or state_set spec"),
+        ("simulate", ADMISSIBLE, "simulate takes an fsfc spec when --spec is given"),
+    ])
+    def test_wrong_spec_exits_two_with_its_message(self, capsys, tmp_path, command, spec, message):
+        if isinstance(spec, dict):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        argv = [command, "--automaton", PLANT] + ([] if spec is None else ["--spec", spec])
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = invoke(capsys, "reach", "--automaton", "no-such-file.json")
         assert code == 2 and err

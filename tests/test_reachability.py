@@ -263,6 +263,28 @@ class TestMembership:
                     if any(target):
                         assert family_contains(fam, target) is not None
 
+    def test_every_accepted_grid_scaling_has_a_replaying_witness(self):
+        # Each accepted target below its base goes through the single
+        # override, whose through-edge exists whenever alpha clears a floor
+        # below 1.
+        rng = random.Random(5)
+        accepted = overridden = 0
+        for _ in range(40):
+            aut = random_automaton(rng, 4, 3)
+            fam = reach_family(aut)
+            grid = sorted(set(aut.value_grid()))
+            for base, _ in fam.entries:
+                for alpha in grid:
+                    target = scale_product(alpha, base)
+                    witness = family_contains(fam, target) if any(target) else None
+                    if witness is None:
+                        continue
+                    replay = closed_loop_trajectory(aut, witness.controller, witness.path_string)
+                    assert not replay.halted and replay.states[-1] == target
+                    accepted += 1
+                    overridden += bool(witness.controller.entries)
+        assert (accepted, overridden) == (2295, 1424)
+
     def test_random_controller_reachables_are_members(self, treatment_plant):
         from generators import random_controller
 

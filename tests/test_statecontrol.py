@@ -354,6 +354,36 @@ class TestSynthesis:
             synthesize_controller(treatment_plant, admissible_set, bad)
 
 
+def _retargeted(edges):
+    """The reference selection with each (member number, event) of edges sent
+    to the given state, or dropped when that is None."""
+    choice = dict(reference_subgraph().choice)
+    for (i, name), target in edges.items():
+        choice[(Q[i], name)] = target
+        if target is None:
+            del choice[(Q[i], name)]
+    return choice
+
+
+class TestValidateSubgraph:
+    @pytest.mark.parametrize("states,choice,message", [
+        (None, _retargeted({(0, "a"): S("0.5 0.1 0.5")}),
+         "chosen edge [0.9,0.1,0] --a--> [0.5,0.1,0.5] leaves the candidate set"),
+        (None, _retargeted({(0, "b"): None}),
+         "event 'b' is feasible and partially uncontrollable at [0.9,0.1,0] but has no chosen edge"),
+        ((Q[9],), {(Q[9], name): Q[9] for name in "bcd"},
+         "the initial state is not a member of the candidate set"),
+        # Only a leads into [0.1,0.9,0.1], and everything after it hangs on it.
+        (None, _retargeted({(0, "a"): Q[9], (1, "a"): Q[9]}),
+         "chosen edges do not reach: [0.5,0.5,0.1], [0.1,0.9,0.1], [0.1,0.1,0.9], "
+         "[0.5,0.5,0.5], [0.1,0.5,0.5]"),
+    ], ids=["edge-leaves-set", "forced-event-unchosen", "initial-not-member", "members-unreached"])
+    def test_rejection_names_the_fault(self, treatment_plant, admissible_set, states, choice, message):
+        with pytest.raises(ValidationError) as raised:
+            validate_subgraph(treatment_plant, states or admissible_set, ControllableSubgraph(choice))
+        assert str(raised.value) == message
+
+
 class TestRandomRoundTrips:
     def test_reachable_sets_are_controllable_and_resynthesizable(self):
         rng = random.Random(31)
