@@ -141,7 +141,7 @@ def _override_witness(
     along the replayed path is alpha no matter how often the override fires,
     so the closed-loop run lands exactly on the scaled state.
 
-    Such an edge exists: alpha != 1 (alpha = 1 lands on base itself, which
+    Such an edge exists: alpha < 1 (alpha = 1 lands on base itself, which
     family_contains answers first), so the floor is below 1, and _floors
     took it from an edge (src, a, dst) with uc(a) = floor and base
     reachable from dst; src, as every vertex, is reachable from the root.

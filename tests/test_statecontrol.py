@@ -359,9 +359,10 @@ def _retargeted(edges):
     to the given state, or dropped when that is None."""
     choice = dict(reference_subgraph().choice)
     for (i, name), target in edges.items():
-        choice[(Q[i], name)] = target
         if target is None:
             del choice[(Q[i], name)]
+        else:
+            choice[(Q[i], name)] = target
     return choice
 
 
