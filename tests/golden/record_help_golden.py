@@ -1,0 +1,81 @@
+"""Record the CLI help and usage golden: exit code, stdout and stderr bytes.
+
+Run from the repository root:
+
+    PYTHONPATH=src:tests python tests/golden/record_help_golden.py
+
+It runs every case of CASES in process under COLUMNS=40, 80 and 200 (the
+widths argparse wraps help and usage text to) and writes cli_help_golden.json
+beside this file.  tests/test_cli_help_golden.py replays the cases and
+requires the same bytes, so re-record only when a help or usage change is
+intended.  No case reads its --automaton file: each one stops while the
+arguments are parsed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from fuzzydes import run_command
+
+HERE = Path(__file__).resolve().parent
+WIDTHS = ("40", "80", "200")
+COMMANDS = (
+    "reach", "member", "succ", "check-controllable", "synthesize", "check-language",
+    "derive-supervisor", "bridge", "stability", "stabilize", "simulate", "export-dot",
+)
+PLANT = ["--automaton", "plant.json"]
+CASES = (
+    [["--help"]]
+    + [[command, "--help"] for command in COMMANDS]
+    + [
+        [],
+        ["frobnicate"],
+        ["reach"],
+        ["reach", "--automaton"],
+        ["reach", *PLANT, "--format", "xml"],
+        ["reach", *PLANT, "extra"],
+        ["reach", *PLANT, "--budget", "3"],
+        ["stabilize", *PLANT, "--budget", "-1"],
+        ["simulate", *PLANT, "--steps", "-1"],
+        ["reach", *PLANT, "--max-len", "-1"],
+        ["export-dot", *PLANT, "--what", "bogus"],
+        ["-x", "reach", *PLANT],
+        ["-x", "reach", *PLANT, "extra"],
+        ["--automaton", "plant.json", "reach"],
+        ["--", "reach", *PLANT],
+        ["reach", "-h", "--bogus"],
+    ]
+)
+
+
+def run_case(argv: list[str], columns: str) -> dict:
+    """One case's exit code, stdout and stderr with COLUMNS set to columns."""
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = columns
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return {"argv": argv, "columns": columns, "code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def main() -> None:
+    records = [run_case(argv, columns) for columns in WIDTHS for argv in CASES]
+    (HERE / "cli_help_golden.json").write_text(json.dumps(records, indent=1) + "\n")
+    print(f"recorded {len(records)} cases", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
