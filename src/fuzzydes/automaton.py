@@ -185,12 +185,6 @@ class TransitionGraph(Record):
             table[dst].append((src, name))
         return {v: tuple(pairs) for v, pairs in table.items()}
 
-    def successor(self, q: State, name: str) -> Optional[State]:
-        for label, dst in self.out_edges[q]:
-            if label == name:
-                return dst
-        return None
-
 
 def _decode_graph(graph: TransitionGraph) -> TransitionGraph:
     """The public form of a coded graph: each vertex decoded once."""

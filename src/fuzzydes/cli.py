@@ -8,7 +8,6 @@ seed.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from typing import Sequence
@@ -85,25 +84,38 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--automaton", required=True, metavar="FILE")
-    common.add_argument("--spec", metavar="FILE")
-    common.add_argument("--max-len", type=_count, default=6, help="validity guard only: below a nonempty "
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, as add_parser would build it."""
+    parser = argparse.ArgumentParser(prog=f"fuzzydes {command}")
+    parser.add_argument("--automaton", required=True, metavar="FILE")
+    parser.add_argument("--spec", metavar="FILE")
+    parser.add_argument("--max-len", type=_count, default=6, help="validity guard only: below a nonempty "
                         "language's support depth plus one it exits 2; it bounds no check")
-    common.add_argument("--out", metavar="FILE")
-    common.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    parser.add_argument("--out", metavar="FILE")
+    parser.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    for flag, settings in _OPTIONS.get(command, ()):
+        parser.add_argument(flag, **settings)
+    return parser
 
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse in two steps: the command name, then that command's options.
+    Unrecognized arguments of either step are reported by the top-level
+    parser, after the command's own errors, as a subparsers action does."""
     parser = argparse.ArgumentParser(
         prog="fuzzydes",
         description="Analysis and controller synthesis for max-min fuzzy discrete-event systems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _HANDLERS:
-        subparser = sub.add_parser(command, parents=[common])
-        for flag, settings in _OPTIONS.get(command, ()):
-            subparser.add_argument(flag, **settings)
-    return parser
+    # Formatted and checked as add_subparsers(dest="command", required=True)
+    # would be: the same usage, help and errors.
+    parser.add_argument("command", nargs=argparse.PARSER, choices=_HANDLERS)
+    top, extras = parser.parse_known_args(argv)
+    command, *rest = top.command
+    args, unknown = _command_parser(command).parse_known_args(rest)
+    if extras or unknown:
+        parser.error(f"unrecognized arguments: {' '.join(extras + unknown)}")
+    args.command = command
+    return args
 
 
 def _load_automaton(path: str) -> MaxMinAutomaton:
@@ -138,37 +150,69 @@ def _require_language(args):
     return K
 
 
+# Each handler returns (exit code, payload, text renderer).  The payload is
+# the JSON answer; under --format text the renderer turns that same payload
+# into the text answer, so each state is formatted once and a JSON answer
+# builds no text.
+
+
+def _shown(doc: list[str]) -> str:
+    """A state's text form, from its document form."""
+    return "[" + ",".join(doc) + "]"
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _words(s: list[str]) -> str:
+    return " ".join(s) or "(empty)"
+
+
+def _controller_lines(doc: dict) -> list[str]:
+    lines = [f"controller (default {doc['default']}):"]
+    for entry in doc["entries"]:
+        lines.append(f"  f({_shown(entry['state'])})({entry['event']}) = {entry['value']}")
+    return lines
+
+
+def _controller_text(payload: dict) -> str:
+    return "\n".join(_controller_lines(payload))
+
+
 def _not_controllable(verdict):
-    text = "not controllable: " + verdict.obstruction.describe()
-    return 1, {"controllable": False, "obstruction": verdict.obstruction.describe()}, text
+    payload = {"controllable": False, "obstruction": verdict.obstruction.describe()}
+    return 1, payload, _obstruction_text
+
+
+def _obstruction_text(payload: dict) -> str:
+    return "not controllable: " + payload["obstruction"]
 
 
 def _language_not_controllable(verdict):
     s, name = verdict.counterexample
-    text = f"language is not controllable: string {' '.join(s) or '(empty)'} with event {name}"
-    return 1, {"controllable": False, "counterexample": {"string": list(s), "event": name}}, text
+    payload = {"controllable": False, "counterexample": {"string": list(s), "event": name}}
+    return 1, payload, _counterexample_text
 
 
-def _controller_text(f) -> list[str]:
-    doc = controller_doc(f)
-    lines = [f"controller (default {doc['default']}):"]
-    for entry in doc["entries"]:
-        lines.append(f"  f([{','.join(entry['state'])}])({entry['event']}) = {entry['value']}")
-    return lines
+def _counterexample_text(payload: dict) -> str:
+    s, name = payload["counterexample"]["string"], payload["counterexample"]["event"]
+    return f"language is not controllable: string {_words(s)} with event {name}"
 
 
 def _cmd_reach(args, aut):
     fam = reach_family(aut)
-    payload = {
-        "entries": [
-            {"base": state_doc(base), "floor": format_possibility(floor)}
-            for base, floor in fam.entries
-        ]
-    }
+    entries = [
+        {"base": state_doc(base), "floor": format_possibility(floor)} for base, floor in fam.entries
+    ]
+    return 0, {"entries": entries}, _reach_text
+
+
+def _reach_text(payload: dict) -> str:
     lines = ["controlled-reachability family (base, floor):"]
-    for base, floor in fam.entries:
-        lines.append(f"  {format_state(base)}  floor {format_possibility(floor)}")
-    return 0, payload, "\n".join(lines)
+    for entry in payload["entries"]:
+        lines.append(f"  {_shown(entry['base'])}  floor {entry['floor']}")
+    return "\n".join(lines)
 
 
 def _cmd_member(args, aut):
@@ -178,8 +222,7 @@ def _cmd_member(args, aut):
     target = spec.states[0]
     witness = family_contains(reach_family(aut), target)
     if witness is None:
-        text = f"{format_state(target)} is not reachable under any admissible controller"
-        return 1, {"member": False, "target": state_doc(target)}, text
+        return 1, {"member": False, "target": state_doc(target)}, _member_text
     payload = {
         "member": True,
         "target": state_doc(target),
@@ -188,38 +231,39 @@ def _cmd_member(args, aut):
         "path": list(witness.path_string),
         "controller": controller_doc(witness.controller),
     }
+    return 0, payload, _member_text
+
+
+def _member_text(payload: dict) -> str:
+    target = _shown(payload["target"])
+    if not payload["member"]:
+        return f"{target} is not reachable under any admissible controller"
     lines = [
-        f"{format_state(target)} is reachable:",
-        f"  base {format_state(witness.base)} scaled by {format_possibility(witness.alpha)}",
-        f"  path {' '.join(witness.path_string) or '(empty string)'}",
+        f"{target} is reachable:",
+        f"  base {_shown(payload['base'])} scaled by {payload['alpha']}",
+        f"  path {' '.join(payload['path']) or '(empty string)'}",
     ]
-    lines.extend("  " + line for line in _controller_text(witness.controller))
-    return 0, payload, "\n".join(lines)
+    lines.extend("  " + line for line in _controller_lines(payload["controller"]))
+    return "\n".join(lines)
 
 
 def _cmd_succ(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
     graph = build_successor_graph(aut, spec.states)
-    payload = {"successors": []}
+    docs = [state_doc(q) for q in graph.vertices]
+    pairs = [[] for _ in docs]
+    for e, (v, t) in zip(graph.edges, graph.positions):
+        pairs[v].append({"event": e.event, "target": docs[t]})
+    successors = [{"state": doc, "pairs": out} for doc, out in zip(docs, pairs)]
+    return 0, {"successors": successors}, _succ_text
+
+
+def _succ_text(payload: dict) -> str:
     lines = []
-    # The edges are grouped by source, in vertex order.
-    pending = list(reversed(graph.edges))
-    for q in graph.vertices:
-        edges = []
-        while pending and pending[-1].source == q:
-            edges.append(pending.pop())
-        payload["successors"].append(
-            {
-                "state": state_doc(q),
-                "pairs": [
-                    {"event": e.event, "target": state_doc(e.target)}
-                    for e in edges
-                ],
-            }
-        )
-        pairs = ", ".join(f"({e.event}, {format_state(e.target)})" for e in edges)
-        lines.append(f"successors of {format_state(q)}: {{{pairs}}}")
-    return 0, payload, "\n".join(lines)
+    for entry in payload["successors"]:
+        pairs = ", ".join(f"({p['event']}, {_shown(p['target'])})" for p in entry["pairs"])
+        lines.append(f"successors of {_shown(entry['state'])}: {{{pairs}}}")
+    return "\n".join(lines)
 
 
 def _cmd_check_controllable(args, aut):
@@ -228,21 +272,18 @@ def _cmd_check_controllable(args, aut):
     if not verdict.controllable:
         return _not_controllable(verdict)
     edges = sorted(verdict.subgraph.edges(), key=lambda e: (encode_state(e[0]), e[1]))
-    payload = {
-        "controllable": True,
-        "subgraph": [
-            {
-                "source": state_doc(src),
-                "event": name,
-                "target": state_doc(dst),
-            }
-            for src, name, dst in edges
-        ],
-    }
+    subgraph = [
+        {"source": state_doc(src), "event": name, "target": state_doc(dst)}
+        for src, name, dst in edges
+    ]
+    return 0, {"controllable": True, "subgraph": subgraph}, _subgraph_text
+
+
+def _subgraph_text(payload: dict) -> str:
     lines = ["controllable; chosen subgraph:"]
-    for src, name, dst in edges:
-        lines.append(f"  {format_state(src)} --{name}--> {format_state(dst)}")
-    return 0, payload, "\n".join(lines)
+    for e in payload["subgraph"]:
+        lines.append(f"  {_shown(e['source'])} --{e['event']}--> {_shown(e['target'])}")
+    return "\n".join(lines)
 
 
 def _cmd_synthesize(args, aut):
@@ -251,15 +292,18 @@ def _cmd_synthesize(args, aut):
     if not verdict.controllable:
         return _not_controllable(verdict)
     controller = synthesize_controller(aut, spec.states, verdict.subgraph)
-    payload = {"controllable": True, "kind": "fsfc", **controller_doc(controller)}
-    return 0, payload, "\n".join(_controller_text(controller))
+    return 0, {"controllable": True, "kind": "fsfc", **controller_doc(controller)}, _controller_text
 
 
 def _cmd_check_language(args, aut):
     verdict = language_controllable(aut, _require_language(args))
     if verdict.ok:
-        return 0, {"controllable": True}, "language is controllable"
+        return 0, {"controllable": True}, _language_controllable_text
     return _language_not_controllable(verdict)
+
+
+def _language_controllable_text(payload: dict) -> str:
+    return "language is controllable"
 
 
 def _cmd_derive_supervisor(args, aut):
@@ -278,46 +322,56 @@ def _cmd_derive_supervisor(args, aut):
                     "value": format_possibility(supervisor.value(s, name)),
                 }
             )
+    return 0, {"controllable": True, "table": rows}, _supervisor_text
+
+
+def _supervisor_text(payload: dict) -> str:
     lines = ["supervisor on the language support (default: floor of each event elsewhere):"]
-    for row in rows:
-        shown = " ".join(row["string"]) or "(empty)"
-        lines.append(f"  S({shown})({row['event']}) = {row['value']}")
-    return 0, {"controllable": True, "table": rows}, "\n".join(lines)
+    for row in payload["table"]:
+        lines.append(f"  S({_words(row['string'])})({row['event']}) = {row['value']}")
+    return "\n".join(lines)
 
 
 def _cmd_bridge(args, aut):
     K = _require_language(args)
     payload: dict = {}
-    lines = []
     verdict = language_controllable(aut, K)
     payload["language_controllable"] = verdict.ok
-    lines.append(f"language controllable: {'yes' if verdict.ok else 'no'}")
     if not verdict.ok:
         s, name = verdict.counterexample
         payload["counterexample"] = {"string": list(s), "event": name}
-        lines.append(f"  counterexample: string {' '.join(s) or '(empty)'} with event {name}")
-        return 1, payload, "\n".join(lines)
+        return 1, payload, _bridge_text
     states = reach_of_language(aut, K)
     payload["passed_states"] = [state_doc(q) for q in states]
-    lines.append("passed states: " + ", ".join(format_state(q) for q in states))
-    state_verdict = check_controllable(aut, states)
-    payload["passed_states_controllable"] = state_verdict.controllable
-    lines.append(f"passed states controllable: {'yes' if state_verdict.controllable else 'no'}")
+    payload["passed_states_controllable"] = check_controllable(aut, states).controllable
     consistency = consistency_check(aut, K)
     payload["consistent"] = consistency.ok
-    lines.append(f"language consistent: {'yes' if consistency.ok else 'no'}")
     if not consistency.ok:
         s1, s2, name = consistency.counterexample
         payload["inconsistency"] = {"first": list(s1), "second": list(s2), "event": name}
+        return 1, payload, _bridge_text
+    payload["controller"] = controller_doc(controller_from_language(aut, K))
+    return 0, payload, _bridge_text
+
+
+def _bridge_text(payload: dict) -> str:
+    lines = [f"language controllable: {_yes(payload['language_controllable'])}"]
+    if "counterexample" in payload:
+        s, name = payload["counterexample"]["string"], payload["counterexample"]["event"]
+        lines.append(f"  counterexample: string {_words(s)} with event {name}")
+        return "\n".join(lines)
+    lines.append("passed states: " + ", ".join(map(_shown, payload["passed_states"])))
+    lines.append(f"passed states controllable: {_yes(payload['passed_states_controllable'])}")
+    lines.append(f"language consistent: {_yes(payload['consistent'])}")
+    if "inconsistency" in payload:
+        found = payload["inconsistency"]
         lines.append(
-            f"  witness: strings {' '.join(s1) or '(empty)'} and {' '.join(s2) or '(empty)'} "
-            f"disagree on event {name}"
+            f"  witness: strings {_words(found['first'])} and {_words(found['second'])} "
+            f"disagree on event {found['event']}"
         )
-        return 1, payload, "\n".join(lines)
-    controller = controller_from_language(aut, K)
-    payload["controller"] = controller_doc(controller)
-    lines.extend(_controller_text(controller))
-    return 0, payload, "\n".join(lines)
+    else:
+        lines.extend(_controller_lines(payload["controller"]))
+    return "\n".join(lines)
 
 
 def _cmd_stability(args, aut):
@@ -339,11 +393,14 @@ def _cmd_stability(args, aut):
         "infimal_attractor": [state_doc(q) for q in ordered],
         "legal_set_is_attractor": report.verdict,
     }
-    lines = [
-        "smallest attractor: " + ", ".join(format_state(q) for q in ordered),
-        f"stable for the given legal set: {'yes' if stable else 'no'}",
-    ]
-    return (0 if stable else 1), payload, "\n".join(lines)
+    return (0 if stable else 1), payload, _stability_text
+
+
+def _stability_text(payload: dict) -> str:
+    return (
+        "smallest attractor: " + ", ".join(map(_shown, payload["infimal_attractor"]))
+        + f"\nstable for the given legal set: {_yes(payload['stable'])}"
+    )
 
 
 def _cmd_stabilize(args, aut):
@@ -361,17 +418,14 @@ def _cmd_stabilize(args, aut):
         try:
             controller = synthesize_stabilizing_controller(aut, legal, witness)
         except WitnessRejected:
-            return 1, {"stabilizable": False, "reason": "witness failed verification"}, (
-                "the supplied witness failed verification"
-            )
+            payload = {"stabilizable": False, "reason": "witness failed verification"}
+            return 1, payload, _stabilize_text
     else:
         found = search_stabilizing_witness(aut, legal)
         if found is None:
-            # Scripts read this exact line as "inconclusive"; keep its bytes.
-            text = "no stabilization witness found within budget (inconclusive)"
             size = len(candidate_universe(aut, legal))
             reason = f"no witness over the grid universe ({size} states)"
-            return 1, {"stabilizable": None, "reason": reason}, text
+            return 1, {"stabilizable": None, "reason": reason}, _stabilize_text
         witness, controller = found, found.controller
     payload = {
         "stabilizable": True,
@@ -379,13 +433,22 @@ def _cmd_stabilize(args, aut):
         "funnel_set": [state_doc(q) for q in witness.p_set],
         "controller": controller_doc(controller),
     }
+    return 0, payload, _stabilize_text
+
+
+def _stabilize_text(payload: dict) -> str:
+    if payload["stabilizable"] is False:
+        return "the supplied witness failed verification"
+    if payload["stabilizable"] is None:
+        # Scripts read this exact line as "inconclusive"; keep its bytes.
+        return "no stabilization witness found within budget (inconclusive)"
     lines = [
         "stabilizing controller found",
-        "target set: " + ", ".join(format_state(q) for q in witness.n_prime),
-        "funnel set: " + ", ".join(format_state(q) for q in witness.p_set),
+        "target set: " + ", ".join(map(_shown, payload["target_set"])),
+        "funnel set: " + ", ".join(map(_shown, payload["funnel_set"])),
     ]
-    lines.extend(_controller_text(controller))
-    return 0, payload, "\n".join(lines)
+    lines.extend(_controller_lines(payload["controller"]))
+    return "\n".join(lines)
 
 
 def _cmd_simulate(args, aut):
@@ -407,18 +470,7 @@ def _cmd_simulate(args, aut):
         trajectory = open_loop_trajectory(aut, script)
     else:
         trajectory = closed_loop_trajectory(aut, controller, script)
-    rows = [
-        {
-            "step": 0,
-            "event": None,
-            "state": state_doc(trajectory.states[0]),
-            "degree": "1",
-        }
-    ]
-    lines = [
-        f"mode: {'closed loop' if controller else 'open loop'}; script: {' '.join(script)}",
-        f"  0: start at {format_state(trajectory.states[0])} (degree 1)",
-    ]
+    rows = [{"step": 0, "event": None, "state": state_doc(trajectory.states[0]), "degree": "1"}]
     for i, name in enumerate(trajectory.events):
         state = trajectory.states[i + 1]
         degree = max(state)  # the degree of the prefix in the (controlled) language
@@ -430,31 +482,40 @@ def _cmd_simulate(args, aut):
                 "degree": format_possibility(degree),
             }
         )
-        lines.append(
-            f"  {i + 1}: {name} -> {format_state(state)} (degree {format_possibility(degree)})"
-        )
     payload = {"script": list(script), "halted": trajectory.halted, "trajectory": rows}
-    if trajectory.halted:
-        lines.append(
-            f"  halted: event {script[len(trajectory.events)]!r} is disabled or unfeasible here"
-        )
-    return 0, payload, "\n".join(lines)
+    mode = "open loop" if controller is None else "closed loop"
+    return 0, payload, lambda p: _simulate_text(p, mode)
+
+
+def _simulate_text(payload: dict, mode: str) -> str:
+    script, (start, *steps) = payload["script"], payload["trajectory"]
+    lines = [
+        f"mode: {mode}; script: {' '.join(script)}",
+        f"  0: start at {_shown(start['state'])} (degree 1)",
+    ]
+    for row in steps:
+        shown = _shown(row["state"])
+        lines.append(f"  {row['step']}: {row['event']} -> {shown} (degree {row['degree']})")
+    if payload["halted"]:
+        lines.append(f"  halted: event {script[len(steps)]!r} is disabled or unfeasible here")
+    return "\n".join(lines)
 
 
 def _cmd_export_dot(args, aut):
     if args.what == "accessible":
-        dot = fileio.export_dot(accessible_part(aut))
-        return 0, {"dot": dot}, dot
+        return 0, {"dot": fileio.export_dot(accessible_part(aut))}, _dot_text
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
     graph = build_successor_graph(aut, spec.states)
     if args.what == "successor":
-        dot = fileio.export_dot(graph)
-        return 0, {"dot": dot}, dot
+        return 0, {"dot": fileio.export_dot(graph)}, _dot_text
     verdict = check_controllable(aut, spec.states)
     if not verdict.controllable:
         return _not_controllable(verdict)
-    dot = fileio.export_dot(chosen_graph(graph, verdict.subgraph))
-    return 0, {"dot": dot}, dot
+    return 0, {"dot": fileio.export_dot(chosen_graph(graph, verdict.subgraph))}, _dot_text
+
+
+def _dot_text(payload: dict) -> str:
+    return payload["dot"]
 
 
 _HANDLERS = {
@@ -474,30 +535,29 @@ _HANDLERS = {
 
 
 def run_command(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.format == "dot" and args.command != "export-dot":
             raise FuzzyDESError("--format dot is only available for export-dot")
         aut = _load_automaton(args.automaton)
-        code, payload, text = _HANDLERS[args.command](args, aut)
-        _write_report(args, payload, text)
+        code, payload, render = _HANDLERS[args.command](args, aut)
+        _write_report(args, payload, render)
     except (FuzzyDESError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
 
 
-def _write_report(args, payload: dict, text: str) -> None:
+def _write_report(args, payload: dict, render) -> None:
     if args.format == "json":
-        rendered = json.dumps(payload, indent=2) + "\n"
+        rendered = fileio._json_text(payload) + "\n"
     elif args.format == "dot" and "dot" in payload:
         rendered = payload["dot"]
     else:  # text, and the diagnostic of an export-dot with no graph to draw
-        rendered = text + "\n"
+        rendered = render(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(rendered)

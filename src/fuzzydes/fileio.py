@@ -9,6 +9,7 @@ field-addressed message.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from ._record import Record
@@ -102,6 +103,40 @@ def parse_automaton(text: str) -> MaxMinAutomaton:
         raise ValidationError(str(exc)) from None
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """The bytes of json.dumps(value, indent=2) for a document built of dicts
+    with str keys, lists, tuples, strings, ints, bools and None.
+
+    With indent set, json.dumps runs the pure-Python encoder; here each
+    string is encoded by json's C encode_basestring_ascii and each container
+    is one join.  newline is the line break and indent the value starts on."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def state_doc(state: State) -> list[str]:
     """A state as its document form: a list of decimal strings."""
     return [format_possibility(v) for v in state]
@@ -121,7 +156,7 @@ def serialize_automaton(aut: MaxMinAutomaton) -> str:
             for ev in aut.events
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 class StateSetSpec(Record):
@@ -235,7 +270,7 @@ def controller_doc(f: StateFeedbackController) -> dict:
 
 
 def serialize_controller(f: StateFeedbackController) -> str:
-    return json.dumps({"kind": "fsfc", **controller_doc(f)}, indent=2) + "\n"
+    return _json_text({"kind": "fsfc", **controller_doc(f)}) + "\n"
 
 
 def _quote(label: str) -> str:
@@ -276,4 +311,4 @@ def serialize_language(language: FuzzyLanguage) -> str:
             for s in language.support()
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"

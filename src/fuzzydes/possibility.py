@@ -16,6 +16,7 @@ below (maxmin_compose, scale_product, solve_scale) serve both forms.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cache, cached_property
@@ -61,6 +62,11 @@ def decode_state(code: Code) -> State:
     return tuple(map(decode_value, code))
 
 
+# A plain decimal literal in [0, 1] with at most nine fractional digits: the
+# form every document value takes, coded without Decimal or Fraction.
+_PLAIN = re.compile(r"0(?:\.[0-9]{1,9})?|1(?:\.0{1,9})?")
+
+
 def as_possibility(value) -> Fraction:
     """Coerce a decimal literal, int, float, Decimal, or Fraction to an exact
     possibility value.
@@ -69,6 +75,15 @@ def as_possibility(value) -> Fraction:
     value itself would be representable, so that file round-trips stay
     canonical.
     """
+    if type(value) is str and _PLAIN.fullmatch(value):
+        whole, _, digits = value.partition(".")
+        return decode_value(int(whole) * _SCALE + int(digits.ljust(PRECISION, "0")))
+    return _exact_possibility(value)
+
+
+def _exact_possibility(value) -> Fraction:
+    """as_possibility for every input, through Decimal and Fraction; the
+    plain-literal path above gives the same value."""
     if isinstance(value, Fraction):
         frac = value
     elif isinstance(value, bool):
@@ -88,6 +103,9 @@ def as_possibility(value) -> Fraction:
             raise ValidationError(
                 f"more than {PRECISION} fractional digits: {text!r}"
             )
+        if dec and dec.adjusted() > 0:
+            # |value| >= 10: rejected before Fraction builds 10**exponent.
+            raise ValidationError(f"possibility outside [0, 1]: {value!r}")
         frac = Fraction(dec)
     else:
         raise ValidationError(f"not a possibility value: {value!r}")

@@ -51,10 +51,15 @@ class SuccessorEdge(Record):
     alpha_range: ScaleSolution
 
 
-class SuccessorGraph(Record):
+class SuccessorGraph(Record, hidden=("positions",)):
+    """The admissible moves within a state set.  positions holds each edge's
+    (source, target) positions in vertices; it stays out of equality, hash
+    and repr."""
+
     vertices: tuple[State, ...]
     edges: tuple[SuccessorEdge, ...]
     root: State
+    positions: tuple[tuple[int, int], ...]
 
 
 class ControllableSubgraph(Record):
@@ -159,13 +164,13 @@ def _moves(
 
 def _edges(
     aut: MaxMinAutomaton, states: Sequence[State], index: ScalingIndex, v: int
-) -> Iterator[SuccessorEdge]:
+) -> Iterator[tuple[int, SuccessorEdge]]:
     """The public form of the admissible moves out of position v of
-    states, whose codes the index holds."""
+    states, whose codes the index holds, each with its target's position."""
     for ev, moves in _moves(aut, index, index.states[v]):
         for t, alphas in moves:
             decoded = ScaleSolution(decode_value(alphas.lower), decode_value(alphas.upper))
-            yield SuccessorEdge(states[v], ev.name, states[t], decoded)
+            yield t, SuccessorEdge(states[v], ev.name, states[t], decoded)
 
 
 def successor_set(
@@ -178,23 +183,27 @@ def successor_set(
     code = encode_state(q)
     if code not in codes:
         raise DomainError(f"state {format_state(q)} is not a member of the set")
-    return tuple(_edges(aut, states, ScalingIndex(codes), codes.index(code)))
+    return tuple(e for _, e in _edges(aut, states, ScalingIndex(codes), codes.index(code)))
 
 
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:
     states = tuple(P)
     index = ScalingIndex(_validated_codes(aut, states))
-    edges = tuple(e for v in range(len(states)) for e in _edges(aut, states, index, v))
-    return SuccessorGraph(states, edges, aut.initial)
+    moves = [(v, t, e) for v in range(len(states)) for t, e in _edges(aut, states, index, v)]
+    edges = tuple(e for _, _, e in moves)
+    return SuccessorGraph(states, edges, aut.initial, tuple((v, t) for v, t, _ in moves))
 
 
 def chosen_graph(sg: SuccessorGraph, subgraph: ControllableSubgraph) -> SuccessorGraph:
     """Restrict a successor graph to a subgraph's chosen edges (alpha ranges
     kept for labeling)."""
-    edges = tuple(
-        e for e in sg.edges if subgraph.choice.get((e.source, e.event)) == e.target
+    kept = [
+        (e, vt) for e, vt in zip(sg.edges, sg.positions)
+        if subgraph.choice.get((e.source, e.event)) == e.target
+    ]
+    return SuccessorGraph(
+        sg.vertices, tuple(e for e, _ in kept), sg.root, tuple(vt for _, vt in kept)
     )
-    return SuccessorGraph(sg.vertices, edges, sg.root)
 
 
 def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> ControllabilityVerdict:

@@ -1,5 +1,6 @@
 """tools/bench_pair.py reads each benchmark run's last line as strict JSON,
-checks the traced run, and records whether each checkout is clean."""
+checks one traced run per workload, and records whether each checkout is
+clean."""
 
 import importlib.util
 import pathlib
@@ -80,3 +81,23 @@ def test_the_tree_of_each_checkout_is_recorded(tmp_path):
 def test_no_tree_is_recorded_outside_git(tmp_path, monkeypatch):
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
     assert bench_pair.git_tree(tmp_path) is None
+
+
+def test_each_workload_gets_its_own_traced_run(monkeypatch):
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace=0, read=None):
+        calls.append((checkout, workload, seed, seconds, trace, read))
+        return {"correct": True, "attempted": 4, "failed": 0, "metrics": {"m": {"value": 2}}}
+
+    monkeypatch.setattr(bench_pair, "run_once", fake_run_once)
+    checkouts = {"parent": "P", "change": "C"}
+    checks = bench_pair.traced_checks(checkouts, ["graph_control", "cli_mix"], 9, 30)
+    read = bench_pair.traced_result
+    assert calls == [("P", "graph_control", 9, 30, 1, read), ("C", "graph_control", 9, 30, 1, read),
+                     ("P", "cli_mix", 9, 30, 1, read), ("C", "cli_mix", 9, 30, 1, read)]
+    assert list(checks) == ["graph_control", "cli_mix"]
+    assert checks["cli_mix"]["command"] == ("python3 bench/run.py --workload cli_mix --seed 9 "
+                                            "--seconds 30 --trace 1")
+    assert checks["cli_mix"]["change"] == {"correct": True, "attempted": 4, "failed": 0,
+                                           "metrics": {"m": 2}}

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fuzzydes import (
     ValidationError,
@@ -20,12 +22,35 @@ from fuzzydes.fileio import (
     LanguageSpec,
     StateSetSpec,
     WitnessSpec,
+    _json_text,
     parse_inline_state,
 )
 from conftest import DATA
 from test_statecontrol import reference_subgraph
 
 S = lambda text: make_state(text.split())
+
+
+# Documents of the shapes the writer takes: dicts with str keys, lists and
+# tuples holding strings, ints, bools and None.
+json_documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @given(json_documents)
+    @example({"": [], "b": {}, "c": ["\u00e9\"\\", "\x00\x1f\n\t\u2028\ud800", -0, 10**30]})
+    @example([[{"k": [None, True, False]}], ()])
+    @example("plain")
+    def test_same_bytes_as_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
 
 
 class TestAutomatonDocuments:

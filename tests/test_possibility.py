@@ -22,6 +22,7 @@ from fuzzydes import (
 )
 from fuzzydes.possibility import (
     CODE_UNIT,
+    _exact_possibility,
     decode_state,
     decode_value,
     encode_state,
@@ -42,6 +43,22 @@ def event_for(state_dim):
     ).map(lambda rows: make_event("e", rows))
 
 
+def outcome(coerce, text):
+    """The value coerce gives text, or the message it rejects text with."""
+    try:
+        return "value", coerce(text)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+# Strings in and around the plain literal grammar 0, 1, 0.d... and 1.0...
+literal_texts = st.one_of(
+    st.from_regex(r"[01](\.[0-9]{0,11})?", fullmatch=True),
+    st.text(alphabet="0123456789.-+eE _", max_size=14),
+    st.text(max_size=6),
+)
+
+
 class TestParsing:
     def test_same_literal_compares_equal(self):
         assert as_possibility("0.1") == as_possibility("0.10") == as_possibility(0.1)
@@ -50,7 +67,9 @@ class TestParsing:
         x, y = as_possibility("0.3"), as_possibility("0.7")
         assert min(x, y) is x and max(x, y) is y
 
-    @pytest.mark.parametrize("bad", ["1.1", "-0.1", "0.1234567891", "abc", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "bad", ["1.1", "-0.1", "0.1234567891", "abc", "nan", "inf", "1e999999999", "-1e999999999"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
             as_possibility(bad)
@@ -62,6 +81,24 @@ class TestParsing:
     def test_rejects_fraction_off_grid(self):
         with pytest.raises(ValidationError):
             as_possibility(Fraction(1, 3))
+
+    @given(literal_texts)
+    @example("0.123456789")
+    @example("1.000000000")
+    @example("1.0000000000")
+    @example("0.1234567890")
+    @example("1.000000001")
+    @example("0.")
+    @example(" 0.5")
+    @example("0.5\n")
+    @example("\u0660.5")  # ARABIC-INDIC DIGIT ZERO, which Decimal reads as 0
+    @example("0.\u0665")
+    @example("9e999999999")
+    @example("0e999999999")
+    def test_plain_literals_agree_with_the_exact_path(self, text):
+        fast, exact = outcome(as_possibility, text), outcome(_exact_possibility, text)
+        assert fast == exact
+        assert fast[0] == "error" or type(fast[1]) is Fraction
 
     @pytest.mark.parametrize(
         "text,shown",

@@ -29,6 +29,14 @@ TENTH = F(1, 10)
 HALF = F(1, 2)
 
 
+def successor(graph, q, name):
+    """The target of q's edge labeled name in a transition graph, or None."""
+    for label, dst in graph.out_edges[q]:
+        if label == name:
+            return dst
+    return None
+
+
 def brute_force_floor(graph, uc, q):
     """The floor by its definition: the least degree over edges whose target
     is an ancestor of q (q included), 1 when there is none."""
@@ -159,7 +167,7 @@ class TestScalingFloor:
         while queue:
             q, used = queue.popleft()
             for name in treatment_plant.event_names:
-                p = graph.successor(q, name)
+                p = successor(graph, q, name)
                 if p is None:
                     continue
                 pair = (p, used | {name})

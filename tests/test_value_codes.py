@@ -70,9 +70,10 @@ def fractions_in(value, path="result") -> int:
     if isinstance(value, Fraction):
         return 1
     if isinstance(value, Record):
-        # ReachFamily.codes is the coded form family_contains runs on.
+        # Hidden fields hold what the library runs on (ReachFamily.codes, the
+        # coded form family_contains reads; SuccessorGraph.positions).
         return sum(fractions_in(getattr(value, name), f"{path}.{name}")
-                   for name in value._fields if name != "codes")
+                   for name in value._compared)
     if isinstance(value, dict):
         return sum(fractions_in(k, f"{path} key") + fractions_in(v, f"{path}[{k!r}]")
                    for k, v in value.items())

@@ -12,15 +12,17 @@ fresh checkout does.  The side that runs first alternates from pair to
 pair.  Each run's last stdout line is read as strict JSON: NaN and
 Infinity are rejected, and a run that exits non-zero or ends in a
 malformed line stops the tool with an error.  After the pairs it runs
-`bench/run.py --workload all --seed SEED_BASE --seconds 30 --trace 1` once
-in each checkout, and stops with an error when that run exits non-zero,
-ends in a line that is not strict JSON, reports `correct: false` or prints a
-`missing per-layer metrics` line.  It writes BENCH_<pr>.json (in the schema
+`bench/run.py --workload W --seed SEED_BASE --seconds 30 --trace 1` once per
+workload in each checkout, each in its own process as a single-workload
+benchmark run is made, so no workload's traced run leans on the modules an
+earlier workload imported.  It stops with an error when a traced run exits
+non-zero, ends in a line that is not strict JSON, reports `correct: false`
+or prints a `missing per-layer metrics` line.  It writes BENCH_<pr>.json (in the schema
 of BENCH_6.json) into the current directory: whether each checkout's tree
 matches its commit (and the paths that differ), per workload and metric the
 parent's and the change's runs, medians and quartiles, the pairs each side
 won, the change of the median as a fraction of the parent's, the parent's
-interquartile range, and the outcome of each side's traced run.
+interquartile range, and the outcome of each side's traced runs.
 """
 
 from __future__ import annotations
@@ -77,6 +79,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         return read(done.stdout)
     except ValueError as exc:
         raise SystemExit(f"{checkout}: {' '.join(command)}: {exc}") from None
+
+
+def traced_checks(checkouts: dict, workloads: list, seed: int, seconds: float) -> dict:
+    """One --trace 1 run per workload and side, each read by traced_result."""
+    checks = {}
+    for workload in workloads:
+        check = {"command": f"python3 bench/run.py --workload {workload} --seed {seed} "
+                            f"--seconds {seconds:g} --trace 1"}
+        for side in SIDES:
+            result = run_once(checkouts[side], workload, seed, seconds, trace=1, read=traced_result)
+            check[side] = {"correct": result["correct"], "attempted": result["attempted"],
+                           "failed": result["failed"],
+                           "metrics": {name: metric["value"] for name, metric
+                                       in result["metrics"].items()}}
+            print(f"traced check {workload} {side}: correct, {result['attempted']} queries, "
+                  f"{len(result['metrics'])} metrics", flush=True)
+        checks[workload] = check
+    return checks
 
 
 def quartiles(values: list) -> tuple:
@@ -178,20 +198,8 @@ def main(argv=None) -> int:
             values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
             entry["metrics"][name] = summarize(metric, values)
         report["workloads"][workload] = entry
-    report["traced_check"] = {
-        "command": f"python3 bench/run.py --workload all --seed {args.seed_base} "
-                   f"--seconds {args.seconds:g} --trace 1",
-    }
-    for side in SIDES:
-        result = run_once(checkouts[side], "all", args.seed_base, args.seconds, trace=1,
-                          read=traced_result)
-        report["traced_check"][side] = {"correct": result["correct"],
-                                        "attempted": result["attempted"],
-                                        "failed": result["failed"],
-                                        "metrics": {name: metric["value"] for name, metric
-                                                    in result["metrics"].items()}}
-        print(f"traced check {side}: correct, {result['attempted']} queries, "
-              f"{len(result['metrics'])} metrics", flush=True)
+    report["traced_check"] = traced_checks(checkouts, args.workloads.split(","), args.seed_base,
+                                           args.seconds)
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
