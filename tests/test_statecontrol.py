@@ -161,6 +161,13 @@ class TestSuccessorGraph:
                 expected.add((Q[i], name, Q[j]))
         assert got == expected
 
+    def test_positions_locate_each_edge_in_the_vertices(self, treatment_plant, admissible_set):
+        graph = build_successor_graph(treatment_plant, admissible_set)
+        for g in (graph, chosen_graph(graph, reference_subgraph())):
+            where = [(g.vertices.index(e.source), g.vertices.index(e.target)) for e in g.edges]
+            assert list(g.positions) == where
+        assert len(graph.positions) > len(chosen_graph(graph, reference_subgraph()).positions) > 0
+
     def test_empty_set_gives_empty_graph(self, treatment_plant):
         graph = build_successor_graph(treatment_plant, ())
         assert graph.vertices == () and graph.edges == ()
