@@ -6,7 +6,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     FuzzyDESError,
-    InfeasibleControl,
     PreconditionError,
     UnknownEvent,
     ValidationError,

@@ -43,6 +43,8 @@ from .possibility import (
 
 EventString = tuple[str, ...]
 
+CodedController = tuple[dict[tuple[Code, str], int], int]
+
 
 def as_event_string(s) -> EventString:
     """Normalize an event string; a plain str is read character by character."""
@@ -134,14 +136,15 @@ def run(aut: MaxMinAutomaton, s) -> State:
     return decode_state(_run(aut, as_event_string(s))[-1])
 
 
-def _run(aut: MaxMinAutomaton, names: EventString, f=None) -> list[Code]:
+def _run(aut: MaxMinAutomaton, names: EventString, f: Optional[CodedController] = None) -> list[Code]:
     """The coded states of the run over names from the initial state; under
     the coded controller f it stops before the first step that vanishes."""
     states = [aut.coded_initial]
     for name in names:
         q = _step(aut, states[-1], name)
         if f is not None:
-            q = scale_product(f.value(states[-1], name), q)
+            entries, default = f
+            q = scale_product(entries.get((states[-1], name), default), q)
             if not any(q):
                 break
         states.append(q)
@@ -204,7 +207,7 @@ def _feasible(aut: MaxMinAutomaton, q: Code, events=None) -> list[tuple[FuzzyEve
     ]
 
 
-def _explore(aut: MaxMinAutomaton, f: Optional[StateFeedbackController] = None) -> TransitionGraph:
+def _explore(aut: MaxMinAutomaton, f: Optional[CodedController] = None) -> TransitionGraph:
     """Breadth-first closure of the coded initial state under open-loop
     steps or, for a coded controller f, under controlled steps; a step that
     f scales to zero is absent."""
@@ -213,7 +216,8 @@ def _explore(aut: MaxMinAutomaton, f: Optional[StateFeedbackController] = None) 
     def moves(q: Code):
         for ev, p in _feasible(aut, q):
             if f is not None:
-                p = scale_product(f.value(q, ev.name), p)
+                entries, default = f
+                p = scale_product(entries.get((q, ev.name), default), p)
                 if not any(p):
                     continue
             edges.append((q, ev.name, p))
@@ -278,11 +282,13 @@ class StateFeedbackController(Record):
         values.add(self.default)
         return values
 
-    def encoded(self) -> "StateFeedbackController":
-        """The same controller over int-coded states and values."""
-        entries = {(encode_state(q), name): encode_value(v) for (q, name), v in self.entries.items()}
-        return StateFeedbackController(entries, encode_value(self.default))
 
+def _coded(f: StateFeedbackController) -> CodedController:
+    """The table of f over int codes, (coded entries, coded default): what
+    the closed-loop runs and explorations, the supervisor translation and
+    the stabilizing redirection read."""
+    entries = {(encode_state(q), name): encode_value(v) for (q, name), v in f.entries.items()}
+    return entries, encode_value(f.default)
 
 
 def make_controller(entries=None, default=1) -> StateFeedbackController:
@@ -309,7 +315,7 @@ def closed_loop_step(
 def closed_loop_graph(aut: MaxMinAutomaton, f: StateFeedbackController) -> TransitionGraph:
     """Breadth-first closure of the initial state under controlled steps."""
     f.validate(aut)
-    return _decode_graph(_explore(aut, f.encoded()))
+    return _decode_graph(_explore(aut, _coded(f)))
 
 
 def closed_loop_reachable(
@@ -328,7 +334,7 @@ def closed_loop_language_degree(
     names = as_event_string(s)
     if not names:
         return ONE
-    states = _run(aut, names, f.encoded())
+    states = _run(aut, names, _coded(f))
     return decode_value(max(states[-1])) if len(states) > len(names) else ZERO
 
 
@@ -354,6 +360,6 @@ def closed_loop_trajectory(
     aut: MaxMinAutomaton, f: StateFeedbackController, s
 ) -> Trajectory:
     names = as_event_string(s)
-    states = _run(aut, names, f.encoded())
+    states = _run(aut, names, _coded(f))
     taken = names[: len(states) - 1]
     return Trajectory(tuple(map(decode_state, states)), taken, halted=len(taken) < len(names))

@@ -413,7 +413,7 @@ def _cmd_stabilize(args, aut):
         legal, n_prime, p_set = spec.legal, spec.n_prime, spec.p_set
     else:
         raise FuzzyDESError("stabilize requires a witness or state_set spec")
-    if n_prime is not None and p_set is not None:
+    if n_prime is not None:  # parse_spec gives p_set with it
         witness = StabilizabilityWitness(n_prime, p_set)
         try:
             controller = synthesize_stabilizing_controller(aut, legal, witness)

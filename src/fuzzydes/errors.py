@@ -32,7 +32,3 @@ class PreconditionError(FuzzyDESError, ValueError):
 class WitnessRejected(PreconditionError):
     """A supplied certificate failed verification: a negative verdict on the
     certificate rather than a malformed request."""
-
-
-class InfeasibleControl(FuzzyDESError, RuntimeError):
-    """No admissible control value exists for a required redirection."""

@@ -51,7 +51,10 @@ def _state(path: str, value, n: Optional[int] = None) -> State:
         raise _fail(path, "expected a non-empty list of decimal strings")
     if n is not None and len(value) != n:
         raise _fail(path, f"expected {n} components, got {len(value)}")
-    return tuple(_coerce(f"{path}[{i}]", v) for i, v in enumerate(value))
+    try:
+        return tuple(map(as_possibility, value))
+    except ValidationError:  # name the first component that fails
+        return tuple(_coerce(f"{path}[{i}]", v) for i, v in enumerate(value))
 
 
 def _json_object(text: str) -> dict:
@@ -237,11 +240,9 @@ def parse_spec(text: str) -> SpecPayload:
                 raise _fail(field, "expected a list of state vectors")
             return tuple(_state(f"{field}[{i}]", s) for i, s in enumerate(raw))
 
-        return WitnessSpec(
-            states_field("n", required=True),
-            states_field("n_prime", required=False),
-            states_field("p", required=False),
-        )
+        legal = states_field("n", required=True)
+        n_prime = states_field("n_prime", required=doc.get("p") is not None)  # both or neither
+        return WitnessSpec(legal, n_prime, states_field("p", required=n_prime is not None))
     raise _fail("kind", f"unknown kind {kind!r}")
 
 
@@ -274,7 +275,7 @@ def serialize_controller(f: StateFeedbackController) -> str:
 
 
 def _quote(label: str) -> str:
-    return '"' + label.replace('"', '\\"') + '"'
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _range_label(solution) -> str:
@@ -289,16 +290,16 @@ def export_dot(graph: TransitionGraph | SuccessorGraph) -> str:
     lines = ["digraph fuzzydes {", "  rankdir=LR;"]
     vertices, root = graph.vertices, graph.root
     if isinstance(graph, TransitionGraph):
-        edge_rows = [(src, name, dst, None) for src, name, dst in graph.edges]
+        ids = {q: i for i, q in enumerate(vertices)}
+        edge_rows = [(ids[src], name, ids[dst], None) for src, name, dst in graph.edges]
     else:
-        edge_rows = [(e.source, e.event, e.target, e.alpha_range) for e in graph.edges]
-    ids = {q: f"q{i}" for i, q in enumerate(vertices)}
-    for q in vertices:
+        edge_rows = [(v, e.event, t, e.alpha_range) for e, (v, t) in zip(graph.edges, graph.positions)]
+    for i, q in enumerate(vertices):
         shape = "doublecircle" if q == root else "circle"
-        lines.append(f"  {ids[q]} [label={_quote(format_state(q))},shape={shape}];")
-    for src, name, dst, alpha in edge_rows:
+        lines.append(f"  q{i} [label={_quote(format_state(q))},shape={shape}];")
+    for v, name, t, alpha in edge_rows:
         label = name if alpha is None else f"{name} {_range_label(alpha)}"
-        lines.append(f"  {ids[src]} -> {ids[dst]} [label={_quote(label)}];")
+        lines.append(f"  q{v} -> q{t} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

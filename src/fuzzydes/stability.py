@@ -24,10 +24,11 @@ from .automaton import (
     MaxMinAutomaton,
     StateFeedbackController,
     TransitionGraph,
+    _coded,
     _explore,
     _feasible,
 )
-from .errors import InfeasibleControl, PreconditionError, ValidationError, WitnessRejected
+from .errors import PreconditionError, ValidationError, WitnessRejected
 from .graph import attractor, bfs, closure
 from .possibility import (
     ZERO,
@@ -37,7 +38,6 @@ from .possibility import (
     decode_value,
     encode_state,
     encode_value,
-    format_state,
     scale_product,
 )
 from .statecontrol import (
@@ -164,12 +164,12 @@ class StabilizabilityWitness(Record):
     subgraph: Optional[ControllableSubgraph] = None
 
 
-def _verified_funnel(
+def _stabilizing(
     aut: MaxMinAutomaton, N: Sequence[State], w: StabilizabilityWitness
 ) -> Optional[StateFeedbackController]:
-    """The funnel controller of a witness that verifies, else None.  It
-    realizes the funnel set through the witness's own subgraph, or through
-    the one check_controllable finds when the witness carries none."""
+    """The redirected funnel controller of a witness that verifies, else
+    None.  The funnel controller realizes the funnel set through the
+    witness's subgraph, or through the one check_controllable finds."""
     legal = set(_validated_codes(aut, tuple(N)))
     n_prime = [encode_state(q) for q in w.n_prime]
     if not legal.issuperset(n_prime):
@@ -187,8 +187,23 @@ def _verified_funnel(
         f_prime = synthesize_controller(aut, w.p_set, subgraph)
     except ValidationError:
         return None
-    connected, acyclic = _funnels_into(_explore(aut, f_prime.encoded()), set(n_prime))
-    return f_prime if connected and acyclic else None
+    table, default = coded = _coded(f_prime)
+    if not all(_funnels_into(_explore(aut, coded), set(n_prime))):
+        return None
+    p_minus_n = set(map(encode_state, w.p_set)).difference(n_prime)
+    n_index = ScalingIndex(n_prime)
+    entries = dict(f_prime.entries)
+    for q, code in zip(w.n_prime, n_prime):
+        for ev, composed in _feasible(aut, code):
+            if scale_product(table.get((code, ev.name), default), composed) not in p_minus_n:
+                continue
+            if not ev.coded_uc:
+                entries[(q, ev.name)] = ZERO
+                continue
+            # N' is controllable invariant, so this forced event has an admissible target in N'.
+            admissible = [alphas.least() for _, alphas in n_index.targets(composed, ev.coded_uc)]
+            entries[(q, ev.name)] = decode_value(min(admissible))
+    return StateFeedbackController(entries, f_prime.default)
 
 
 def verify_stabilizability_witness(
@@ -199,7 +214,7 @@ def verify_stabilizability_witness(
     witness's subgraph when it has one), and under the synthesized funnel
     controller the funnel connects into the target with no cycle outside
     it."""
-    return _verified_funnel(aut, N, w) is not None
+    return _stabilizing(aut, N, w) is not None
 
 
 def synthesize_stabilizing_controller(
@@ -210,29 +225,10 @@ def synthesize_stabilizing_controller(
     controllable, or re-scaled to the least admissible value landing back in
     the target otherwise; everything else keeps the funnel controller.
     Raises WitnessRejected when the witness fails verification."""
-    f_prime = _verified_funnel(aut, N, w)
-    if f_prime is None:
+    controller = _stabilizing(aut, N, w)
+    if controller is None:
         raise WitnessRejected("witness failed verification")
-    n_prime = [encode_state(q) for q in w.n_prime]
-    p_minus_n = set(map(encode_state, w.p_set)).difference(n_prime)
-    n_index = ScalingIndex(n_prime)
-    coded = f_prime.encoded()
-    entries = dict(f_prime.entries)
-    for q, code in zip(w.n_prime, n_prime):
-        for ev, composed in _feasible(aut, code):
-            if scale_product(coded.value(code, ev.name), composed) not in p_minus_n:
-                continue
-            if not ev.coded_uc:
-                entries[(q, ev.name)] = ZERO
-                continue
-            admissible = [alphas.least() for _, alphas in n_index.targets(composed, ev.coded_uc)]
-            if not admissible:
-                raise InfeasibleControl(
-                    f"no admissible redirection for event {ev.name!r} at "
-                    f"{format_state(q)}"
-                )
-            entries[(q, ev.name)] = decode_value(min(admissible))
-    return StateFeedbackController(entries, f_prime.default)
+    return controller
 
 
 def candidate_universe(

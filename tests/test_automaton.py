@@ -6,6 +6,9 @@ import pytest
 from fuzzydes import (
     ONE,
     ZERO,
+    DimensionMismatch,
+    MaxMinAutomaton,
+    Trajectory,
     UnknownEvent,
     ValidationError,
     accessible_part,
@@ -49,6 +52,22 @@ class TestValidation:
         ev = make_event("a", [[1, 0], [0, 1]])
         with pytest.raises(ValidationError):
             make_automaton(["x", "y"], ["1", "0"], [ev, ev])
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ((0, (), (), ()), ValidationError, "dimension must be positive"),
+        ((2, ("x",), S("1 0"), ()), ValidationError, "expected 2 state labels, got 1"),
+        ((2, ("x", "y"), S("1"), ()), DimensionMismatch, "initial state has 1 components, expected 2"),
+        ((1, ("x",), S("1"), (make_event("a", [[1, 0], [0, 1]]),)), DimensionMismatch,
+         "event 'a' is 2x2, expected 1x1"),
+    ])
+    def test_constructor_rejects(self, fields, error, message):
+        with pytest.raises(error) as exc:
+            MaxMinAutomaton(*fields)
+        assert str(exc.value) == message
+
+    def test_trajectory_needs_one_more_state_than_events(self):
+        with pytest.raises(ValidationError, match="one more state than events"):
+            Trajectory((S("1"),), ("a",))
 
     def test_unknown_event_lookup(self, treatment_plant):
         with pytest.raises(UnknownEvent):

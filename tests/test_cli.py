@@ -515,6 +515,10 @@ class TestExitCodeContract:
          "entries[0].event: expected an event name"),
         ("stabilize", {"kind": "witness"}, "n: required field is missing"),
         ("stabilize", {"kind": "witness", "n": "x"}, "n: expected a list of state vectors"),
+        ("stabilize", {"kind": "witness", "n": [["0.4", "0.1", "0"]], "n_prime": [["0.9", "0.1", "0"]]},
+         "p: required field is missing"),
+        ("stabilize", {"kind": "witness", "n": [["0.4", "0.1", "0"]], "p": [["0.9", "0.1", "0"]]},
+         "n_prime: required field is missing"),
         ("member", "state:[]", "inline state is empty"),
         ("check-language", "state:[0.5,0.5,0.5]", "check-language requires a language spec, got StateSetSpec"),
         ("stabilize", None, "stabilize requires --spec with a witness or state_set document"),
@@ -553,6 +557,11 @@ class TestExitCodeContract:
     def test_negative_steps_is_a_usage_error(self, capsys):
         code, out, err = invoke(capsys, "simulate", "--automaton", PLANT, "--steps", "-5")
         assert code == 2 and out == "" and "usage:" in err and "--steps" in err
+
+    def test_non_integer_steps_is_a_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "simulate", "--automaton", PLANT, "--steps", "x")
+        assert code == 2 and out == "" and "usage:" in err
+        assert err.endswith("argument --steps: invalid int value: 'x'\n")
 
     @pytest.mark.parametrize("command,max_len", [("reach", "-1"), ("check-language", "-3")])
     def test_negative_max_len_is_a_usage_error(self, capsys, tmp_path, command, max_len):

@@ -10,6 +10,8 @@ from fuzzydes import (
     build_successor_graph,
     chosen_graph,
     export_dot,
+    make_automaton,
+    make_event,
     make_state,
     parse_automaton,
     parse_spec,
@@ -147,6 +149,13 @@ class TestSpecDocuments:
         assert spec.legal == (S("0.4 0.1 0"),)
         assert spec.p_set == (S("0.9 0.1 0"), S("0.4 0.1 0"))
 
+    @pytest.mark.parametrize("given, missing", [("n_prime", "p"), ("p", "n_prime")])
+    def test_witness_with_one_half_rejected(self, given, missing):
+        text = json.dumps({"kind": "witness", "n": [["0.4", "0.1", "0"]], given: [["0.9", "0.1", "0"]]})
+        with pytest.raises(ValidationError) as exc:
+            parse_spec(text)
+        assert str(exc.value) == f"{missing}: required field is missing"
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             parse_spec(json.dumps({"kind": "mystery"}))
@@ -196,3 +205,17 @@ class TestDotExport:
         one = export_dot(build_successor_graph(treatment_plant, admissible_set))
         two = export_dot(build_successor_graph(treatment_plant, admissible_set))
         assert one == two
+
+    def test_labels_escape_backslashes_and_quotes(self):
+        aut = make_automaton(["s0"], ["1"], [make_event("go\\", [[1]]), make_event('say "hi"', [[1]])])
+        header = 'digraph fuzzydes {\n  rankdir=LR;\n  q0 [label="[1]",shape=doublecircle];\n'
+        assert export_dot(accessible_part(aut)) == header + (
+            '  q0 -> q0 [label="go\\\\"];\n'
+            '  q0 -> q0 [label="say \\"hi\\""];\n'
+            "}\n"
+        )
+        assert export_dot(build_successor_graph(aut, (aut.initial,))) == header + (
+            '  q0 -> q0 [label="go\\\\ 1..1"];\n'
+            '  q0 -> q0 [label="say \\"hi\\" 1..1"];\n'
+            "}\n"
+        )

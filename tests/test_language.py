@@ -253,6 +253,16 @@ class TestSupervisorFromController:
         assert supervisor.value((), "b") == F(1, 10)
         assert supervisor.value((), "a") == F(1)
 
+    def test_vanished_run_fully_enables(self, treatment_plant):
+        # a is disabled at the initial state, so the controlled run of "a"
+        # vanishes and the override at the state a would reach never applies.
+        after_a = ("0.1", "0.9", "0.1")
+        f = make_controller({(("0.9", "0.1", "0"), "a"): "0", (after_a, "b"): "0.1"})
+        supervisor = supervisor_from_controller(treatment_plant, f)
+        assert supervisor.value((), "a") == F(0)
+        assert supervisor.value(("a",), "b") == F(1)
+        assert step(treatment_plant, treatment_plant.initial, "a") == S(" ".join(after_a))
+
     def test_closed_loop_language_equality(self, treatment_plant, reference_controller):
         supervisor = supervisor_from_controller(treatment_plant, reference_controller)
         closed = closed_loop_language_of_supervisor(treatment_plant, supervisor, 4)

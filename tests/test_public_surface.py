@@ -9,7 +9,7 @@ import fuzzydes
 PUBLIC = [
     "AttractorReport", "ConsistencyVerdict", "ControllabilityVerdict",
     "ControllableSubgraph", "DimensionMismatch", "DomainError", "FuzzyDESError",
-    "FuzzyEvent", "FuzzyLanguage", "FuzzySupervisor", "InfeasibleControl",
+    "FuzzyEvent", "FuzzyLanguage", "FuzzySupervisor",
     "InvariantVerdict", "LanguageVerdict", "MaxMinAutomaton", "ONE", "Obstruction",
     "Possibility", "PreconditionError", "ReachFamily", "ReachWitness", "ScaleSolution",
     "StabilizabilityWitness", "State", "StateFeedbackController", "SuccessorEdge",

@@ -9,6 +9,7 @@ import pytest
 import fuzzydes.stability as stability
 from fuzzydes import (
     AttractorReport,
+    ControllableSubgraph,
     PreconditionError,
     StabilizabilityWitness,
     TransitionGraph,
@@ -30,6 +31,7 @@ from fuzzydes import (
     synthesize_controller,
     synthesize_stabilizing_controller,
     verify_stabilizability_witness,
+    WitnessRejected,
 )
 from fuzzydes.graph import closure
 from generators import COARSE, random_automaton, random_controller
@@ -372,6 +374,18 @@ class TestWitnessVerification:
         assert check_attractor(graph, {drift_plant.initial}).verdict
 
 
+    def test_supplied_subgraph_that_fails_validation_is_rejected(self, cascade_plant):
+        # The empty choice leaves the forced event u at the initial state
+        # without a chosen edge, so synthesize_controller refuses it.
+        legal = (CASCADE_X, CASCADE_Z)
+        p_set = (cascade_plant.initial, CASCADE_P, CASCADE_Z, CASCADE_X)
+        witness = StabilizabilityWitness(legal, p_set, subgraph=ControllableSubgraph({}))
+        assert check_controllable(cascade_plant, p_set).controllable
+        assert not verify_stabilizability_witness(cascade_plant, legal, witness)
+        with pytest.raises(WitnessRejected):
+            synthesize_stabilizing_controller(cascade_plant, legal, witness)
+
+
 class TestStabilizingSynthesis:
     def test_cascade_redirect_uses_least_admissible_scale(self, cascade_plant):
         legal = (CASCADE_X, CASCADE_Z)
@@ -418,6 +432,58 @@ class TestStabilizingSynthesis:
             synthesize_stabilizing_controller(
                 drift_plant, (drift_plant.initial, m), witness
             )
+
+
+class TestOnePass:
+    """Verification and redirection are one pass: the funnel controller is
+    encoded once, and a witness that verifies always redirects."""
+
+    def test_funnel_controller_is_encoded_once(self, cascade_plant, monkeypatch):
+        legal = (CASCADE_X, CASCADE_Z)
+        p_set = (cascade_plant.initial, CASCADE_P, CASCADE_Z, CASCADE_X)
+        funnel = synthesize_controller(
+            cascade_plant, p_set, check_controllable(cascade_plant, p_set).subgraph
+        )
+        encoded = []
+
+        def counting(f):
+            encoded.append(f)
+            return coded(f)
+
+        coded = stability._coded
+        monkeypatch.setattr(stability, "_coded", counting)
+        synthesize_stabilizing_controller(cascade_plant, legal, StabilizabilityWitness(legal, p_set))
+        assert encoded == [funnel]
+
+    def test_every_verified_witness_redirects(self):
+        # Random targets inside the largest controllable invariant subset of
+        # a random legal set, with random funnels of the open-loop universe.
+        verified = forced = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            aut = random_automaton(rng, 4, 3, grid=COARSE)
+            universe = candidate_universe(aut, ())
+            legal = tuple(q for q in universe if rng.random() < 0.5)
+            invariant = largest_controllable_invariant(aut, legal)
+            rest = [q for q in universe if q != aut.initial]
+            for _ in range(10 if invariant else 0):
+                n_prime = tuple(q for q in invariant if rng.random() < 0.7) or invariant
+                p_set = (aut.initial,) + tuple(q for q in rest if rng.random() < 0.8)
+                witness = StabilizabilityWitness(n_prime, p_set)
+                if not verify_stabilizability_witness(aut, legal, witness):
+                    continue
+                verified += 1
+                controller = synthesize_stabilizing_controller(aut, legal, witness)
+                funnel = synthesize_controller(aut, p_set, check_controllable(aut, p_set).subgraph)
+                # The forced-redirection branch re-scales a partially
+                # uncontrollable event at a target state.
+                forced += any(
+                    ev.uc_degree and controller.value(q, ev.name) != funnel.value(q, ev.name)
+                    for q in n_prime for ev in aut.events
+                )
+                graph = closed_loop_graph(aut, controller)
+                assert check_attractor(graph, set(n_prime) & graph.vertex_set).verdict
+        assert verified > 300 and forced > 5
 
 
 def oracle_stabilizable(aut, legal):
