@@ -13,6 +13,7 @@ from fuzzydes import (
     PreconditionError,
     StabilizabilityWitness,
     TransitionGraph,
+    WitnessRejected,
     accessible_part,
     candidate_universe,
     check_attractor,
@@ -31,7 +32,6 @@ from fuzzydes import (
     synthesize_controller,
     synthesize_stabilizing_controller,
     verify_stabilizability_witness,
-    WitnessRejected,
 )
 from fuzzydes.graph import closure
 from generators import COARSE, random_automaton, random_controller
@@ -372,7 +372,6 @@ class TestWitnessVerification:
         graph = closed_loop_graph(drift_plant, controller)
         assert graph.vertices == (drift_plant.initial,)
         assert check_attractor(graph, {drift_plant.initial}).verdict
-
 
     def test_supplied_subgraph_that_fails_validation_is_rejected(self, cascade_plant):
         # The empty choice leaves the forced event u at the initial state
