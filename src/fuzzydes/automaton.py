@@ -128,7 +128,7 @@ def step(aut: MaxMinAutomaton, q: State, name: str) -> State:
 
 
 def _step(aut: MaxMinAutomaton, q: Code, name: str) -> Code:
-    return maxmin_compose(q, aut.event(name).coded_matrix)
+    return maxmin_compose(q, aut.event(name))
 
 
 def run(aut: MaxMinAutomaton, s) -> State:
@@ -160,15 +160,23 @@ def language_degree(aut: MaxMinAutomaton, s) -> Fraction:
     return max(run(aut, names))
 
 
-class TransitionGraph(Record):
+class TransitionGraph(Record, hidden=("positions",)):
     """A finite, deterministic, labeled transition graph over fuzzy states,
     rooted at the initial state.  Produced by accessible_part (open loop) and
     closed_loop_graph (under a controller); the analyses build it over
-    int-coded states."""
+    int-coded states.  positions holds each edge's (source, target)
+    positions in vertices, as on a SuccessorGraph, found from the vertices
+    when not given; it stays out of equality, hash and repr."""
 
     root: State
     vertices: tuple[State, ...]
     edges: tuple[tuple[State, str, State], ...]
+    positions: Optional[tuple[tuple[int, int], ...]] = None
+
+    def __post_init__(self):
+        if self.positions is None:
+            ids = {q: i for i, q in enumerate(self.vertices)}
+            self.__dict__["positions"] = tuple((ids[src], ids[dst]) for src, _, dst in self.edges)
 
     @cached_property
     def vertex_set(self) -> frozenset[State]:
@@ -190,10 +198,14 @@ class TransitionGraph(Record):
 
 
 def _decode_graph(graph: TransitionGraph) -> TransitionGraph:
-    """The public form of a coded graph: each vertex decoded once."""
-    states = {q: decode_state(q) for q in graph.vertices}
-    edges = tuple((states[src], name, states[dst]) for src, name, dst in graph.edges)
-    return TransitionGraph(states[graph.root], tuple(states.values()), edges)
+    """The public form of a coded graph of _explore, whose root is its
+    first vertex: each vertex decoded once, edges rebuilt from their
+    positions."""
+    states = tuple(map(decode_state, graph.vertices))
+    edges = tuple(
+        (states[v], name, states[t]) for (v, t), (_, name, _) in zip(graph.positions, graph.edges)
+    )
+    return TransitionGraph(states[0], states, edges, graph.positions)
 
 
 def _feasible(aut: MaxMinAutomaton, q: Code, events=None) -> list[tuple[FuzzyEvent, Code]]:
@@ -203,7 +215,7 @@ def _feasible(aut: MaxMinAutomaton, q: Code, events=None) -> list[tuple[FuzzyEve
     return [
         (ev, p)
         for ev in (aut.events if events is None else events)
-        if any(p := maxmin_compose(q, ev.coded_matrix))
+        if any(p := maxmin_compose(q, ev))
     ]
 
 

@@ -288,17 +288,12 @@ def export_dot(graph: TransitionGraph | SuccessorGraph) -> str:
     vectors, edges labeled with event names (plus admissible alpha ranges on
     successor graphs)."""
     lines = ["digraph fuzzydes {", "  rankdir=LR;"]
-    vertices, root = graph.vertices, graph.root
-    if isinstance(graph, TransitionGraph):
-        ids = {q: i for i, q in enumerate(vertices)}
-        edge_rows = [(ids[src], name, ids[dst], None) for src, name, dst in graph.edges]
-    else:
-        edge_rows = [(v, e.event, t, e.alpha_range) for e, (v, t) in zip(graph.edges, graph.positions)]
-    for i, q in enumerate(vertices):
+    root = graph.root
+    for i, q in enumerate(graph.vertices):
         shape = "doublecircle" if q == root else "circle"
         lines.append(f"  q{i} [label={_quote(format_state(q))},shape={shape}];")
-    for v, name, t, alpha in edge_rows:
-        label = name if alpha is None else f"{name} {_range_label(alpha)}"
+    for e, (v, t) in zip(graph.edges, graph.positions):
+        label = e[1] if type(e) is tuple else f"{e.event} {_range_label(e.alpha_range)}"
         lines.append(f"  q{v} -> q{t} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

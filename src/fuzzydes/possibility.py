@@ -12,6 +12,13 @@ public function encodes its arguments once (encode_value, encode_state) and
 decodes its result once (decode_state) through a table of the values
 already seen, so decoding builds no new Fraction per value.  The kernels
 below (maxmin_compose, scale_product, solve_scale) serve both forms.
+
+Component j of q . a is max over i of min(q[i], M[i][j]), so q . a is the
+componentwise maximum, over the nonzero q[i], of row i of M capped at q[i].
+Each event keeps one table per row of its coded matrix, mapping a level v
+to that row capped at v, filled on first use; a coded composition is then
+one lookup per nonzero component and one componentwise max, where the
+definition makes n*n min calls.  The all-zero state composes to zero.
 """
 
 from __future__ import annotations
@@ -171,6 +178,11 @@ class FuzzyEvent(Record):
     def coded_uc(self) -> int:
         return encode_value(self.uc_degree)
 
+    @cached_property
+    def _capped(self) -> tuple[dict[int, Code], ...]:
+        """Per row of coded_matrix: level v -> the row capped at v."""
+        return tuple({} for _ in self.matrix)
+
 
 def make_event(name: str, matrix: Sequence[Sequence], uc_degree=0) -> FuzzyEvent:
     """Build a fuzzy event, coercing matrix entries and the floor."""
@@ -180,13 +192,21 @@ def make_event(name: str, matrix: Sequence[Sequence], uc_degree=0) -> FuzzyEvent
 
 def maxmin_compose(state: State, event: FuzzyEvent | Matrix) -> State:
     """Max-min composition of a state row vector with an event matrix:
-    component j of the result is max over i of min(state[i], matrix[i][j])."""
+    component j of the result is max over i of min(state[i], matrix[i][j]).
+    An int-coded state composes with a FuzzyEvent through the event's
+    capped rows of its coded matrix (see the module docstring)."""
     matrix = event.matrix if isinstance(event, FuzzyEvent) else event
     if len(state) != len(matrix):
         raise DimensionMismatch(
             f"state has {len(state)} components, matrix has {len(matrix)} rows"
         )
-    return tuple([max(map(min, state, column)) for column in zip(*matrix)])
+    if matrix is event or type(state[0]) is not int:
+        return tuple([max(map(min, state, column)) for column in zip(*matrix)])
+    rows = [
+        table.get(v) or table.setdefault(v, tuple([min(v, m) for m in row]))
+        for table, row, v in zip(event._capped, event.coded_matrix, state) if v
+    ]
+    return tuple(map(max, *rows)) if len(rows) > 1 else rows[0] if rows else (0,) * len(state)
 
 
 def scale_product(alpha: Fraction, state: State) -> State:

@@ -117,12 +117,19 @@ def _validated_codes(aut: MaxMinAutomaton, states: Sequence[State]) -> tuple[Cod
 
 
 class ScalingIndex:
-    """The members of a coded state set, grouped by their maximum, for
-    finding the members that scale a coded vector lands on.
+    """The members of a coded state set, grouped by their maximum and sorted
+    by it, for finding the members that scaling a coded vector c lands on,
+    with their alpha ranges in closed form.
 
-    A nonzero p is a scaling of c exactly when p == min(max(p), c)
-    componentwise, so one dictionary probe per distinct maximum finds every
-    candidate target; solve_scale then runs on those hits alone.
+    A member p with maximum m is hit exactly when p == min(m, c)
+    componentwise, which needs m <= max(c); its alpha range is
+    [max(m, floor), m] when m < max(c) (empty when floor > m) and
+    [max(m, floor), 1] when m == max(c).  Proof: min(alpha, c) has
+    maximum min(alpha, max(c)), so a hit forces min(alpha, max(c)) == m
+    and then min(alpha, c) == min(m, c).  When m < max(c) this pins
+    alpha == m; when m == max(c) any alpha >= m gives min(alpha, c) == c.
+    So one dictionary probe per maximum up to max(c) finds every target,
+    and no hit calls solve_scale.
     """
 
     def __init__(self, states: Sequence[Code]):
@@ -130,21 +137,22 @@ class ScalingIndex:
         groups: dict[int, dict[Code, int]] = {}
         for i, p in enumerate(self.states):
             groups.setdefault(max(p), {})[p] = i
-        self._groups = tuple(groups.items())
+        self._groups = sorted(groups.items())
 
     def targets(self, composed: Code, floor: int) -> list[tuple[int, ScaleSolution]]:
         """(position, alpha range) of every member that scaling composed by
         some alpha >= floor lands on, in position order."""
-        hits = sorted(
-            i
-            for m, members in self._groups
-            if (i := members.get(tuple([min(m, v) for v in composed]))) is not None
-        )
+        top = max(composed)
         out = []
-        for i in hits:
-            admissible = solve_scale(composed, self.states[i], CODE_UNIT).restrict(floor)
-            if not admissible.is_empty:
-                out.append((i, admissible))
+        for m, members in self._groups:
+            if m > top:
+                break
+            if m == top:
+                if (i := members.get(composed)) is not None:
+                    out.append((i, ScaleSolution(max(m, floor), CODE_UNIT[1])))
+            elif floor <= m and (i := members.get(tuple([min(m, v) for v in composed]))) is not None:
+                out.append((i, ScaleSolution(m, m)))
+        out.sort()  # positions are distinct, so no two ranges are compared
         return out
 
 
@@ -217,8 +225,6 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
     """
     states = tuple(P)
     codes = _validated_codes(aut, states)
-    if not codes:
-        return ControllabilityVerdict(True, ControllableSubgraph({}))
     # The search runs over vertex ids, the positions in P.
     ids = {q: i for i, q in enumerate(codes)}
     root = ids.get(aut.coded_initial)
@@ -263,6 +269,23 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
     return ControllabilityVerdict(False, None, Obstruction("unreachable", vertices=missing))
 
 
+def _walk(root, slots_of, slots, picks) -> dict[int, int]:
+    """The closure of root in the optimistic graph of picks, where slot k
+    offers its pick slots[k][1][picks[k]] when chosen (k < len(picks)) and
+    every target while open: each reached vertex mapped to the slot whose
+    edge discovered it (-1 for root)."""
+    via = {root: -1}
+    stack = [root]
+    while stack:
+        for k in slots_of[stack.pop()]:
+            targets = slots[k][1]
+            for t in (targets[picks[k]],) if k < len(picks) else targets:
+                if t not in via:
+                    via[t] = k
+                    stack.append(t)
+    return via
+
+
 def _search(
     root: int, size: int, slots: list[tuple[int, list[int]]]
 ) -> tuple[Optional[list[int]], set[int]]:
@@ -276,40 +299,65 @@ def _search(
     or None, and the largest set reached by a full choice, seeded with a
     greedy full assignment so an exhausted search still reports a concrete
     stranded set.
+
+    Two facts spare most walks of the optimistic graph without changing a
+    node, a prune or a leaf's reach set.  First, indeg counts each vertex's
+    in-edges in that graph (the root holds one extra).  A vertex with none
+    left is stranded: a walk could not reach it.  So an inner node with a
+    stranded vertex is pruned exactly as its walk would prune it, and a
+    leaf with s stranded vertices reaches at most size - s, so it is
+    skipped when that cannot beat best_reached.  Second, via keeps the
+    closure of the current node while it reaches every vertex, with the
+    slot whose edge discovered each vertex.  Narrowing slot k to its first
+    target removes only slot k's other edges; when via discovered no
+    vertex through one of them, its spanning tree survives, and the child
+    reaches every vertex too.  Only a backtrack or a cut tree forces a
+    walk.  Neither keeps anything per depth, so memory stays
+    O(size + len(slots)).
     """
     slots_of: list[list[int]] = [[] for _ in range(size)]
-    for k, (v, _) in enumerate(slots):
+    indeg = [0] * size
+    indeg[root] = 1
+    for k, (v, targets) in enumerate(slots):
         slots_of[v].append(k)
+        for t in targets:
+            indeg[t] += 1
     picks: list[int] = []  # picks[k]: index of the target chosen for slots[k]
-
-    def optimistic(v: int) -> list[int]:
-        # Chosen slots give their pick, the slots still open every target.
-        out = []
-        for k in slots_of[v]:
-            targets = slots[k][1]
-            if k < len(picks):
-                out.append(targets[picks[k]])
-            else:
-                out.extend(targets)
-        return out
-
-    best_reached = closure([root], lambda v: [slots[k][1][0] for k in slots_of[v]])
+    best_reached = set(_walk(root, slots_of, slots, [0] * len(slots)))
+    via = None
     while True:
-        reach = closure([root], optimistic)
-        if len(picks) == len(slots):
-            if len(reach) > len(best_reached):
-                best_reached = reach
-            if len(reach) == size:
-                return picks, best_reached
-        elif len(reach) == size:
+        leaf = len(picks) == len(slots)
+        if via is None:
+            stranded = indeg.count(0)
+            if not stranded or leaf and size - stranded > len(best_reached):
+                reach = _walk(root, slots_of, slots, picks)
+                if len(reach) == size:
+                    via = reach
+                elif leaf and len(reach) > len(best_reached):
+                    best_reached = set(reach)
+        if via is not None:
+            if leaf:
+                return picks, set(via)
+            k = len(picks)
+            targets = slots[k][1]
             picks.append(0)
+            if any(t != targets[0] and via[t] == k for t in targets[1:]):
+                via = None
+            for t in targets[1:]:
+                indeg[t] -= 1
             continue
         # Backtrack to the deepest slot with an untried target.
         while picks:
-            if picks[-1] + 1 < len(slots[len(picks) - 1][1]):
+            targets = slots[len(picks) - 1][1]
+            j = picks[-1]
+            if j + 1 < len(targets):
                 picks[-1] += 1
+                indeg[targets[j]] -= 1
+                indeg[targets[j + 1]] += 1
                 break
             picks.pop()
+            for t in targets[:j]:
+                indeg[t] += 1
         else:
             return None, best_reached
 

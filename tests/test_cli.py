@@ -121,6 +121,22 @@ class TestControllableCommands:
         assert code == 1
         assert "initial" in out
 
+    @pytest.mark.parametrize("command", [
+        ["check-controllable"], ["synthesize"], ["export-dot", "--what", "subgraph"],
+    ])
+    def test_the_empty_set_misses_the_initial_state(self, command, capsys, tmp_path):
+        # No controller reaches exactly the empty set, so every command
+        # gives the same negative verdict.
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({"kind": "state_set", "states": []}))
+        code, out, err = invoke(capsys, *command, "--automaton", PLANT, "--spec", str(spec),
+                                "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "controllable": False,
+            "obstruction": "the initial state is not a member of the candidate set",
+        }
+
     def test_synthesize_emits_loadable_controller(self, capsys, treatment_plant, admissible_set):
         code, out, _ = invoke(
             capsys,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fuzzydes import (
     ONE,
     ZERO,
+    DimensionMismatch,
     ValidationError,
     as_possibility,
     format_possibility,
@@ -322,3 +323,66 @@ class TestCodec:
         want = solve_scale(composed, scaled)
         got = solve_scale(encode_state(composed), encode_state(scaled), CODE_UNIT)
         assert (decode_value(got.lower), decode_value(got.upper)) == (want.lower, want.upper)
+
+
+# Nine-digit codes: mostly zeros and grid values, with off-grid values such
+# as 0.123456789 mixed in.
+codes = st.one_of(
+    st.just(0),
+    st.integers(0, 10).map(lambda k: k * 10**8),
+    st.integers(0, 10**9),
+)
+
+
+@st.composite
+def coded_cases(draw):
+    """(coded state, coded rows) for n from 1 to 8; the state is often all
+    zero or has a single nonzero component."""
+    n = draw(st.integers(1, 8))
+    rows = tuple(tuple(draw(codes) for _ in range(n)) for _ in range(n))
+    shape = draw(st.sampled_from(("any", "zero", "single")))
+    if shape == "zero":
+        state = (0,) * n
+    elif shape == "single":
+        k, value = draw(st.integers(0, n - 1)), draw(st.integers(1, 10**9))
+        state = tuple(value if i == k else 0 for i in range(n))
+    else:
+        state = tuple(draw(codes) for _ in range(n))
+    return state, rows
+
+
+def compose_by_definition(state, rows):
+    """Component j is max over i of min(state[i], rows[i][j])."""
+    n = len(state)
+    return tuple(max(min(state[i], rows[i][j]) for i in range(n)) for j in range(n))
+
+
+class TestCappedRows:
+    """A coded state composes with a FuzzyEvent through the event's capped
+    rows; the result must be the definition's, cold and warm."""
+
+    @given(coded_cases())
+    @example(((0, 0), ((10**9, 5 * 10**8), (0, 10**9))))
+    @example(((123_456_789,), ((987_654_321,),)))
+    @example(((0, 7 * 10**8, 0), ((10**9,) * 3, (1, 2, 3), (10**9,) * 3)))
+    def test_matches_the_definition_cold_and_warm(self, case):
+        state, rows = case
+        ev = make_event("e", [[decode_value(v) for v in row] for row in rows])
+        want = compose_by_definition(state, rows)
+        assert ev.coded_matrix == rows
+        assert maxmin_compose(state, ev) == want
+        assert maxmin_compose(state, ev) == want
+        # A plain coded matrix and the Fraction form take the definition.
+        assert maxmin_compose(state, rows) == want
+        assert maxmin_compose(decode_state(state), ev) == decode_state(want)
+
+    def test_tables_fill_once_per_row_and_level(self):
+        ev = make_event("e", [["1", "0.5"], ["0", "1"]])
+        for _ in range(3):
+            assert maxmin_compose((300_000_000, 0), ev) == (300_000_000, 300_000_000)
+        assert ev._capped == ({300_000_000: (300_000_000, 300_000_000)}, {})
+
+    def test_dimension_is_checked_before_the_tables(self):
+        ev = make_event("e", [["1", "0"], ["0", "1"]])
+        with pytest.raises(DimensionMismatch):
+            maxmin_compose((1,), ev)

@@ -9,6 +9,7 @@ import pytest
 from fuzzydes import (
     ControllableSubgraph,
     DomainError,
+    Obstruction,
     ValidationError,
     accessible_part,
     build_successor_graph,
@@ -226,9 +227,12 @@ class TestControllability:
         assert verdict.controllable
         validate_subgraph(treatment_plant, admissible_set, verdict.subgraph)
 
-    def test_empty_set_trivially_controllable(self, treatment_plant):
+    def test_empty_set_misses_the_initial_state(self, treatment_plant):
+        # No controller reaches exactly the empty set: the initial state is
+        # always reached.
         verdict = check_controllable(treatment_plant, ())
-        assert verdict.controllable and verdict.subgraph.choice == {}
+        assert not verdict.controllable
+        assert verdict.obstruction == Obstruction("missing-initial")
 
     def test_initial_absence_is_immediate_obstruction(self, treatment_plant):
         verdict = check_controllable(treatment_plant, (Q[3], Q[9]))

@@ -121,8 +121,6 @@ def reference_check_controllable(aut, P):
     chosen targets per (state, event) slot and a fresh candidate table for
     every closure."""
     states = validated_state_set(aut, P)
-    if not states:
-        return ControllabilityVerdict(True, ControllableSubgraph({}))
     if aut.initial not in states:
         return ControllabilityVerdict(False, None, Obstruction("missing-initial"))
     candidates = {}
@@ -319,6 +317,61 @@ class TestSearchOverIds:
         assert kinds["controllable"] >= 50
         assert kinds["uncoverable-event"] >= 40
         assert kinds["unreachable"] >= 3
+
+
+def random_slot_lists(rng, count):
+    """count seeded (root, size, slots) inputs of _search: 1 to 14
+    vertices, 0 to 3 slots per vertex in a shuffled order, 1 to 3 distinct
+    targets per slot."""
+    for _ in range(count):
+        size = rng.randint(1, 14)
+        slots = [(v, rng.sample(range(size), rng.randint(1, min(3, size))))
+                 for v in range(size) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(slots)
+        yield rng.randrange(size), size, slots
+
+
+class TestSearchOnRandomSlotLists:
+    def test_choice_and_best_reached_match_the_reference(self):
+        cases = [
+            # Root 0 reaches 1 only through slot 0's second target, which
+            # the greedy seed leaves out.
+            (0, 3, [(0, [2, 1]), (1, [2])]),
+            # No slot targets vertex 2: no node below the root is walked.
+            (0, 3, [(0, [1]), (1, [0])]),
+            (0, 1, []),
+            *random_slot_lists(random.Random(21), 2000),
+        ]
+        outcomes = {True: 0, False: 0}
+        for root, size, slots in cases:
+            picks, best_reached = statecontrol._search(root, size, slots)
+            found, want_reached = _reference_search(
+                root, range(size), [(v, k, targets) for k, (v, targets) in enumerate(slots)]
+            )
+            assert best_reached == want_reached and (picks is None) == (found is None)
+            if found is not None:
+                assert {(v, k): targets[picks[k]] for k, (v, targets) in enumerate(slots)} == found
+            outcomes[found is not None] += 1
+        # Both verdicts are well represented: many draws strand a vertex
+        # under every choice.
+        assert min(outcomes.values()) >= 500
+
+    def test_draw_24_walks_the_optimistic_graph_once(self, draws, monkeypatch):
+        # Draw 24: 35 vertices and 105 slots.  The search walks the greedy
+        # seed and the root's optimistic graph; each descent keeps the
+        # root's spanning tree, so no node below it is walked.  A walk at
+        # every node made 107 closures.
+        _, aut, P = draws[24]
+        walks = []
+        real = statecontrol._walk
+        monkeypatch.setattr(statecontrol, "_walk", lambda *a: walks.append(a[3][:]) or real(*a))
+        slots = []
+        real_search = statecontrol._search
+        monkeypatch.setattr(statecontrol, "_search",
+                            lambda root, size, s: slots.append(s) or real_search(root, size, s))
+        assert check_controllable(aut, P).controllable
+        assert (len(P), len(slots[0])) == (35, 105)
+        assert walks == [[0] * 105, []]
 
 
 def _recorded_compositions(monkeypatch) -> list:
