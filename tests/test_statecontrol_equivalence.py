@@ -337,7 +337,7 @@ class TestSearchOnRandomSlotLists:
             # Root 0 reaches 1 only through slot 0's second target, which
             # the greedy seed leaves out.
             (0, 3, [(0, [2, 1]), (1, [2])]),
-            # No slot targets vertex 2: no node below the root is walked.
+            # No slot targets vertex 2, so the root is pruned without a walk.
             (0, 3, [(0, [1]), (1, [0])]),
             (0, 1, []),
             *random_slot_lists(random.Random(21), 2000),
