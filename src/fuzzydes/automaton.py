@@ -166,7 +166,8 @@ class TransitionGraph(Record, hidden=("positions",)):
     closed_loop_graph (under a controller); the analyses build it over
     int-coded states.  positions holds each edge's (source, target)
     positions in vertices, as on a SuccessorGraph, found from the vertices
-    when not given; it stays out of equality, hash and repr."""
+    when not given; it stays out of equality, hash and repr.  Every walk of
+    the graph runs over positions, through _links."""
 
     root: State
     vertices: tuple[State, ...]
@@ -176,25 +177,22 @@ class TransitionGraph(Record, hidden=("positions",)):
     def __post_init__(self):
         if self.positions is None:
             ids = {q: i for i, q in enumerate(self.vertices)}
-            self.__dict__["positions"] = tuple((ids[src], ids[dst]) for src, _, dst in self.edges)
+            try:
+                self.__dict__["positions"] = tuple((ids[src], ids[dst]) for src, _, dst in self.edges)
+            except KeyError:
+                src, name, dst = next(e for e in self.edges if e[0] not in ids or e[2] not in ids)
+                edge = f"{format_state(src)} --{name}--> {format_state(dst)}"
+                raise ValidationError(f"edge {edge} has an endpoint that is not a vertex") from None
 
     @cached_property
-    def vertex_set(self) -> frozenset[State]:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def out_edges(self) -> Mapping[State, tuple[tuple[str, State], ...]]:
-        table: dict[State, list] = {v: [] for v in self.vertices}
-        for src, name, dst in self.edges:
-            table[src].append((name, dst))
-        return {v: tuple(pairs) for v, pairs in table.items()}
-
-    @cached_property
-    def in_edges(self) -> Mapping[State, tuple[tuple[State, str], ...]]:
-        table: dict[State, list] = {v: [] for v in self.vertices}
-        for src, name, dst in self.edges:
-            table[dst].append((src, name))
-        return {v: tuple(pairs) for v, pairs in table.items()}
+    def _links(self) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]]]:
+        """Per position, the labeled out-links (event, target position) and
+        in-links (event, source position), in edge order."""
+        out, into = [[] for _ in self.vertices], [[] for _ in self.vertices]
+        for (v, t), (_, name, _) in zip(self.positions, self.edges):
+            out[v].append((name, t))
+            into[t].append((name, v))
+        return out, into
 
 
 def _decode_graph(graph: TransitionGraph) -> TransitionGraph:

@@ -20,7 +20,7 @@ from .automaton import (
     closed_loop_trajectory,
     open_loop_trajectory,
 )
-from .errors import DimensionMismatch, FuzzyDESError, ValidationError, WitnessRejected
+from .errors import FuzzyDESError, ValidationError, WitnessRejected
 from .fileio import (
     ControllerSpec,
     LanguageSpec,
@@ -37,7 +37,7 @@ from .language import (
     reach_of_language,
     supervisor_from_language,
 )
-from .possibility import decode_state, encode_state, format_possibility, format_state
+from .possibility import decode_state, encode_state, format_possibility
 from .reachability import family_contains, reach_family
 from .stability import (
     StabilizabilityWitness,
@@ -52,6 +52,7 @@ from .statecontrol import (
     check_controllable,
     chosen_graph,
     synthesize_controller,
+    _validated_codes,
 )
 
 
@@ -376,14 +377,9 @@ def _bridge_text(payload: dict) -> str:
 
 def _cmd_stability(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec with the legal states")
-    for q in spec.states:
-        if len(q) != aut.n:
-            raise DimensionMismatch(
-                f"legal state {format_state(q)} has {len(q)} components, expected {aut.n}"
-            )
+    legal = set(_validated_codes(aut, spec.states))
     # Both checks run on the coded graph; only the printed states are decoded.
     graph = _explore(aut)
-    legal = set(map(encode_state, spec.states))
     infimal = infimal_attractor(graph)
     ordered = [decode_state(q) for q in graph.vertices if q in infimal]
     stable = infimal <= legal

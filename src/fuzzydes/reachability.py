@@ -28,17 +28,18 @@ from .possibility import (
     Code,
     Fraction,
     State,
-    decode_state,
     decode_value,
     encode_state,
+    format_state,
     solve_scale,
     state_is_zero,
 )
 
 
-def _floors(graph: TransitionGraph, uc: Mapping[str, Fraction]) -> dict[State, Fraction]:
-    """The floor of every vertex some edge leads into, in one pass; a vertex
-    no edge leads into has floor 1.  It serves public and coded graphs alike.
+def _floors(graph: TransitionGraph, uc: Mapping[str, Fraction], one: Fraction) -> list[Fraction]:
+    """The floor of every vertex, by position, in one pass; a vertex no edge
+    leads into has floor one.  uc may give the degrees as values or as
+    codes, with one to match.
 
     Every vertex is root-reachable by construction, so an event qualifies for
     q exactly when one of its edges has a target from which q is reachable.
@@ -46,46 +47,48 @@ def _floors(graph: TransitionGraph, uc: Mapping[str, Fraction]) -> dict[State, F
     closure reaches q gives q its floor; a vertex reached earlier already has
     its descendants, so each closure stops there.
     """
-    floors: dict[State, Fraction] = {}
+    out, _ = graph._links
+    floors: list[Optional[Fraction]] = [None] * len(graph.vertices)
 
-    def unreached(q: State):
-        return (dst for _, dst in graph.out_edges[q] if dst not in floors)
+    def unreached(v: int):
+        return (t for _, t in out[v] if floors[t] is None)
 
-    for _, name, dst in sorted(graph.edges, key=lambda edge: uc[edge[1]]):
-        if dst not in floors:
-            for q in closure([dst], unreached):
-                floors[q] = uc[name]
-    return floors
+    by_degree = sorted(zip(graph.edges, graph.positions), key=lambda edge: uc[edge[0][1]])
+    for (_, name, _), (_, t) in by_degree:
+        if floors[t] is None:
+            for v in closure([t], unreached):
+                floors[v] = uc[name]
+    return [one if floor is None else floor for floor in floors]
 
 
 def scaling_floor(graph: TransitionGraph, uc: Mapping[str, Fraction], q: State) -> Fraction:
     """Least uncontrollability degree over events labeling an edge on some
     root-to-q walk; 1 when there is none (the empty minimum convention)."""
-    if q not in graph.vertex_set:
-        raise DomainError(f"state is not an accessible vertex")
-    return _floors(graph, uc).get(q, ONE)
+    if q not in graph.vertices:
+        raise DomainError(f"state {format_state(q)} is not an accessible vertex")
+    return _floors(graph, uc, ONE)[graph.vertices.index(q)]
 
 
 class ReachFamily(Record, hidden=("codes",)):
     """Symbolic form of the controlled-reachability family: one (base state,
     floor) entry per accessible vertex, representing {alpha . base :
-    floor <= alpha <= 1}.  codes holds the coded graph and entries that
-    family_contains runs on; it stays out of equality, hash and repr."""
+    floor <= alpha <= 1}.  codes holds the coded entries, in graph's vertex
+    order, that family_contains runs on; it stays out of equality, hash and
+    repr."""
 
     aut: MaxMinAutomaton
     graph: TransitionGraph
     entries: tuple[tuple[State, Fraction], ...]
-    codes: tuple
+    codes: tuple[tuple[Code, int], ...]
 
 
 def reach_family(aut: MaxMinAutomaton) -> ReachFamily:
     """Compute the family for every accessible vertex, in discovery order."""
     coded = _explore(aut)
-    floors = _floors(coded, {ev.name: ev.coded_uc for ev in aut.events})
-    coded_entries = tuple((q, floors.get(q, CODE_UNIT[1])) for q in coded.vertices)
     graph = _decode_graph(coded)
-    entries = tuple((q, decode_value(floor)) for q, (_, floor) in zip(graph.vertices, coded_entries))
-    return ReachFamily(aut, graph, entries, (coded, coded_entries))
+    floors = _floors(graph, {ev.name: ev.coded_uc for ev in aut.events}, CODE_UNIT[1])
+    entries = tuple((q, decode_value(floor)) for q, floor in zip(graph.vertices, floors))
+    return ReachFamily(aut, graph, entries, tuple(zip(coded.vertices, floors)))
 
 
 class ReachWitness(Record):
@@ -116,24 +119,24 @@ def family_contains(fam: ReachFamily, target: State) -> Optional[ReachWitness]:
         )
     if state_is_zero(target):
         raise DomainError("the all-zero vector is excluded from the state set")
-    graph, entries = fam.codes
+    graph = fam.graph
     target = encode_state(target)
-    for base, floor in entries:
+    for v, (base, floor) in enumerate(fam.codes):
         if target == base:
             # alpha = 1 is admissible under every floor: no override at all.
-            path = _forward(graph, graph.root).path(base)
-            return ReachWitness(decode_state(base), ONE, path, StateFeedbackController())
+            path = _forward(graph, 0).path(v)
+            return ReachWitness(graph.vertices[v], ONE, path, StateFeedbackController())
         alpha = solve_scale(base, target, CODE_UNIT).restrict(floor).least()
         if alpha is not None:
-            return _override_witness(fam.aut, graph, base, floor, alpha)
+            return _override_witness(fam.aut, graph, v, floor, alpha)
     return None
 
 
 def _override_witness(
-    aut: MaxMinAutomaton, graph: TransitionGraph, base: Code, floor: int, alpha: int
+    aut: MaxMinAutomaton, graph: TransitionGraph, base: int, floor: int, alpha: int
 ) -> ReachWitness:
-    """Build the single-override controller reaching alpha . base, on the
-    coded graph.
+    """Build the single-override controller reaching alpha . base, the
+    vertex at position base of the family's graph (floor and alpha coded).
 
     Chooses an event achieving the floor of base among events on root paths,
     preferring the shortest through-path and then alphabet order, and
@@ -147,11 +150,12 @@ def _override_witness(
     reachable from dst; src, as every vertex, is reachable from the root.
     """
     index = {ev.name: i for i, ev in enumerate(aut.events) if ev.coded_uc == floor}
-    from_root = _forward(graph, graph.root)
+    _, into = graph._links
+    from_root = _forward(graph, 0)
     dist_root = from_root.dist
-    dist_back = bfs(base, lambda q: ((name, src) for src, name in graph.in_edges[q])).dist
+    dist_back = bfs(base, into.__getitem__).dist
     best = None  # ((total length, event index), source, event name, target)
-    for src, name, dst in graph.edges:
+    for (_, name, _), (src, dst) in zip(graph.edges, graph.positions):
         if name not in index:
             continue
         d1, d2 = dist_root.get(src), dist_back.get(dst)
@@ -165,9 +169,9 @@ def _override_witness(
     prefix = from_root.path(src)
     suffix = _forward(graph, dst).path(base)
     alpha = decode_value(alpha)
-    controller = StateFeedbackController({(decode_state(src), name): alpha})
-    return ReachWitness(decode_state(base), alpha, prefix + (name,) + suffix, controller)
+    controller = StateFeedbackController({(graph.vertices[src], name): alpha})
+    return ReachWitness(graph.vertices[base], alpha, prefix + (name,) + suffix, controller)
 
 
-def _forward(graph: TransitionGraph, source: State) -> Search:
-    return bfs(source, graph.out_edges.__getitem__)
+def _forward(graph: TransitionGraph, source: int) -> Search:
+    return bfs(source, graph._links[0].__getitem__)

@@ -12,12 +12,14 @@ over the grid scalings of the open-loop reachable states.
 
 Every fixpoint here is one call of graph.attractor, the counter worklist:
 the invariant subset and its attractor over int-coded states, and the
-peelings that find the smallest attractor and test "acyclic outside N".
+peelings that find the smallest attractor (from the sources) and test
+"acyclic outside N" (from the sinks, N taken first).  Transition graphs
+are walked by vertex position, through their link lists.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import Record
 from .automaton import (
@@ -66,32 +68,30 @@ def check_attractor(g: TransitionGraph, N: Iterable[State]) -> AttractorReport:
     stays in N.  Connected: every vertex outside N has a path into N.
     Acyclic outside: the induced subgraph off N has no cycle."""
     n_set = set(N)
-    absent = tuple(q for q in n_set if q not in g.vertex_set)
-    closed = all(dst in n_set for q in g.vertices if q in n_set for _, dst in g.out_edges[q])
-    connected, acyclic = _funnels_into(g, n_set)
+    closed, connected, acyclic = _conditions(g, n_set)
+    vertices = set(g.vertices)
+    absent = tuple(q for q in n_set if q not in vertices)
     return AttractorReport(closed, connected, acyclic, closed and connected and acyclic, absent)
 
 
-def _funnels_into(g: TransitionGraph, n_set: set[State]) -> tuple[bool, bool]:
-    """(connected, acyclic outside) of the attractor conditions for n_set:
-    every vertex off n_set has a path into it, and the subgraph induced off
-    n_set has no cycle."""
-    into_n = closure(
-        (q for q in g.vertices if q in n_set), lambda q: (src for src, _ in g.in_edges[q])
-    )
-    outside = [q for q in g.vertices if q not in n_set]
-    connected = all(q in into_n for q in outside)
-    acyclic = not _unpeeled(outside, lambda q: (dst for _, dst in g.out_edges[q] if dst not in n_set))
-    return connected, acyclic
+def _conditions(g: TransitionGraph, n_set: set[State]) -> tuple[bool, bool, bool]:
+    """(closed, connected, acyclic outside) of the attractor conditions for
+    the vertices in n_set, walked by position."""
+    out, into = g._links
+    inside = [q in n_set for q in g.vertices]
+    taken = [v for v, x in enumerate(inside) if x]
+    closed = all(inside[t] for v in taken for _, t in out[v])
+    connected = len(closure(taken, lambda t: (v for _, v in into[t]))) == len(inside)
+    return closed, connected, not any(_peel(out, taken))
 
 
-def _unpeeled(vertices: Sequence[State], blockers: Callable[[State], Iterable[State]]) -> list[State]:
-    """The vertices that peeling never takes: a vertex is taken once every
-    one of its blockers, which must lie in vertices, has been taken."""
-    ids = {q: v for v, q in enumerate(vertices)}
-    slots = [[[ids[p] for p in blockers(q)]] for q in vertices]
-    rank = attractor(slots, len, [1] * len(slots), [v for v, [ps] in enumerate(slots) if not ps])
-    return [q for q, r in zip(vertices, rank) if r is None]
+def _peel(links: Sequence[Sequence[tuple[str, int]]], taken: Sequence[int]) -> list[bool]:
+    """Per position, whether peeling never takes it: the taken positions and
+    those without links go first, and a position goes once every position
+    its links lead to has gone."""
+    slots = [[[w for _, w in ends]] for ends in links]
+    seeds = [*taken, *(v for v, ends in enumerate(links) if not ends)]
+    return [r is None for r in attractor(slots, len, [1] * len(slots), seeds)]
 
 
 def infimal_attractor(g: TransitionGraph) -> set[State]:
@@ -99,8 +99,8 @@ def infimal_attractor(g: TransitionGraph) -> set[State]:
     together with the dead vertices (no outgoing transition).  Peeling the
     graph from its sources, a vertex once all its predecessors are taken,
     leaves exactly the vertices some cycle reaches."""
-    dead = {q for q in g.vertices if not g.out_edges[q]}
-    return set(_unpeeled(g.vertices, lambda q: (src for src, _ in g.in_edges[q]))) | dead
+    out, into = g._links
+    return {q for q, left, ends in zip(g.vertices, _peel(into, ()), out) if left or not ends}
 
 
 def is_stable(g: TransitionGraph, N: Iterable[State]) -> bool:
@@ -188,7 +188,7 @@ def _stabilizing(
     except ValidationError:
         return None
     table, default = coded = _coded(f_prime)
-    if not all(_funnels_into(_explore(aut, coded), set(n_prime))):
+    if not all(_conditions(_explore(aut, coded), set(n_prime))[1:]):  # connected, acyclic outside
         return None
     p_minus_n = set(map(encode_state, w.p_set)).difference(n_prime)
     n_index = ScalingIndex(n_prime)

@@ -49,6 +49,19 @@ def random_controller(rng, aut, grid=GRID11, max_states=12, override_rate=0.6):
     return StateFeedbackController(entries, Fraction(1))
 
 
+def adjacency(g):
+    """The out- and in-edges of a transition graph read straight from
+    g.edges, keyed by state and in edge order: out[q] lists (event, target)
+    and into[q] lists (source, event).  Test oracles walk these, not the
+    library's own adjacency."""
+    out = {q: [] for q in g.vertices}
+    into = {q: [] for q in g.vertices}
+    for src, name, dst in g.edges:
+        out[src].append((name, dst))
+        into[dst].append((src, name))
+    return out, into
+
+
 def all_strings(names, max_len):
     yield ()
     for length in range(1, max_len + 1):

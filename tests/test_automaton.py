@@ -9,6 +9,7 @@ from fuzzydes import (
     DimensionMismatch,
     MaxMinAutomaton,
     Trajectory,
+    TransitionGraph,
     UnknownEvent,
     ValidationError,
     accessible_part,
@@ -68,6 +69,15 @@ class TestValidation:
     def test_trajectory_needs_one_more_state_than_events(self):
         with pytest.raises(ValidationError, match="one more state than events"):
             Trajectory((S("1"),), ("a",))
+
+    @pytest.mark.parametrize("edge, shown", [
+        (((0,), "a", (1,)), "[0] --a--> [1]"),
+        (((2,), "b", (0,)), "[2] --b--> [0]"),
+    ])
+    def test_graph_edge_off_the_vertices_rejected(self, edge, shown):
+        with pytest.raises(ValidationError) as exc:
+            TransitionGraph((0,), ((0,),), (((0,), "a", (0,)), edge))
+        assert str(exc.value) == f"edge {shown} has an endpoint that is not a vertex"
 
     def test_unknown_event_lookup(self, treatment_plant):
         with pytest.raises(UnknownEvent):

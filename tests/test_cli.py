@@ -511,6 +511,17 @@ class TestExitCodeContract:
         )
         assert code == 2 and "components" in err
 
+    @pytest.mark.parametrize("states, message", [
+        ([["0", "0", "0"], ["0.9", "0.1", "0"]], "the all-zero vector is excluded from the state set"),
+        ([["0.9", "0.1", "0"], ["0.9", "0.1", "0"]], "duplicate state [0.9,0.1,0] in the set"),
+    ])
+    @pytest.mark.parametrize("command", ["stability", "stabilize"])
+    def test_zero_or_duplicate_legal_state_exits_two(self, capsys, tmp_path, command, states, message):
+        spec = tmp_path / "legal.json"
+        spec.write_text(json.dumps({"kind": "state_set", "states": states}))
+        code, out, err = invoke(capsys, command, "--automaton", PLANT, "--spec", str(spec))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_empty_event_name_exits_two(self, capsys, tmp_path):
         doc = json.loads((DATA / "treatment_plant.json").read_text())
         doc["events"][0]["name"] = ""

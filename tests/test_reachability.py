@@ -20,7 +20,7 @@ from fuzzydes import (
     scale_product,
     scaling_floor,
 )
-from generators import COARSE, random_automaton
+from generators import COARSE, adjacency, random_automaton
 
 S = lambda text: make_state(text.split())
 
@@ -31,7 +31,7 @@ HALF = F(1, 2)
 
 def successor(graph, q, name):
     """The target of q's edge labeled name in a transition graph, or None."""
-    for label, dst in graph.out_edges[q]:
+    for label, dst in adjacency(graph)[0][q]:
         if label == name:
             return dst
     return None
@@ -40,10 +40,11 @@ def successor(graph, q, name):
 def brute_force_floor(graph, uc, q):
     """The floor by its definition: the least degree over edges whose target
     is an ancestor of q (q included), 1 when there is none."""
+    _, into = adjacency(graph)
     ancestors = {q}
     stack = [q]
     while stack:
-        for src, _ in graph.in_edges[stack.pop()]:
+        for src, _ in into[stack.pop()]:
             if src not in ancestors:
                 ancestors.add(src)
                 stack.append(src)
@@ -134,8 +135,9 @@ class TestScalingFloor:
 
     def test_non_vertex_is_domain_error(self, treatment_plant):
         graph = accessible_part(treatment_plant)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             scaling_floor(graph, treatment_plant.uc_map(), S("0.2 0.2 0.2"))
+        assert str(exc.value) == "state [0.2,0.2,0.2] is not an accessible vertex"
 
     def test_matches_bounded_string_enumeration(self, drift_plant):
         # Tiny plant: every string up to twice the vertex count (long enough

@@ -41,6 +41,7 @@ from fuzzydes import (
 from fuzzydes._record import Record
 from fuzzydes.graph import bfs
 from conftest import DATA, load_automaton
+from generators import adjacency
 
 GOLDEN = DATA.parent / "golden"
 S = lambda text: make_state(text.split())
@@ -85,7 +86,7 @@ def samples():
         yes, yes.subgraph, no, no.obstruction, successors, successors.edges[0],
         successors.edges[0].alpha_range, witness, witness.controller, witness.subgraph,
         admissible, language, language.language, controller, witness_spec,
-        bfs(graph.root, lambda q: graph.out_edges[q]),
+        bfs(graph.root, adjacency(graph)[0].__getitem__),
         closed_loop_trajectory(treatment, controller.controller, "abab"),
         language_controllable(drift, language.language),
         consistency_check(drift, language.language),

@@ -34,7 +34,7 @@ from fuzzydes import (
     verify_stabilizability_witness,
 )
 from fuzzydes.graph import closure
-from generators import COARSE, random_automaton, random_controller
+from generators import COARSE, adjacency, random_automaton, random_controller
 from conftest import load_automaton
 from test_statecontrol_equivalence import forced_events
 
@@ -100,25 +100,28 @@ def cycle_vertices(vertices, neighbours):
 
 def find_cycles(g):
     """Vertices lying on some directed cycle (including self-loops)."""
-    return cycle_vertices(g.vertices, lambda q: (dst for _, dst in g.out_edges[q]))
+    out, _ = adjacency(g)
+    return cycle_vertices(g.vertices, lambda q: (dst for _, dst in out[q]))
 
 
 def tarjan_infimal_attractor(g):
     """The smallest attractor by cycle search: the forward closure of the
     cycle vertices together with the dead vertices."""
-    dead = {q for q in g.vertices if not g.out_edges[q]}
-    return closure(find_cycles(g), lambda q: (dst for _, dst in g.out_edges[q])) | dead
+    out, _ = adjacency(g)
+    dead = {q for q in g.vertices if not out[q]}
+    return closure(find_cycles(g), lambda q: (dst for _, dst in out[q])) | dead
 
 
 def tarjan_check_attractor(g, N):
     """check_attractor with "acyclic outside" decided by cycle search."""
+    out, into = adjacency(g)
     n_set = set(N)
-    absent = tuple(q for q in n_set if q not in g.vertex_set)
-    closed = all(dst in n_set for q in g.vertices if q in n_set for _, dst in g.out_edges[q])
-    into_n = closure((q for q in g.vertices if q in n_set), lambda q: (src for src, _ in g.in_edges[q]))
+    absent = tuple(q for q in n_set if q not in out)
+    closed = all(dst in n_set for q in g.vertices if q in n_set for _, dst in out[q])
+    into_n = closure((q for q in g.vertices if q in n_set), lambda q: (src for src, _ in into[q]))
     outside = [q for q in g.vertices if q not in n_set]
     connected = all(q in into_n for q in outside)
-    acyclic = not cycle_vertices(outside, lambda q: (dst for _, dst in g.out_edges[q] if dst not in n_set))
+    acyclic = not cycle_vertices(outside, lambda q: (dst for _, dst in out[q] if dst not in n_set))
     return AttractorReport(closed, connected, acyclic, closed and connected and acyclic, absent)
 
 
@@ -155,12 +158,13 @@ class TestCycles:
     def test_matches_path_enumeration(self, drift_plant):
         graph = accessible_part(drift_plant)
         # A vertex lies on a cycle iff some walk of length <= |V| returns to it.
+        out, _ = adjacency(graph)
         expected = set()
         for start in graph.vertices:
             frontier = {start}
             for _ in range(len(graph.vertices)):
                 frontier = {
-                    dst for q in frontier for _, dst in graph.out_edges[q]
+                    dst for q in frontier for _, dst in out[q]
                 }
                 if start in frontier:
                     expected.add(start)
@@ -481,7 +485,7 @@ class TestOnePass:
                     for q in n_prime for ev in aut.events
                 )
                 graph = closed_loop_graph(aut, controller)
-                assert check_attractor(graph, set(n_prime) & graph.vertex_set).verdict
+                assert check_attractor(graph, set(n_prime) & set(graph.vertices)).verdict
         assert verified > 300 and forced > 5
 
 
