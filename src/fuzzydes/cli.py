@@ -3,13 +3,18 @@
 Exit codes: 0 affirmative/success, 1 negative verdict (with a diagnostic),
 2 usage or parse error.  Reports are deterministic given the inputs and the
 seed.
+
+A plain command line (a command, then each of its flags at most once as
+`--flag value` or `--flag=value`, no value starting with "-") is read
+directly.  Every other one, help and every usage error included, goes to
+argparse, which is imported only then and gives the same bytes as ever.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import fileio
@@ -61,13 +66,26 @@ def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative int, got {value}")
-    return value
+        message = f"invalid int value: {text!r}"
+    else:
+        if value >= 0:
+            return value
+        message = f"must be a non-negative int, got {value}"
+    from argparse import ArgumentTypeError
+
+    raise ArgumentTypeError(message)
 
 
-# The options of each subcommand beyond the common ones, as (flag, settings).
+# The options of every subcommand, then those of each beyond them, as
+# (flag, settings).  Both the plain reader and argparse read this table.
+_COMMON_OPTIONS = [
+    ("--automaton", {"required": True, "metavar": "FILE"}),
+    ("--spec", {"metavar": "FILE"}),
+    ("--max-len", {"type": _count, "default": 6, "help": "validity guard only: below a nonempty "
+                   "language's support depth plus one it exits 2; it bounds no check"}),
+    ("--out", {"metavar": "FILE"}),
+    ("--format", {"choices": ["text", "json", "dot"], "default": "text"}),
+]
 _OPTIONS = {
     "stabilize": [
         ("--budget", {"type": _count, "default": 5000, "help": "accepted for compatibility and "
@@ -85,24 +103,68 @@ _OPTIONS = {
 }
 
 
-def _command_parser(command: str) -> argparse.ArgumentParser:
+def _options(command: str) -> list:
+    return _COMMON_OPTIONS + _OPTIONS.get(command, [])
+
+
+def _command_parser(command: str):
     """The parser of one subcommand, as add_parser would build it."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"fuzzydes {command}")
-    parser.add_argument("--automaton", required=True, metavar="FILE")
-    parser.add_argument("--spec", metavar="FILE")
-    parser.add_argument("--max-len", type=_count, default=6, help="validity guard only: below a nonempty "
-                        "language's support depth plus one it exits 2; it bounds no check")
-    parser.add_argument("--out", metavar="FILE")
-    parser.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    for flag, settings in _OPTIONS.get(command, ()):
+    for flag, settings in _options(command):
         parser.add_argument(flag, **settings)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]):
+    """The parsed argv: read directly when it is plain (see _plain), and by
+    argparse otherwise, so help and every usage error keep argparse's bytes."""
+    args = _plain(argv)
+    return _parse_by_argparse(argv) if args is None else args
+
+
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain argv, or None when argv is not
+    plain.  Plain is a command name, then `--flag value` or `--flag=value`
+    pairs in which each flag is exactly one of that command's, at most once,
+    no value starts with "-", each value converts by the flag's type and is
+    one of its choices, and every required flag is given."""
+    if not argv or argv[0] not in _HANDLERS:
+        return None
+    table = dict(_options(argv[0]))
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, text = token.partition("=")
+        if not equals:
+            text = next(tokens, None)
+        settings = table.get(flag)
+        if settings is None or flag in given or text is None or text.startswith("-"):
+            return None
+        value = text
+        if "type" in settings:
+            try:
+                value = settings["type"](text)
+            except Exception:  # argparse converts it again and reports the failure
+                return None
+        if value not in settings.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(settings.get("required") and flag not in given for flag, settings in table.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): given.get(flag, settings.get("default"))
+        for flag, settings in table.items()
+    })
+
+
+def _parse_by_argparse(argv: list[str]):
     """Parse in two steps: the command name, then that command's options.
     Unrecognized arguments of either step are reported by the top-level
     parser, after the command's own errors, as a subparsers action does."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fuzzydes",
         description="Analysis and controller synthesis for max-min fuzzy discrete-event systems",

@@ -193,11 +193,18 @@ def test_construction_by_position_keyword_and_default():
 
 
 def test_the_cli_imports_no_dataclass_machinery():
+    """Nor, for a plain command line, argparse and the gettext it imports:
+    they are loaded only for help and usage errors."""
     src = pathlib.Path(fuzzydes.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    code = "import json, sys, fuzzydes.cli; print(json.dumps(sorted(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    loaded = set(json.loads(done.stdout))
+    argv = ["simulate", "--automaton", str(DATA / "treatment_plant.json"), "--steps", "0"]
+    code = ("import json, sys, fuzzydes.cli; code = fuzzydes.cli.run_command(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    loaded = set(loaded)
+    assert code == 0
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert "argparse" not in loaded and "gettext" not in loaded
     assert set(LOADED_BEFORE) <= loaded
