@@ -107,16 +107,6 @@ def _options(command: str) -> list:
     return _COMMON_OPTIONS + _OPTIONS.get(command, [])
 
 
-def _command_parser(command: str):
-    """The parser of one subcommand, as add_parser would build it."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog=f"fuzzydes {command}")
-    for flag, settings in _options(command):
-        parser.add_argument(flag, **settings)
-    return parser
-
-
 def _parse(argv: list[str]):
     """The parsed argv: read directly when it is plain (see _plain), and by
     argparse otherwise, so help and every usage error keep argparse's bytes."""
@@ -160,25 +150,22 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _parse_by_argparse(argv: list[str]):
-    """Parse in two steps: the command name, then that command's options.
-    Unrecognized arguments of either step are reported by the top-level
-    parser, after the command's own errors, as a subparsers action does."""
+    """Parse argv with argparse: one subparser per command, filled from the
+    same option table as _plain.  It runs only on the argv _plain declines
+    (help, usage errors, unusual spellings), so argparse alone writes help,
+    usage and error text."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="fuzzydes",
         description="Analysis and controller synthesis for max-min fuzzy discrete-event systems",
     )
-    # Formatted and checked as add_subparsers(dest="command", required=True)
-    # would be: the same usage, help and errors.
-    parser.add_argument("command", nargs=argparse.PARSER, choices=_HANDLERS)
-    top, extras = parser.parse_known_args(argv)
-    command, *rest = top.command
-    args, unknown = _command_parser(command).parse_known_args(rest)
-    if extras or unknown:
-        parser.error(f"unrecognized arguments: {' '.join(extras + unknown)}")
-    args.command = command
-    return args
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command in _HANDLERS:
+        subparser = commands.add_parser(command)
+        for flag, settings in _options(command):
+            subparser.add_argument(flag, **settings)
+    return parser.parse_args(argv)
 
 
 def _load_automaton(path: str) -> MaxMinAutomaton:

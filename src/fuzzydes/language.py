@@ -283,13 +283,15 @@ def reach_of_language(aut: MaxMinAutomaton, K: FuzzyLanguage) -> list[State]:
 def controller_from_language(
     aut: MaxMinAutomaton, K: FuzzyLanguage
 ) -> StateFeedbackController:
-    """Build the state feedback controller realizing a consistent
+    """Build the state feedback controller realizing a nonempty consistent
     controllable language: at each passed state, enable an event to the best
     degree the language grants any string passing there, floored by the
     event's uncontrollability.  The closed loop then reaches exactly the
     language's passed states."""
     _require(language_controllable(aut, K), "controllable")
     _require(consistency_check(aut, K), "consistent")
+    if K.is_empty:
+        raise DomainError("the empty language has no realizing controller")
     degrees = K.codes
     entries: dict[tuple[State, str], Fraction] = {}
     for q, strings in _walk(aut, K).groups.items():

@@ -10,6 +10,12 @@ beside this file.  tests/test_cli_help_golden.py replays the cases and
 requires the same bytes, so re-record only when a help or usage change is
 intended.  No case reads its --automaton file: each one stops while the
 arguments are parsed.
+
+    PYTHONPATH=src:tests python tests/golden/record_help_golden.py --check
+
+replays cli_help_golden.json instead, writes nothing, lists every case that
+gives other bytes and exits 1 if any does.  It needs no pytest, so it checks
+interpreters that have none.
 """
 
 from __future__ import annotations
@@ -71,11 +77,32 @@ def run_case(argv: list[str], columns: str) -> dict:
             "stderr": err.getvalue()}
 
 
-def main() -> None:
+def record() -> int:
     records = [run_case(argv, columns) for columns in WIDTHS for argv in CASES]
     (HERE / "cli_help_golden.json").write_text(json.dumps(records, indent=1) + "\n")
     print(f"recorded {len(records)} cases", file=sys.stderr)
+    return 0
+
+
+def check() -> int:
+    """Replay the recorded golden; 1 if any case gives other bytes."""
+    records = json.loads((HERE / "cli_help_golden.json").read_text())
+    differing = [r for r in records if run_case(r["argv"], r["columns"]) != r]
+    for r in differing:
+        print(f"differs: COLUMNS={r['columns']} {' '.join(r['argv'])}")
+    print(f"{len(differing)} of {len(records)} cases differ on Python "
+          f"{sys.version.split()[0]}", file=sys.stderr)
+    return 1 if differing else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--check"]:
+        return check()
+    if argv:
+        print("usage: record_help_golden.py [--check]", file=sys.stderr)
+        return 2
+    return record()
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -240,6 +240,20 @@ class TestLanguageCommands:
         payload = json.loads(out)
         assert payload["controller"]["entries"]
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_bridge_rejects_the_empty_language(self, capsys, tmp_path, fmt):
+        # No controller realizes the empty language (every closed loop reaches
+        # the initial state), so bridge exits 2 as derive-supervisor does.
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({"kind": "language", "pairs": []}))
+        argv = ["--automaton", DRIFT, "--spec", str(spec), "--format", fmt]
+        assert invoke(capsys, "bridge", *argv) == (
+            2, "", "error: the empty language has no realizing controller\n"
+        )
+        assert invoke(capsys, "derive-supervisor", *argv) == (
+            2, "", "error: the empty language has no realizing supervisor\n"
+        )
+
 
 class TestStabilityCommands:
     def test_stability_affirms_absorbing_target(self, capsys, tmp_path):

@@ -89,6 +89,13 @@ class TestFuzzyLanguage:
         with pytest.raises(ValidationError):
             FuzzyLanguage.from_pairs([((), 1), (("a",), "0.2"), (("a", "a"), "0.4")])
 
+    @pytest.mark.parametrize("degree", [F(0), F(-1, 2), F(3, 2)])
+    def test_rejects_a_support_degree_outside_the_unit_interval(self, degree):
+        # from_pairs drops zero degrees; the raw mapping keeps them, so the
+        # constructor itself must refuse them.
+        with pytest.raises(ValidationError, match=r"support degree out of \(0, 1\]"):
+            FuzzyLanguage({(): F(1), ("a",): degree})
+
     def test_zero_degrees_are_dropped(self):
         lang = FuzzyLanguage.from_pairs([((), 1), (("a",), 0)])
         assert lang.support() == ((),)
@@ -407,6 +414,14 @@ class TestControllerFromLanguage:
         with pytest.raises(PreconditionError) as exc:
             controller_from_language(drift_plant, drift_language)
         assert exc.value.counterexample == (("a2",), ("a3",), "a1")
+
+    def test_empty_language_rejected(self, drift_plant):
+        # Every closed loop reaches the initial state, which the empty
+        # language never passes through, so no controller realizes it.
+        from fuzzydes import DomainError
+
+        with pytest.raises(DomainError):
+            controller_from_language(drift_plant, FuzzyLanguage.empty())
 
 
 class TestNonNecessityRegression:

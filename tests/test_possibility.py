@@ -69,7 +69,8 @@ class TestParsing:
         assert min(x, y) is x and max(x, y) is y
 
     @pytest.mark.parametrize(
-        "bad", ["1.1", "-0.1", "0.1234567891", "abc", "nan", "inf", "1e999999999", "-1e999999999"]
+        "bad", ["1.1", "-0.1", "0.1234567891", "abc", "nan", "inf", "1e999999999", "-1e999999999",
+                ["0.5"], None, {"value": "0.5"}]
     )
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
@@ -82,6 +83,10 @@ class TestParsing:
     def test_rejects_fraction_off_grid(self):
         with pytest.raises(ValidationError):
             as_possibility(Fraction(1, 3))
+
+    def test_make_state_rejects_the_empty_vector(self):
+        with pytest.raises(ValidationError, match="at least one component"):
+            make_state([])
 
     @given(literal_texts)
     @example("0.123456789")
@@ -164,6 +169,10 @@ class TestSolveScale:
 
     def test_conflicting_points_are_empty(self):
         assert solve_scale(S("0.9 0.1 0"), S("0.5 0.05 0")).is_empty
+
+    def test_vectors_of_different_lengths_are_rejected(self):
+        with pytest.raises(DimensionMismatch, match="base has 3 components, target has 2"):
+            solve_scale(S("0.9 0.1 0"), S("0.9 0.1"))
 
     @given(states, st.lists(possibilities, min_size=1, max_size=4))
     def test_matches_breakpoint_sweep(self, base, alphas):

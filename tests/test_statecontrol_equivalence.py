@@ -19,6 +19,7 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, strategies as st
 
+import fuzzydes.possibility as possibility
 import fuzzydes.stability as stability
 import fuzzydes.statecontrol as statecontrol
 from fuzzydes import (
@@ -386,17 +387,19 @@ def _recorded_compositions(monkeypatch) -> list:
 
 
 class TestComplexity:
-    def test_successor_graph_solves_once_per_maximum(self, draws, monkeypatch):
+    def test_successor_graph_makes_no_solve_scale_call(self, draws, monkeypatch):
         # Draw 23: V=255, |events|=4, 5 distinct maxima; a scan of every
-        # member makes V*V*|events| = 260,100 solve_scale calls.
+        # member makes V*V*|events| = 260,100 solve_scale calls.  ScalingIndex
+        # gives every alpha range in closed form, so the graph needs none.
         _, aut, P = draws[23]
         calls = []
-        real = statecontrol.solve_scale
-        monkeypatch.setattr(statecontrol, "solve_scale", lambda *a: calls.append(1) or real(*a))
-        build_successor_graph(aut, P)
+        real = possibility.solve_scale
+        for module in (possibility, statecontrol):
+            monkeypatch.setattr(module, "solve_scale", lambda *a: calls.append(1) or real(*a))
+        graph = build_successor_graph(aut, P)
         maxima = len({max(p) for p in P})
         assert (len(P), len(aut.events), maxima) == (255, 4, 5)
-        assert len(calls) <= len(P) * len(aut.events) * maxima
+        assert graph.edges and calls == []
 
     def test_check_controllable_composes_each_member_event_once(self, draws, monkeypatch):
         # Draw 24: V=35 and 3 events, all with a nonzero floor, and a forced
