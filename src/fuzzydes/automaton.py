@@ -17,7 +17,7 @@ compositions; every exploration and state-set analysis reads it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ._record import Record
 from .errors import DimensionMismatch, UnknownEvent, ValidationError
@@ -43,7 +43,7 @@ from .possibility import (
 
 EventString = tuple[str, ...]
 
-CodedController = tuple[dict[tuple[Code, str], int], int]
+CodedController = Callable[[Code, str], int]  # (coded state, event) -> coded value
 
 
 def as_event_string(s) -> EventString:
@@ -143,8 +143,7 @@ def _run(aut: MaxMinAutomaton, names: EventString, f: Optional[CodedController] 
     for name in names:
         q = _step(aut, states[-1], name)
         if f is not None:
-            entries, default = f
-            q = scale_product(entries.get((states[-1], name), default), q)
+            q = scale_product(f(states[-1], name), q)
             if not any(q):
                 break
         states.append(q)
@@ -226,8 +225,7 @@ def _explore(aut: MaxMinAutomaton, f: Optional[CodedController] = None) -> Trans
     def moves(q: Code):
         for ev, p in _feasible(aut, q):
             if f is not None:
-                entries, default = f
-                p = scale_product(entries.get((q, ev.name), default), p)
+                p = scale_product(f(q, ev.name), p)
                 if not any(p):
                     continue
             edges.append((q, ev.name, p))
@@ -294,11 +292,12 @@ class StateFeedbackController(Record):
 
 
 def _coded(f: StateFeedbackController) -> CodedController:
-    """The table of f over int codes, (coded entries, coded default): what
-    the closed-loop runs and explorations, the supervisor translation and
-    the stabilizing redirection read."""
+    """f over int codes, as the lookup (coded state, event) -> coded value:
+    what the closed-loop runs and explorations, the supervisor translation
+    and the stabilizing redirection call."""
     entries = {(encode_state(q), name): encode_value(v) for (q, name), v in f.entries.items()}
-    return entries, encode_value(f.default)
+    default = encode_value(f.default)
+    return lambda q, name: entries.get((q, name), default)
 
 
 def make_controller(entries=None, default=1) -> StateFeedbackController:

@@ -98,12 +98,7 @@ def parse_automaton(text: str) -> MaxMinAutomaton:
             _state(f"{path}.matrix[{r}]", row, n) for r, row in enumerate(matrix)
         )
         events.append(FuzzyEvent(name, rows, uc))
-    try:
-        return make_automaton(labels, initial, events)
-    except ValidationError:
-        raise
-    except Exception as exc:  # DimensionMismatch etc. carry their own message
-        raise ValidationError(str(exc)) from None
+    return make_automaton(labels, initial, events)
 
 
 def _json_text(value, newline: str = "\n") -> str:

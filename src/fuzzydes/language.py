@@ -254,13 +254,13 @@ def supervisor_from_controller(
     L_f(sa) = min(f(q_s, a), b(s), L(sa)) >= min(uc(a), L_f(s), L(sa)) since
     f >= uc and b(s) >= L_f(s): the inequality holds with no horizon."""
     f.validate(aut)
-    entries, default = coded = _coded(f)
+    coded = _coded(f)
 
     def rule(s: EventString, name: str) -> Fraction:
         states = _run(aut, s, coded)
         if len(states) <= len(s):
             return ONE
-        return decode_value(entries.get((states[-1], name), default))
+        return decode_value(coded(states[-1], name))
 
     return FuzzySupervisor(rule)
 

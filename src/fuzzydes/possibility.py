@@ -11,7 +11,8 @@ k = v * 10**9 of each value, where comparison and hashing are native.  Each
 public function encodes its arguments once (encode_value, encode_state) and
 decodes its result once (decode_state) through a table of the values
 already seen, so decoding builds no new Fraction per value.  The kernels
-below (maxmin_compose, scale_product, solve_scale) serve both forms.
+below (maxmin_compose, scale_product, solve_scale) serve both forms and
+tell them apart by their operands.
 
 Component j of q . a is max over i of min(q[i], M[i][j]), so q . a is the
 componentwise maximum, over the nonzero q[i], of row i of M capped at q[i].
@@ -42,7 +43,7 @@ _SCALE = 10**PRECISION
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# The bottom and top of each representation, for solve_scale.
+# The bottom and top of each representation.
 UNIT = (ZERO, ONE)
 CODE_UNIT = (0, _SCALE)
 
@@ -246,13 +247,14 @@ class ScaleSolution(Record):
         return None if self.is_empty else self.lower
 
 
-def solve_scale(base: State, target: State, unit=UNIT) -> ScaleSolution:
-    """Solve scale_product(alpha, base) == target for alpha in [0, 1]; unit
-    is the (0, 1) pair of the states' representation, CODE_UNIT for codes."""
+def solve_scale(base: State, target: State) -> ScaleSolution:
+    """Solve scale_product(alpha, base) == target for alpha in [0, 1], over
+    codes when the target's components are int codes, else over values."""
     if len(base) != len(target):
         raise DimensionMismatch(
             f"base has {len(base)} components, target has {len(target)}"
         )
+    unit = CODE_UNIT if target and type(target[0]) is int else UNIT
     lower, upper = unit
     for b, t in zip(base, target):
         if t > b:

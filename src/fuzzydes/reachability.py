@@ -36,10 +36,9 @@ from .possibility import (
 )
 
 
-def _floors(graph: TransitionGraph, uc: Mapping[str, Fraction], one: Fraction) -> list[Fraction]:
-    """The floor of every vertex, by position, in one pass; a vertex no edge
-    leads into has floor one.  uc may give the degrees as values or as
-    codes, with one to match.
+def _floors(graph: TransitionGraph, uc: Mapping[str, int]) -> list[int]:
+    """The coded floor of every vertex, by position, in one pass, from the
+    plant's coded degrees uc; the code of 1 where no edge leads in.
 
     Every vertex is root-reachable by construction, so an event qualifies for
     q exactly when one of its edges has a target from which q is reachable.
@@ -48,7 +47,7 @@ def _floors(graph: TransitionGraph, uc: Mapping[str, Fraction], one: Fraction) -
     its descendants, so each closure stops there.
     """
     out, _ = graph._links
-    floors: list[Optional[Fraction]] = [None] * len(graph.vertices)
+    floors: list[Optional[int]] = [None] * len(graph.vertices)
 
     def unreached(v: int):
         return (t for _, t in out[v] if floors[t] is None)
@@ -58,15 +57,19 @@ def _floors(graph: TransitionGraph, uc: Mapping[str, Fraction], one: Fraction) -
         if floors[t] is None:
             for v in closure([t], unreached):
                 floors[v] = uc[name]
-    return [one if floor is None else floor for floor in floors]
+    return [CODE_UNIT[1] if floor is None else floor for floor in floors]
 
 
 def scaling_floor(graph: TransitionGraph, uc: Mapping[str, Fraction], q: State) -> Fraction:
     """Least uncontrollability degree over events labeling an edge on some
-    root-to-q walk; 1 when there is none (the empty minimum convention)."""
+    root-to-q walk; 1 when there is none (the empty minimum convention).
+    Such an edge is an in-link of a vertex that reaches q, so one backward
+    closure from q finds them all, in time linear in the graph."""
     if q not in graph.vertices:
         raise DomainError(f"state {format_state(q)} is not an accessible vertex")
-    return _floors(graph, uc, ONE)[graph.vertices.index(q)]
+    _, into = graph._links
+    ancestors = closure([graph.vertices.index(q)], lambda v: (u for _, u in into[v]))
+    return min((uc[name] for v in ancestors for name, _ in into[v]), default=ONE)
 
 
 class ReachFamily(Record, hidden=("codes",)):
@@ -86,7 +89,7 @@ def reach_family(aut: MaxMinAutomaton) -> ReachFamily:
     """Compute the family for every accessible vertex, in discovery order."""
     coded = _explore(aut)
     graph = _decode_graph(coded)
-    floors = _floors(graph, {ev.name: ev.coded_uc for ev in aut.events}, CODE_UNIT[1])
+    floors = _floors(graph, {ev.name: ev.coded_uc for ev in aut.events})
     entries = tuple((q, decode_value(floor)) for q, floor in zip(graph.vertices, floors))
     return ReachFamily(aut, graph, entries, tuple(zip(coded.vertices, floors)))
 
@@ -126,7 +129,7 @@ def family_contains(fam: ReachFamily, target: State) -> Optional[ReachWitness]:
             # alpha = 1 is admissible under every floor: no override at all.
             path = _forward(graph, 0).path(v)
             return ReachWitness(graph.vertices[v], ONE, path, StateFeedbackController())
-        alpha = solve_scale(base, target, CODE_UNIT).restrict(floor).least()
+        alpha = solve_scale(base, target).restrict(floor).least()
         if alpha is not None:
             return _override_witness(fam.aut, graph, v, floor, alpha)
     return None

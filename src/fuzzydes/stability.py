@@ -187,7 +187,7 @@ def _stabilizing(
         f_prime = synthesize_controller(aut, w.p_set, subgraph)
     except ValidationError:
         return None
-    table, default = coded = _coded(f_prime)
+    coded = _coded(f_prime)
     if not all(_conditions(_explore(aut, coded), set(n_prime))[1:]):  # connected, acyclic outside
         return None
     p_minus_n = set(map(encode_state, w.p_set)).difference(n_prime)
@@ -195,7 +195,7 @@ def _stabilizing(
     entries = dict(f_prime.entries)
     for q, code in zip(w.n_prime, n_prime):
         for ev, composed in _feasible(aut, code):
-            if scale_product(table.get((code, ev.name), default), composed) not in p_minus_n:
+            if scale_product(coded(code, ev.name), composed) not in p_minus_n:
                 continue
             if not ev.coded_uc:
                 entries[(q, ev.name)] = ZERO

@@ -390,7 +390,7 @@ def _checked_choice(
             )
         # An infeasible event composes to zero, which scales onto no member.
         ev, composed = feasible[source].get(name) or (aut.event(name), (0,) * aut.n)
-        alpha = solve_scale(composed, target, CODE_UNIT).restrict(ev.coded_uc).least()
+        alpha = solve_scale(composed, target).restrict(ev.coded_uc).least()
         if alpha is None:
             raise ValidationError(
                 f"no admissible scaling realizes {format_state(q)} --{name}--> "

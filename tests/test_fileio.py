@@ -77,8 +77,9 @@ class TestAutomatonDocuments:
     def test_zero_initial_rejected(self):
         doc = json.loads((DATA / "treatment_plant.json").read_text())
         doc["initial"] = ["0", "0", "0"]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             parse_automaton(json.dumps(doc))
+        assert str(exc.value) == "the all-zero vector is excluded from the state set"
 
     def test_ten_digit_decimal_rejected_with_address(self):
         doc = json.loads((DATA / "treatment_plant.json").read_text())
@@ -90,8 +91,9 @@ class TestAutomatonDocuments:
     def test_duplicate_event_name_rejected(self):
         doc = json.loads((DATA / "treatment_plant.json").read_text())
         doc["events"][1]["name"] = "a"
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             parse_automaton(json.dumps(doc))
+        assert str(exc.value) == "duplicate event names in ['a', 'a', 'c', 'd']"
 
     def test_ragged_matrix_rejected(self):
         doc = json.loads((DATA / "treatment_plant.json").read_text())

@@ -3,7 +3,8 @@
 The property suites draw plants of a few crisp states; these are the 30
 draws of random_automaton(Random(315), 10, 5), whose accessible parts have
 up to 809 vertices.  The smallest attractor, the attractor conditions of
-seeded state sets and the scaling floors are each compared with
+seeded state sets, the scaling floors of the family and those of a
+seeded sample of vertices taken one at a time are each compared with
 bench/oracle.py, which reads the plant's document and computes them from
 the definitions over its own exploration.  The oracle is loaded from its
 file and only read, as bench/ imports tests/generators.
@@ -19,6 +20,7 @@ from fuzzydes import (
     check_attractor,
     infimal_attractor,
     reach_family,
+    scaling_floor,
     serialize_automaton,
 )
 from generators import random_automaton
@@ -27,6 +29,10 @@ ORACLE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
 O = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(O)
+
+# Vertices per draw whose single scaling floor is checked; each costs a
+# backward closure, so a sample keeps the test near two seconds.
+SAMPLED_FLOORS = 10
 
 
 def test_walks_agree_with_the_oracle_at_d1_scale():
@@ -61,6 +67,11 @@ def test_walks_agree_with_the_oracle_at_d1_scale():
         assert [O.from_exact(floor) for _, floor in family.entries] == [floors[q] for q in vertices], (
             f"draw {index}: scaling floors"
         )
+        uc = aut.uc_map()
+        for q in rng.sample(graph.vertices, min(SAMPLED_FLOORS, len(graph.vertices))):
+            assert O.from_exact(scaling_floor(graph, uc, q)) == floors[as_int[q]], (
+                f"draw {index}: scaling floor of one vertex"
+            )
     assert max(sizes) == 809
     # Each condition fails on some set, and some set is an attractor.
     assert (True, True, True) in verdicts

@@ -194,8 +194,23 @@ class TestScalingFloor:
             uc = aut.uc_map()
             for q, floor in fam.entries:
                 assert floor == brute_force_floor(fam.graph, uc, q)
+                assert scaling_floor(fam.graph, uc, q) == floor
             checked += 1
         assert checked == 23
+
+    def test_single_floor_walks_back_from_the_vertex(self, treatment_plant, monkeypatch):
+        # One floor costs one backward closure, not the floors of the graph.
+        from fuzzydes import reachability
+
+        graph = accessible_part(treatment_plant)
+
+        def every_floor(*args):
+            raise AssertionError("scaling_floor computed every floor")
+
+        monkeypatch.setattr(reachability, "_floors", every_floor)
+        uc = treatment_plant.uc_map()
+        assert scaling_floor(graph, uc, S("0.9 0.1 0")) == ONE
+        assert scaling_floor(graph, uc, S("0.9 0.1 0.1")) == TENTH
 
 
 class TestFamily:
