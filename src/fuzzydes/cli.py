@@ -17,7 +17,7 @@ import sys
 from types import SimpleNamespace
 from typing import Sequence
 
-from . import fileio
+from . import fileio, language, reachability, stability, statecontrol
 from .automaton import (
     MaxMinAutomaton,
     _explore,
@@ -35,30 +35,7 @@ from .fileio import (
     parse_inline_state,
     state_doc,
 )
-from .language import (
-    consistency_check,
-    controller_from_language,
-    language_controllable,
-    reach_of_language,
-    supervisor_from_language,
-)
 from .possibility import decode_state, encode_state, format_possibility
-from .reachability import family_contains, reach_family
-from .stability import (
-    StabilizabilityWitness,
-    candidate_universe,
-    check_attractor,
-    infimal_attractor,
-    search_stabilizing_witness,
-    synthesize_stabilizing_controller,
-)
-from .statecontrol import (
-    build_successor_graph,
-    check_controllable,
-    chosen_graph,
-    synthesize_controller,
-    _validated_codes,
-)
 
 
 def _count(text: str) -> int:
@@ -251,7 +228,7 @@ def _counterexample_text(payload: dict) -> str:
 
 
 def _cmd_reach(args, aut):
-    fam = reach_family(aut)
+    fam = reachability.reach_family(aut)
     entries = [
         {"base": state_doc(base), "floor": format_possibility(floor)} for base, floor in fam.entries
     ]
@@ -270,7 +247,7 @@ def _cmd_member(args, aut):
     if len(spec.states) != 1:
         raise FuzzyDESError("member expects exactly one state in the spec")
     target = spec.states[0]
-    witness = family_contains(reach_family(aut), target)
+    witness = reachability.family_contains(reachability.reach_family(aut), target)
     if witness is None:
         return 1, {"member": False, "target": state_doc(target)}, _member_text
     payload = {
@@ -299,7 +276,7 @@ def _member_text(payload: dict) -> str:
 
 def _cmd_succ(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
-    graph = build_successor_graph(aut, spec.states)
+    graph = statecontrol.build_successor_graph(aut, spec.states)
     docs = [state_doc(q) for q in graph.vertices]
     pairs = [[] for _ in docs]
     for e, (v, t) in zip(graph.edges, graph.positions):
@@ -318,7 +295,7 @@ def _succ_text(payload: dict) -> str:
 
 def _cmd_check_controllable(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
-    verdict = check_controllable(aut, spec.states)
+    verdict = statecontrol.check_controllable(aut, spec.states)
     if not verdict.controllable:
         return _not_controllable(verdict)
     edges = sorted(verdict.subgraph.edges(), key=lambda e: (encode_state(e[0]), e[1]))
@@ -338,15 +315,15 @@ def _subgraph_text(payload: dict) -> str:
 
 def _cmd_synthesize(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
-    verdict = check_controllable(aut, spec.states)
+    verdict = statecontrol.check_controllable(aut, spec.states)
     if not verdict.controllable:
         return _not_controllable(verdict)
-    controller = synthesize_controller(aut, spec.states, verdict.subgraph)
+    controller = statecontrol.synthesize_controller(aut, spec.states, verdict.subgraph)
     return 0, {"controllable": True, "kind": "fsfc", **controller_doc(controller)}, _controller_text
 
 
 def _cmd_check_language(args, aut):
-    verdict = language_controllable(aut, _require_language(args))
+    verdict = language.language_controllable(aut, _require_language(args))
     if verdict.ok:
         return 0, {"controllable": True}, _language_controllable_text
     return _language_not_controllable(verdict)
@@ -358,10 +335,10 @@ def _language_controllable_text(payload: dict) -> str:
 
 def _cmd_derive_supervisor(args, aut):
     K = _require_language(args)
-    verdict = language_controllable(aut, K)
+    verdict = language.language_controllable(aut, K)
     if not verdict.ok:
         return _language_not_controllable(verdict)
-    supervisor = supervisor_from_language(aut, K)
+    supervisor = language.supervisor_from_language(aut, K)
     rows = []
     for s in K.support():
         for name in aut.event_names:
@@ -385,22 +362,23 @@ def _supervisor_text(payload: dict) -> str:
 def _cmd_bridge(args, aut):
     K = _require_language(args)
     payload: dict = {}
-    verdict = language_controllable(aut, K)
+    verdict = language.language_controllable(aut, K)
     payload["language_controllable"] = verdict.ok
     if not verdict.ok:
         s, name = verdict.counterexample
         payload["counterexample"] = {"string": list(s), "event": name}
         return 1, payload, _bridge_text
-    states = reach_of_language(aut, K)
+    states = language.reach_of_language(aut, K)
     payload["passed_states"] = [state_doc(q) for q in states]
-    payload["passed_states_controllable"] = check_controllable(aut, states).controllable
-    consistency = consistency_check(aut, K)
+    passed = statecontrol.check_controllable(aut, states)
+    payload["passed_states_controllable"] = passed.controllable
+    consistency = language.consistency_check(aut, K)
     payload["consistent"] = consistency.ok
     if not consistency.ok:
         s1, s2, name = consistency.counterexample
         payload["inconsistency"] = {"first": list(s1), "second": list(s2), "event": name}
         return 1, payload, _bridge_text
-    payload["controller"] = controller_doc(controller_from_language(aut, K))
+    payload["controller"] = controller_doc(language.controller_from_language(aut, K))
     return 0, payload, _bridge_text
 
 
@@ -426,13 +404,13 @@ def _bridge_text(payload: dict) -> str:
 
 def _cmd_stability(args, aut):
     spec = _require_spec(args, StateSetSpec, "a state_set spec with the legal states")
-    legal = set(_validated_codes(aut, spec.states))
+    legal = set(statecontrol._validated_codes(aut, spec.states))
     # Both checks run on the coded graph; only the printed states are decoded.
     graph = _explore(aut)
-    infimal = infimal_attractor(graph)
+    infimal = stability.infimal_attractor(graph)
     ordered = [decode_state(q) for q in graph.vertices if q in infimal]
     stable = infimal <= legal
-    report = check_attractor(graph, legal)
+    report = stability.check_attractor(graph, legal)
     payload = {
         "stable": stable,
         "infimal_attractor": [state_doc(q) for q in ordered],
@@ -459,16 +437,16 @@ def _cmd_stabilize(args, aut):
     else:
         raise FuzzyDESError("stabilize requires a witness or state_set spec")
     if n_prime is not None:  # parse_spec gives p_set with it
-        witness = StabilizabilityWitness(n_prime, p_set)
+        witness = stability.StabilizabilityWitness(n_prime, p_set)
         try:
-            controller = synthesize_stabilizing_controller(aut, legal, witness)
+            controller = stability.synthesize_stabilizing_controller(aut, legal, witness)
         except WitnessRejected:
             payload = {"stabilizable": False, "reason": "witness failed verification"}
             return 1, payload, _stabilize_text
     else:
-        found = search_stabilizing_witness(aut, legal)
+        found = stability.search_stabilizing_witness(aut, legal)
         if found is None:
-            size = len(candidate_universe(aut, legal))
+            size = len(stability.candidate_universe(aut, legal))
             reason = f"no witness over the grid universe ({size} states)"
             return 1, {"stabilizable": None, "reason": reason}, _stabilize_text
         witness, controller = found, found.controller
@@ -550,13 +528,14 @@ def _cmd_export_dot(args, aut):
     if args.what == "accessible":
         return 0, {"dot": fileio.export_dot(accessible_part(aut))}, _dot_text
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
-    graph = build_successor_graph(aut, spec.states)
+    graph = statecontrol.build_successor_graph(aut, spec.states)
     if args.what == "successor":
         return 0, {"dot": fileio.export_dot(graph)}, _dot_text
-    verdict = check_controllable(aut, spec.states)
+    verdict = statecontrol.check_controllable(aut, spec.states)
     if not verdict.controllable:
         return _not_controllable(verdict)
-    return 0, {"dot": fileio.export_dot(chosen_graph(graph, verdict.subgraph))}, _dot_text
+    chosen = statecontrol.chosen_graph(graph, verdict.subgraph)
+    return 0, {"dot": fileio.export_dot(chosen)}, _dot_text
 
 
 def _dot_text(payload: dict) -> str:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
+from . import language
 from ._record import Record
 from .automaton import (
     MaxMinAutomaton,
@@ -20,7 +21,6 @@ from .automaton import (
     make_automaton,
 )
 from .errors import ValidationError
-from .language import FuzzyLanguage
 from .possibility import (
     ONE,
     Fraction,
@@ -32,7 +32,10 @@ from .possibility import (
     format_state,
     make_state,
 )
-from .statecontrol import SuccessorGraph
+
+if TYPE_CHECKING:  # annotation only; a command that needs neither module loads neither
+    from .language import FuzzyLanguage
+    from .statecontrol import SuccessorGraph
 
 
 def _fail(path: str, message: str) -> ValidationError:
@@ -207,7 +210,7 @@ def parse_spec(text: str) -> SpecPayload:
                 raise _fail(f"pairs[{i}]", "expected an object with string and degree")
             s = _event_string(f"pairs[{i}].string", pair["string"])
             entries.append((s, _coerce(f"pairs[{i}].degree", pair["degree"])))
-        return LanguageSpec(FuzzyLanguage.from_pairs(entries))
+        return LanguageSpec(language.FuzzyLanguage.from_pairs(entries))
     if kind == "fsfc":
         default = _coerce("default", doc.get("default", "1"))
         raw_entries = doc.get("entries", [])

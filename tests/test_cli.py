@@ -689,7 +689,8 @@ class TestExitCodeContract:
         def analysis(*args, **kwargs):
             raise AssertionError(f"{entry} ran under --format dot")
 
-        monkeypatch.setattr(fuzzydes.cli, entry, analysis)
+        # The CLI calls each analysis through its owning module.
+        monkeypatch.setattr(sys.modules[getattr(fuzzydes, entry).__module__], entry, analysis)
         code, out, err = invoke(capsys, command, "--automaton", PLANT, *extra, "--format", "dot")
         assert (code, out) == (2, "")
         assert err == "error: --format dot is only available for export-dot\n"

@@ -54,6 +54,14 @@ class TestJsonWriter:
     def test_same_bytes_as_json_dumps(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
 
+    @pytest.mark.parametrize("value", [{1, 2}, {"k": [set()]}])
+    def test_a_value_json_cannot_write_raises_the_same_type_error(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as raised:
+            _json_text(value)
+        assert str(raised.value) == str(expected.value) == "Object of type set is not JSON serializable"
+
 
 class TestAutomatonDocuments:
     @pytest.mark.parametrize(

@@ -1,8 +1,15 @@
 """The package's public names, pinned.
 
 Adding a name to fuzzydes or removing one changes this list, so every change
-of the public surface shows up as a diff here.
+of the public surface shows up as a diff here.  The names resolve lazily,
+through the package's module __getattr__, to the objects of the modules that
+define them.
 """
+
+import sys
+import types
+
+import pytest
 
 import fuzzydes
 
@@ -37,3 +44,34 @@ PUBLIC = [
 def test_public_names_are_pinned():
     assert sorted(fuzzydes.__all__) == PUBLIC
 
+
+# The public values whose owner __module__ does not name: all are bound in
+# possibility.
+VALUES = {"ONE", "ZERO", "Possibility", "State"}
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_public_name_is_its_owning_modules_object(name):
+    value = getattr(fuzzydes, name)
+    if isinstance(value, types.ModuleType):
+        assert value is sys.modules[f"fuzzydes.{name}"]
+    else:
+        owner = "fuzzydes.possibility" if name in VALUES else value.__module__
+        assert vars(sys.modules[owner])[name] is value
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from fuzzydes import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == PUBLIC
+    assert all(namespace[name] is getattr(fuzzydes, name) for name in PUBLIC)
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(fuzzydes))
+
+
+def test_an_unknown_attribute_is_named_in_the_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        fuzzydes.no_such_name

@@ -1,5 +1,5 @@
-"""Records keep the frozen-dataclass contract, and importing the CLI loads
-no dataclass machinery.
+"""Records keep the frozen-dataclass contract, importing the CLI loads no
+dataclass machinery, and each subcommand runs only the modules it needs.
 
 Every Record subclass is compared with a frozen dataclass twin built from
 the same fields, on instances taken from real results: the same repr,
@@ -47,7 +47,9 @@ GOLDEN = DATA.parent / "golden"
 S = lambda text: make_state(text.split())
 
 # The fuzzydes modules `import fuzzydes.cli` loaded when the records were
-# dataclasses; the bench tracer wraps only modules that are loaded.
+# dataclasses.  The package registers every one of them in sys.modules
+# without running its body, which runs on first use; the bench tracer wraps
+# the modules in sys.modules, and its vars() of each runs it.
 LOADED_BEFORE = [
     "fuzzydes", "fuzzydes.automaton", "fuzzydes.cli", "fuzzydes.errors", "fuzzydes.fileio",
     "fuzzydes.graph", "fuzzydes.language", "fuzzydes.possibility", "fuzzydes.reachability",
@@ -208,3 +210,41 @@ def test_the_cli_imports_no_dataclass_machinery():
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert "argparse" not in loaded and "gettext" not in loaded
     assert set(LOADED_BEFORE) <= loaded
+
+
+# The fuzzydes modules each subcommand runs, beyond the ones every command
+# runs, and its options; the other modules stay registered and unexecuted.
+EVERY_COMMAND = ["_record", "automaton", "cli", "errors", "fileio", "graph", "possibility"]
+PLANT, DRIFT = str(DATA / "treatment_plant.json"), str(DATA / "drift_plant.json")
+ADMISSIBLE, LANGUAGE = str(DATA / "admissible_set.json"), str(DATA / "drift_language.json")
+COMMAND_RUNS = {
+    "reach": (["reachability"], ["--automaton", PLANT]),
+    "member": (["reachability"], ["--automaton", PLANT, "--spec", "state:[0.5,0.1,0.1]"]),
+    "succ": (["statecontrol"], ["--automaton", PLANT, "--spec", ADMISSIBLE]),
+    "check-controllable": (["statecontrol"], ["--automaton", PLANT, "--spec", ADMISSIBLE]),
+    "synthesize": (["statecontrol"], ["--automaton", PLANT, "--spec", ADMISSIBLE]),
+    "check-language": (["language"], ["--automaton", DRIFT, "--spec", LANGUAGE]),
+    "derive-supervisor": (["language"], ["--automaton", DRIFT, "--spec", LANGUAGE]),
+    "bridge": (["language", "statecontrol"],
+               ["--automaton", DRIFT, "--spec", str(GOLDEN / "drift_consistent_language.json")]),
+    "stability": (["stability", "statecontrol"], ["--automaton", DRIFT, "--spec", "state:[0.4,0.1,0]"]),
+    "stabilize": (["stability", "statecontrol"], ["--automaton", DRIFT, "--spec", "state:[0.4,0.1,0]"]),
+    "simulate": ([], ["--automaton", PLANT, "--spec", str(DATA / "reference_controller.json")]),
+    "export-dot": ([], ["--automaton", PLANT]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_RUNS))
+def test_each_command_runs_only_the_modules_it_needs(command):
+    extra, options = COMMAND_RUNS[command]
+    src = pathlib.Path(fuzzydes.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import importlib.util, json, sys, fuzzydes.cli; "
+            "code = fuzzydes.cli.run_command(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(name for name, module in sys.modules.items() "
+            "if name.startswith('fuzzydes.') and type(module) is not importlib.util._LazyModule)]))")
+    done = subprocess.run([sys.executable, "-c", code, command, *options], env=env,
+                          capture_output=True, text=True, check=True)
+    code, ran = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert ran == sorted(f"fuzzydes.{name}" for name in EVERY_COMMAND + extra)
