@@ -2,20 +2,23 @@
 reachability under state feedback, controllable state sets, supervisor
 translation, and stabilization.
 
-Every submodule is registered here, in sys.modules and as an attribute of
-the package, through importlib.util.LazyLoader: its body runs on the first
-access to one of its attributes.  So a CLI command runs only the modules it
-uses, and every module stays visible to code that walks sys.modules.  The
-public names resolve through the module __getattr__ below (PEP 562).
+Every submodule but the entry point cli is registered here, in sys.modules
+and as an attribute of the package, through importlib.util.LazyLoader: its
+body runs on the first access to one of its attributes.  So a CLI command
+runs only the modules it uses, and every module stays visible to code that
+walks sys.modules.  cli is imported on first use instead, so that
+`python -m fuzzydes.cli` finds it unimported.  The public names, cli
+included, resolve through the module __getattr__ below (PEP 562).
 """
 
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-# _record is registered too, so that no submodule's first import adds an
-# attribute to the package later.
+# _record and cli's handler modules are registered too, so that no module
+# imported by cli adds an attribute to the package later.
 _MODULES = ("_record", "errors", "graph", "possibility", "automaton", "reachability",
-            "statecontrol", "language", "stability", "fileio", "cli")
+            "statecontrol", "language", "stability", "fileio",
+            "_cli_plant", "_cli_reach", "_cli_control", "_cli_language", "_cli_stability")
 
 for _name in _MODULES:
     _spec = find_spec(f"{__name__}.{_name}")
@@ -70,16 +73,19 @@ _EXPORTS = {
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in (*_MODULES, *_OWNER) if not name.startswith("_")]
+__all__ = [name for name in (*_MODULES, "cli", *_OWNER) if not name.startswith("_")]
 
 
 def __getattr__(name):
-    """A public name, read from the module that defines it, which runs that
-    module's body if it has not run yet."""
-    owner = _OWNER.get(name)
+    """cli, or a public name read from the module that defines it, which
+    runs that module's body if it has not run yet."""
+    owner = "cli" if name == "cli" else _OWNER.get(name)
     if owner is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[owner], name)
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{owner}")
+    return module if name == owner else getattr(module, name)
 
 
 def __dir__():

@@ -11,17 +11,18 @@ so a step that scales to zero is simply absent.
 The explorations run on int-coded states (the events' coded matrices and
 the automaton's coded_initial) and decode their graphs once at the end.
 _feasible expands a coded state into its feasible events and their
-compositions; every exploration and state-set analysis reads it.
+compositions; every exploration and state-set analysis reads it, and
+_validated_codes checks and codes the state set of each such analysis.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
+from . import graph
 from ._record import Record
 from .errors import DimensionMismatch, UnknownEvent, ValidationError
-from .graph import bfs
 from .possibility import (
     ONE,
     ZERO,
@@ -194,15 +195,33 @@ class TransitionGraph(Record, hidden=("positions",)):
         return out, into
 
 
-def _decode_graph(graph: TransitionGraph) -> TransitionGraph:
+def _decode_graph(coded: TransitionGraph) -> TransitionGraph:
     """The public form of a coded graph of _explore, whose root is its
     first vertex: each vertex decoded once, edges rebuilt from their
     positions."""
-    states = tuple(map(decode_state, graph.vertices))
+    states = tuple(map(decode_state, coded.vertices))
     edges = tuple(
-        (states[v], name, states[t]) for (v, t), (_, name, _) in zip(graph.positions, graph.edges)
+        (states[v], name, states[t]) for (v, t), (_, name, _) in zip(coded.positions, coded.edges)
     )
-    return TransitionGraph(states[0], states, edges, graph.positions)
+    return TransitionGraph(states[0], states, edges, coded.positions)
+
+
+def _validated_codes(aut: MaxMinAutomaton, states: Sequence[State]) -> tuple[Code, ...]:
+    """The codes of states, in order, once each is checked to have the
+    plant's dimension, to be nonzero and to appear once."""
+    codes: dict[Code, None] = {}
+    for q in states:
+        if len(q) != aut.n:
+            raise DimensionMismatch(
+                f"state {format_state(q)} has {len(q)} components, expected {aut.n}"
+            )
+        code = encode_state(q)
+        if not any(code):
+            raise ValidationError("the all-zero vector is excluded from the state set")
+        if code in codes:
+            raise ValidationError(f"duplicate state {format_state(q)} in the set")
+        codes[code] = None
+    return tuple(codes)
 
 
 def _feasible(aut: MaxMinAutomaton, q: Code, events=None) -> list[tuple[FuzzyEvent, Code]]:
@@ -231,7 +250,7 @@ def _explore(aut: MaxMinAutomaton, f: Optional[CodedController] = None) -> Trans
             edges.append((q, ev.name, p))
             yield ev.name, p
 
-    vertices = tuple(bfs(aut.coded_initial, moves).dist)
+    vertices = tuple(graph.bfs(aut.coded_initial, moves).dist)
     return TransitionGraph(aut.coded_initial, vertices, tuple(edges))
 
 

@@ -63,7 +63,7 @@ def _state(path: str, value, n: Optional[int] = None) -> State:
 def _json_object(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the int-string limit
         raise ValidationError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError("not valid JSON: nested too deeply") from None

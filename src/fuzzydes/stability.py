@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import statecontrol
 from ._record import Record
 from .automaton import (
     MaxMinAutomaton,
@@ -29,6 +30,7 @@ from .automaton import (
     _coded,
     _explore,
     _feasible,
+    _validated_codes,
 )
 from .errors import PreconditionError, ValidationError, WitnessRejected
 from .graph import attractor, bfs, closure
@@ -41,14 +43,6 @@ from .possibility import (
     encode_state,
     encode_value,
     scale_product,
-)
-from .statecontrol import (
-    ControllableSubgraph,
-    ScalingIndex,
-    _moves,
-    check_controllable,
-    synthesize_controller,
-    _validated_codes,
 )
 
 
@@ -117,8 +111,11 @@ def _forced_moves(aut: MaxMinAutomaton, N: Sequence[State]) -> list[tuple[State,
     """Each member of N, in order, with the moves of its forced events
     within N (statecontrol._moves with forced), expanded as they are read."""
     states = tuple(N)
-    index = ScalingIndex(_validated_codes(aut, states))
-    return [(q, _moves(aut, index, code, forced=True)) for q, code in zip(states, index.states)]
+    index = statecontrol.ScalingIndex(_validated_codes(aut, states))
+    return [
+        (q, statecontrol._moves(aut, index, code, forced=True))
+        for q, code in zip(states, index.states)
+    ]
 
 
 def check_controllable_invariant(
@@ -161,7 +158,7 @@ class StabilizabilityWitness(Record):
     n_prime: tuple[State, ...]
     p_set: tuple[State, ...]
     controller: Optional[StateFeedbackController] = None
-    subgraph: Optional[ControllableSubgraph] = None
+    subgraph: Optional[statecontrol.ControllableSubgraph] = None
 
 
 def _stabilizing(
@@ -179,19 +176,19 @@ def _stabilizing(
         )
     if not check_controllable_invariant(aut, w.n_prime).ok or not w.p_set:
         return None
-    subgraph = w.subgraph or check_controllable(aut, w.p_set).subgraph
+    subgraph = w.subgraph or statecontrol.check_controllable(aut, w.p_set).subgraph
     if subgraph is None:  # the funnel set is not controllable
         return None
     try:
         # synthesize_controller checks the subgraph with validate_subgraph.
-        f_prime = synthesize_controller(aut, w.p_set, subgraph)
+        f_prime = statecontrol.synthesize_controller(aut, w.p_set, subgraph)
     except ValidationError:
         return None
     coded = _coded(f_prime)
     if not all(_conditions(_explore(aut, coded), set(n_prime))[1:]):  # connected, acyclic outside
         return None
     p_minus_n = set(map(encode_state, w.p_set)).difference(n_prime)
-    n_index = ScalingIndex(n_prime)
+    n_index = statecontrol.ScalingIndex(n_prime)
     entries = dict(f_prime.entries)
     for q, code in zip(w.n_prime, n_prime):
         for ev, composed in _feasible(aut, code):
@@ -289,10 +286,10 @@ def search_stabilizing_witness(
     states = _universe(aut, map(encode_state, N))
     ids = {q: v for v, q in enumerate(states)}
     root = ids[aut.coded_initial]
-    index = ScalingIndex(states)
-    forced = [list(_moves(aut, index, q, forced=True)) for q in states]
+    index = statecontrol.ScalingIndex(states)
+    forced = [list(statecontrol._moves(aut, index, q, forced=True)) for q in states]
     # A strategy fills the forced events at a state, or every event when none is.
-    events = [f or list(_moves(aut, index, q)) for q, f in zip(states, forced)]
+    events = [f or list(statecontrol._moves(aut, index, q)) for q, f in zip(states, forced)]
     slots = [[[t for t, _ in targets] for _, targets in moves] for moves in events]
     wanted = [len(targets) if f else 1 for f, targets in zip(forced, slots)]
     rank = attractor(slots, lambda targets: 1, wanted, [ids[q] for q in kept if q in ids], root)
@@ -314,7 +311,7 @@ def search_stabilizing_witness(
     witness = StabilizabilityWitness(
         tuple(q for q, code in zip(invariant, kept) if ids.get(code) in funnel),
         tuple(funnel.values()),
-        subgraph=ControllableSubgraph(
+        subgraph=statecontrol.ControllableSubgraph(
             {(funnel[v], name): funnel[t] for v in funnel for name, t in picks[v]}
         ),
     )

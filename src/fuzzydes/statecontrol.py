@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Optional, Sequence
 
+from . import graph
 from ._record import Record
-from .automaton import MaxMinAutomaton, StateFeedbackController, _feasible
-from .errors import DimensionMismatch, DomainError, ValidationError
-from .graph import bfs, closure
+from .automaton import MaxMinAutomaton, StateFeedbackController, _feasible, _validated_codes
+from .errors import DomainError, ValidationError
 from .possibility import (
     CODE_UNIT,
     ONE,
@@ -96,24 +96,6 @@ class ControllabilityVerdict(Record):
     controllable: bool
     subgraph: Optional[ControllableSubgraph] = None
     obstruction: Optional[Obstruction] = None
-
-
-def _validated_codes(aut: MaxMinAutomaton, states: Sequence[State]) -> tuple[Code, ...]:
-    """The codes of states, in order, once each is checked to have the
-    plant's dimension, to be nonzero and to appear once."""
-    codes: dict[Code, None] = {}
-    for q in states:
-        if len(q) != aut.n:
-            raise DimensionMismatch(
-                f"state {format_state(q)} has {len(q)} components, expected {aut.n}"
-            )
-        code = encode_state(q)
-        if not any(code):
-            raise ValidationError("the all-zero vector is excluded from the state set")
-        if code in codes:
-            raise ValidationError(f"duplicate state {format_state(q)} in the set")
-        codes[code] = None
-    return tuple(codes)
 
 
 class ScalingIndex:
@@ -249,7 +231,7 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
     # graph (a state it misses is unreachable under every selection), events
     # in alphabet order.  Only slots with candidates exist; C2-mandatory
     # slots were verified non-empty above.
-    reached = bfs(root, lambda v: ((name, t) for name, targets in candidates[v] for t in targets)).dist
+    reached = graph.bfs(root, lambda v: ((name, t) for name, targets in candidates[v] for t in targets)).dist
     if len(reached) != len(states):
         missing = tuple(q for v, q in enumerate(states) if v not in reached)
         return ControllabilityVerdict(
@@ -408,7 +390,7 @@ def _checked_choice(
     if codes:
         if aut.coded_initial not in members:
             raise ValidationError("the initial state is not a member of the candidate set")
-        reach = closure([aut.coded_initial], lambda q: edge_map.get(q, ()))
+        reach = graph.closure([aut.coded_initial], lambda q: edge_map.get(q, ()))
         if reach != members:
             missing = ", ".join(format_state(decode_state(q)) for q in codes if q not in reach)
             raise ValidationError(f"chosen edges do not reach: {missing}")

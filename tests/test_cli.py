@@ -9,9 +9,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fuzzydes.automaton as automaton
 import fuzzydes.cli
 import fuzzydes.possibility as possibility
-import fuzzydes.stability as stability
+import fuzzydes.statecontrol as statecontrol
 from fuzzydes import closed_loop_reachable, make_state, parse_spec, run_command
 from conftest import DATA
 
@@ -277,7 +278,8 @@ class TestStabilityCommands:
         assert code == 1
 
     def test_stability_runs_on_the_coded_graph(self, capsys, monkeypatch):
-        monkeypatch.setattr(fuzzydes.cli, "accessible_part", lambda aut: pytest.fail("graph decoded"))
+        # Every decoded graph, accessible_part's included, goes through _decode_graph.
+        monkeypatch.setattr(automaton, "_decode_graph", lambda graph: pytest.fail("graph decoded"))
         code, out, _ = invoke(
             capsys, "stability", "--automaton", DRIFT, "--spec", "state:[0.4,0.1,0]", "--format", "json"
         )
@@ -316,13 +318,13 @@ class TestStabilityCommands:
 
     def test_supplied_witness_is_verified_once(self, capsys, monkeypatch):
         calls = []
-        original = stability.check_controllable
+        original = statecontrol.check_controllable
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(stability, "check_controllable", counted)
+        monkeypatch.setattr(statecontrol, "check_controllable", counted)
         code, out, _ = invoke(
             capsys, "stabilize", "--automaton", DRIFT,
             "--spec", str(GOLDEN / "drift_witness_given.json"),
@@ -491,6 +493,20 @@ class TestExitCodeContract:
         argv[argv.index(flag) + 1] = str(path)
         code, _, err = invoke(capsys, *argv)
         assert code == 2 and err
+
+    @pytest.mark.parametrize("flag", ["--automaton", "--spec"])
+    def test_integer_past_the_int_string_limit_exits_two(self, capsys, tmp_path, flag):
+        # json.loads raises a plain ValueError for an int literal of more
+        # than 4,300 digits.  The message wording varies across versions.
+        huge = "1" + "0" * 4300
+        docs = {"--automaton": f'{{"n": {huge}}}',
+                "--spec": f'{{"kind": "state_set", "states": [[{huge}]]}}'}
+        path = tmp_path / "huge.json"
+        path.write_text(docs[flag])
+        argv = ["succ", "--automaton", PLANT, "--spec", ADMISSIBLE]
+        argv[argv.index(flag) + 1] = str(path)
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--automaton", "--spec"])
     def test_non_utf8_document_exits_two(self, capsys, tmp_path, flag):

@@ -6,12 +6,16 @@ through the package's module __getattr__, to the objects of the modules that
 define them.
 """
 
+import os
+import pathlib
+import subprocess
 import sys
 import types
 
 import pytest
 
 import fuzzydes
+from conftest import DATA
 
 PUBLIC = [
     "AttractorReport", "ConsistencyVerdict", "ControllabilityVerdict",
@@ -75,3 +79,20 @@ def test_dir_lists_every_public_name():
 def test_an_unknown_attribute_is_named_in_the_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         fuzzydes.no_such_name
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--automaton", str(DATA / "treatment_plant.json"), "--steps", "0"],
+    ["reach"],
+])
+def test_the_cli_module_answers_as_the_package_under_warnings_as_errors(argv):
+    """The package leaves cli unimported, so runpy finds nothing to warn
+    about when `python -m fuzzydes.cli` runs it as __main__."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fuzzydes.__file__).resolve().parent.parent))
+    package, module = [
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True)
+        for flags in (["-m", "fuzzydes"], ["-W", "error", "-m", "fuzzydes.cli"])
+    ]
+    assert package.returncode in (0, 2) and package.stdout + package.stderr
+    assert (module.returncode, module.stdout, module.stderr) == (
+        package.returncode, package.stdout, package.stderr)

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import fuzzydes.stability as stability
+import fuzzydes.statecontrol as statecontrol
 from fuzzydes import (
     AttractorReport,
     ControllableSubgraph,
@@ -710,7 +711,7 @@ class TestAttractorFixpoint:
             calls.append(args)
             return check_controllable(*args)
 
-        monkeypatch.setattr(stability, "check_controllable", counting)
+        monkeypatch.setattr(statecontrol, "check_controllable", counting)
         witness = search_stabilizing_witness(aut, legal)
         assert witness is not None
         assert verify_stabilizability_witness(aut, legal, witness)

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import fuzzydes.possibility as possibility
-import fuzzydes.stability as stability
 import fuzzydes.statecontrol as statecontrol
 from fuzzydes import (
     ControllabilityVerdict,
@@ -439,7 +438,7 @@ class TestComplexity:
             built.append(len(states))
             return ScalingIndex(states)
 
-        monkeypatch.setattr(stability, "ScalingIndex", counting)
+        monkeypatch.setattr(statecontrol, "ScalingIndex", counting)
         kept = largest_controllable_invariant(aut, N)
         assert (len(N), len(N) - len(kept), built) == (82, 58, [82])
 
