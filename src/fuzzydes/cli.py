@@ -37,8 +37,7 @@ def _count(text: str) -> int:
     raise ArgumentTypeError(message)
 
 
-# The options of every subcommand, then those of each beyond them, as
-# (flag, settings).  Both the plain reader and argparse read this table.
+# The options of every subcommand, as (flag, settings).
 _COMMON_OPTIONS = [
     ("--automaton", {"required": True, "metavar": "FILE"}),
     ("--spec", {"metavar": "FILE"}),
@@ -47,32 +46,39 @@ _COMMON_OPTIONS = [
     ("--out", {"metavar": "FILE"}),
     ("--format", {"choices": ["text", "json", "dot"], "default": "text"}),
 ]
-_OPTIONS = {
-    "stabilize": [
+# Each command, in the order help lists them: its family's handler module,
+# which defines the handler _cmd_<command> ("-" read as "_"), and its
+# options beyond _COMMON_OPTIONS.  Both the plain reader and argparse read
+# this table.  The package registers the modules without running them, so
+# a command runs only its own family's module.
+_COMMANDS = {
+    "reach": (_cli_reach, []),
+    "member": (_cli_reach, []),
+    "succ": (_cli_control, []),
+    "check-controllable": (_cli_control, []),
+    "synthesize": (_cli_control, []),
+    "check-language": (_cli_language, []),
+    "derive-supervisor": (_cli_language, []),
+    "bridge": (_cli_language, []),
+    "stability": (_cli_stability, []),
+    "stabilize": (_cli_stability, [
         ("--budget", {"type": _count, "default": 5000, "help": "accepted for compatibility and "
                       "ignored: the witness search is a fixpoint that always finishes (must be a "
                       "non-negative int)"}),
-    ],
-    "simulate": [
+    ]),
+    "simulate": (_cli_plant, [
         ("--seed", {"type": int, "default": 0}),
         ("--steps", {"type": _count, "default": 8}),
         ("--string", {"metavar": "EVENTS", "help": "space-separated scripted event string"}),
-    ],
-    "export-dot": [
+    ]),
+    "export-dot": (_cli_plant, [
         ("--what", {"choices": ["accessible", "successor", "subgraph"], "default": "accessible"}),
-    ],
+    ]),
 }
 
 
 def _options(command: str) -> list:
-    return _COMMON_OPTIONS + _OPTIONS.get(command, [])
-
-
-def _parse(argv: list[str]):
-    """The parsed argv: read directly when it is plain (see _plain), and by
-    argparse otherwise, so help and every usage error keep argparse's bytes."""
-    args = _plain(argv)
-    return _parse_by_argparse(argv) if args is None else args
+    return _COMMON_OPTIONS + _COMMANDS[command][1]
 
 
 def _plain(argv: list[str]) -> SimpleNamespace | None:
@@ -81,7 +87,7 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
     pairs in which each flag is exactly one of that command's, at most once,
     no value starts with "-", each value converts by the flag's type and is
     one of its choices, and every required flag is given."""
-    if not argv or argv[0] not in _HANDLERS:
+    if not argv or argv[0] not in _COMMANDS:
         return None
     table = dict(_options(argv[0]))
     given = {}
@@ -122,7 +128,7 @@ def _parse_by_argparse(argv: list[str]):
         description="Analysis and controller synthesis for max-min fuzzy discrete-event systems",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command in _HANDLERS:
+    for command in _COMMANDS:
         subparser = commands.add_parser(command)
         for flag, settings in _options(command):
             subparser.add_argument(flag, **settings)
@@ -183,36 +189,18 @@ def _obstruction_text(payload: dict) -> str:
     return "not controllable: " + payload["obstruction"]
 
 
-# Each command's handler module and the name of its handler there.  The
-# package registers the modules without running them, so a command runs
-# only its own family's module.
-_HANDLERS = {
-    "reach": (_cli_reach, "_cmd_reach"),
-    "member": (_cli_reach, "_cmd_member"),
-    "succ": (_cli_control, "_cmd_succ"),
-    "check-controllable": (_cli_control, "_cmd_check_controllable"),
-    "synthesize": (_cli_control, "_cmd_synthesize"),
-    "check-language": (_cli_language, "_cmd_check_language"),
-    "derive-supervisor": (_cli_language, "_cmd_derive_supervisor"),
-    "bridge": (_cli_language, "_cmd_bridge"),
-    "stability": (_cli_stability, "_cmd_stability"),
-    "stabilize": (_cli_stability, "_cmd_stabilize"),
-    "simulate": (_cli_plant, "_cmd_simulate"),
-    "export-dot": (_cli_plant, "_cmd_export_dot"),
-}
-
-
 def run_command(argv: Sequence[str]) -> int:
+    argv = list(argv)
     try:
-        args = _parse(list(argv))
+        args = _plain(argv) or _parse_by_argparse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.format == "dot" and args.command != "export-dot":
             raise FuzzyDESError("--format dot is only available for export-dot")
         aut = _load_automaton(args.automaton)
-        module, handler = _HANDLERS[args.command]
-        code, payload, render = getattr(module, handler)(args, aut)
+        handler = getattr(_COMMANDS[args.command][0], "_cmd_" + args.command.replace("-", "_"))
+        code, payload, render = handler(args, aut)
         _write_report(args, payload, render)
     except (FuzzyDESError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -239,4 +227,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # The handler modules' `from .cli import` then finds this module, so no
+    # second copy runs; runpy has started it already and does not warn.
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     main()

@@ -168,7 +168,8 @@ def _stabilizing(
     None.  The funnel controller realizes the funnel set through the
     witness's subgraph, or through the one check_controllable finds."""
     legal = set(_validated_codes(aut, tuple(N)))
-    n_prime = [encode_state(q) for q in w.n_prime]
+    n_prime = _validated_codes(aut, w.n_prime)
+    p_set = _validated_codes(aut, w.p_set)
     if not legal.issuperset(n_prime):
         raise PreconditionError(
             "target set is not contained in the legal set",
@@ -187,7 +188,7 @@ def _stabilizing(
     coded = _coded(f_prime)
     if not all(_conditions(_explore(aut, coded), set(n_prime))[1:]):  # connected, acyclic outside
         return None
-    p_minus_n = set(map(encode_state, w.p_set)).difference(n_prime)
+    p_minus_n = set(p_set).difference(n_prime)
     n_index = statecontrol.ScalingIndex(n_prime)
     entries = dict(f_prime.entries)
     for q, code in zip(w.n_prime, n_prime):
@@ -210,7 +211,8 @@ def verify_stabilizability_witness(
     controllable invariant, the funnel set is controllable (through the
     witness's subgraph when it has one), and under the synthesized funnel
     controller the funnel connects into the target with no cycle outside
-    it."""
+    it.  Raises ValidationError when N, the target or the funnel set is
+    malformed."""
     return _stabilizing(aut, N, w) is not None
 
 
@@ -221,7 +223,8 @@ def synthesize_stabilizing_controller(
     would leave the target for the rest of the funnel are disabled when fully
     controllable, or re-scaled to the least admissible value landing back in
     the target otherwise; everything else keeps the funnel controller.
-    Raises WitnessRejected when the witness fails verification."""
+    Raises ValidationError when N, the target or the funnel set is malformed,
+    and WitnessRejected when the witness fails verification."""
     controller = _stabilizing(aut, N, w)
     if controller is None:
         raise WitnessRejected("witness failed verification")

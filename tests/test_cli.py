@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import pathlib
@@ -49,6 +50,22 @@ def invoke(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_the_command_table_names_every_handler_and_only_those():
+    """Each command's handler is _cmd_<command> ("-" read as "_") in the
+    family module the table names, and no handler module holds another."""
+    named = {
+        (module.__name__, "_cmd_" + command.replace("-", "_"))
+        for command, (module, _) in fuzzydes.cli._COMMANDS.items()
+    }
+    defined = {
+        (module.__name__, name)
+        for path in pathlib.Path(fuzzydes.cli.__file__).parent.glob("_cli_*.py")
+        for module in [importlib.import_module(f"fuzzydes.{path.stem}")]
+        for name in vars(module) if name.startswith("_cmd_")
+    }
+    assert defined == named
 
 
 class TestReach:
@@ -359,6 +376,15 @@ class TestStabilityCommands:
         )
         assert code == 1 and "inconclusive" in out
 
+    @pytest.mark.xfail(strict=True, reason="K6, ROADMAP Direction 2")
+    def test_stabilize_on_an_event_free_plant_is_a_certain_no(self, capsys, tmp_path):
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps({"n": 1, "state_labels": ["s0"], "initial": ["1"], "events": []}))
+        code, out, _ = invoke(
+            capsys, "stabilize", "--automaton", str(plant), "--spec", "state:[0.5]", "--format", "json"
+        )
+        assert (code, json.loads(out)["stabilizable"]) == (1, False)
+
 
 class TestSimulate:
     def test_seeded_run_is_deterministic(self, capsys):
@@ -463,6 +489,38 @@ class TestExportDot:
         assert first == second
 
 
+# Each command that reads a state set, given one malformed state (a wrong
+# length, the zero vector, and a repeat where it takes a set), with the
+# message it must exit 2 with.  The witness cases put the malformed state in
+# each of n, n_prime and p of a witness that is well formed otherwise.
+WELL_FORMED = [["0.9", "0.1", "0"], ["0.1", "0.9", "0.1"]]
+MALFORMED = {
+    "length": (["0.1", "0.1"], "state [0.1,0.1] has 2 components, expected 3"),
+    "zero": (["0", "0", "0"], "the all-zero vector is excluded from the state set"),
+    "repeat": (WELL_FORMED[0], "duplicate state [0.9,0.1,0] in the set"),
+}
+WITNESS = {"kind": "witness", "n": WELL_FORMED, "n_prime": WELL_FORMED[:1], "p": WELL_FORMED}
+MALFORMED_SPECS = [
+    pytest.param(["member"], "state:[0.1,0.1]", "target has 2 components, expected 3",
+                 id="member-length"),
+    pytest.param(["member"], "state:[0,0,0]", MALFORMED["zero"][1], id="member-zero"),
+    *(
+        pytest.param(command, {"kind": "state_set", "states": [WELL_FORMED[0], state]}, message,
+                     id=f"{'-'.join(command)}-{kind}")
+        for command in (["succ"], ["check-controllable"], ["synthesize"], ["stability"],
+                        ["stabilize"], ["export-dot", "--what", "successor"],
+                        ["export-dot", "--what", "subgraph"])
+        for kind, (state, message) in MALFORMED.items()
+    ),
+    *(
+        pytest.param(["stabilize"], {**WITNESS, field: WITNESS[field] + [state]}, message,
+                     id=f"witness-{field}-{kind}")
+        for field in ("n", "n_prime", "p")
+        for kind, (state, message) in MALFORMED.items()
+    ),
+]
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize(
         "mutate",
@@ -550,6 +608,16 @@ class TestExitCodeContract:
         spec = tmp_path / "legal.json"
         spec.write_text(json.dumps({"kind": "state_set", "states": states}))
         code, out, err = invoke(capsys, command, "--automaton", PLANT, "--spec", str(spec))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, spec, message", MALFORMED_SPECS)
+    def test_a_malformed_state_exits_two_with_its_message(self, capsys, tmp_path, command, spec,
+                                                          message):
+        if isinstance(spec, dict):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        code, out, err = invoke(capsys, *command, "--automaton", PLANT, "--spec", spec)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_empty_event_name_exits_two(self, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""The plain reader of cli._parse agrees with argparse.
+"""The plain reader of cli agrees with argparse.
 
 Seeded argv are built from every command's option table and then mutated
 (abbreviated flags, `=` forms, repeated flags, `--`, `-h`, values that start
@@ -19,7 +19,7 @@ import sys
 import fuzzydes.cli as cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-COMMANDS = list(cli._HANDLERS)
+COMMANDS = list(cli._COMMANDS)
 INTS = ["0", "3", "17", " 7", "7 ", "1_0", "٣", "+2", "-5", "-0", "", "x", "1.5", "0x10", "1e3"]
 STRINGS = ["plant.json", "state:[0.5,0.1]", "a b c", "", "a=b", "-", "--", "-x", "--spec", "-5"]
 

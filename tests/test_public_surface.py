@@ -96,3 +96,16 @@ def test_the_cli_module_answers_as_the_package_under_warnings_as_errors(argv):
     assert package.returncode in (0, 2) and package.stdout + package.stderr
     assert (module.returncode, module.stdout, module.stderr) == (
         package.returncode, package.stdout, package.stderr)
+
+
+def test_the_cli_module_runs_one_copy_of_itself():
+    """Run as __main__, cli registers itself as fuzzydes.cli, so the handler
+    module's `from .cli import` finds it and imports no second copy."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fuzzydes.__file__).resolve().parent.parent))
+    argv = ["simulate", "--automaton", str(DATA / "treatment_plant.json"), "--steps", "0"]
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "fuzzydes.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    imported = [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert run.returncode == 0 and "fuzzydes" in imported
+    assert "fuzzydes.cli" not in imported

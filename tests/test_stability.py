@@ -14,6 +14,7 @@ from fuzzydes import (
     PreconditionError,
     StabilizabilityWitness,
     TransitionGraph,
+    ValidationError,
     WitnessRejected,
     accessible_part,
     candidate_universe,
@@ -388,6 +389,22 @@ class TestWitnessVerification:
         assert not verify_stabilizability_witness(cascade_plant, legal, witness)
         with pytest.raises(WitnessRejected):
             synthesize_stabilizing_controller(cascade_plant, legal, witness)
+
+    @pytest.mark.parametrize("bad", [S("0.5 0.5"), S("0 0 0"), S("0.9 0.1 0")])
+    @pytest.mark.parametrize("field", ["n_prime", "p_set"])
+    @pytest.mark.parametrize("check", [verify_stabilizability_witness,
+                                       synthesize_stabilizing_controller])
+    def test_a_malformed_target_or_funnel_set_is_a_validation_error(
+        self, treatment_plant, check, field, bad
+    ):
+        # A wrong length, the zero vector or a repeat, as in every state set.
+        # The target {[0.9,0.1,0]} is not controllable invariant, so only
+        # validation can look at the funnel set.
+        legal = (S("0.9 0.1 0"), S("0.1 0.9 0.1"))
+        sets = {"n_prime": legal[:1], "p_set": legal}
+        sets[field] += (bad,)
+        with pytest.raises(ValidationError):
+            check(treatment_plant, legal, StabilizabilityWitness(**sets))
 
 
 class TestStabilizingSynthesis:
