@@ -66,14 +66,14 @@ def _cmd_export_dot(args, aut):
     if args.what == "accessible":
         return 0, {"dot": fileio.export_dot(accessible_part(aut))}, _dot_text
     spec = _require_spec(args, StateSetSpec, "a state_set spec")
+    if args.what == "subgraph":  # decide before drawing
+        verdict = statecontrol.check_controllable(aut, spec.states)
+        if not verdict.controllable:
+            return _not_controllable(verdict)
     graph = statecontrol.build_successor_graph(aut, spec.states)
-    if args.what == "successor":
-        return 0, {"dot": fileio.export_dot(graph)}, _dot_text
-    verdict = statecontrol.check_controllable(aut, spec.states)
-    if not verdict.controllable:
-        return _not_controllable(verdict)
-    chosen = statecontrol.chosen_graph(graph, verdict.subgraph)
-    return 0, {"dot": fileio.export_dot(chosen)}, _dot_text
+    if args.what == "subgraph":
+        graph = statecontrol.chosen_graph(graph, verdict.subgraph)
+    return 0, {"dot": fileio.export_dot(graph)}, _dot_text
 
 
 def _dot_text(payload: dict) -> str:

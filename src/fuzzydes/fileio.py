@@ -204,13 +204,15 @@ def parse_spec(text: str) -> SpecPayload:
         pairs = doc.get("pairs")
         if not isinstance(pairs, list):
             raise _fail("pairs", "expected a list of {string, degree} objects")
-        entries = []
+        degrees = {}
         for i, pair in enumerate(pairs):
             if not isinstance(pair, dict) or "string" not in pair or "degree" not in pair:
                 raise _fail(f"pairs[{i}]", "expected an object with string and degree")
             s = _event_string(f"pairs[{i}].string", pair["string"])
-            entries.append((s, _coerce(f"pairs[{i}].degree", pair["degree"])))
-        return LanguageSpec(language.FuzzyLanguage.from_pairs(entries))
+            if s in degrees:
+                raise _fail(f"pairs[{i}].string", f"string {' '.join(s)!r} is listed twice")
+            degrees[s] = _coerce(f"pairs[{i}].degree", pair["degree"])
+        return LanguageSpec(language.FuzzyLanguage.from_pairs(degrees.items()))
     if kind == "fsfc":
         default = _coerce("default", doc.get("default", "1"))
         raw_entries = doc.get("entries", [])
@@ -225,6 +227,8 @@ def parse_spec(text: str) -> SpecPayload:
             event = entry.get("event")
             if not isinstance(event, str):
                 raise _fail(f"{path}.event", "expected an event name")
+            if (state, event) in entries:
+                raise _fail(path, f"state {format_state(state)} with event {event!r} is listed twice")
             entries[(state, event)] = _coerce(f"{path}.value", entry.get("value"))
         return ControllerSpec(StateFeedbackController(entries, default))
     if kind == "witness":
@@ -249,8 +253,8 @@ def parse_inline_state(text: str) -> State:
     body = text[len("state:"):].strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ValidationError(f"inline state must look like state:[0,0.1,0.9], got {text!r}")
-    parts = [p.strip() for p in body[1:-1].split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in body[1:-1].split(",")]
+    if parts == [""]:
         raise ValidationError("inline state is empty")
     return make_state(parts)
 

@@ -159,13 +159,10 @@ def _override_witness(
     dist_back = bfs(base, into.__getitem__).dist
     best = None  # ((total length, event index), source, event name, target)
     for (_, name, _), (src, dst) in zip(graph.edges, graph.positions):
-        if name not in index:
-            continue
-        d1, d2 = dist_root.get(src), dist_back.get(dst)
-        if d1 is None or d2 is None:
+        if name not in index or dst not in dist_back:
             continue
         # Strictly smaller: on a tie the first such edge in graph order stays.
-        key = (d1 + 1 + d2, index[name])
+        key = (dist_root[src] + 1 + dist_back[dst], index[name])
         if best is None or key < best[0]:
             best = (key, src, name, dst)
     _, src, name, dst = best

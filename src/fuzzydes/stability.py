@@ -35,7 +35,6 @@ from .automaton import (
 from .errors import PreconditionError, ValidationError, WitnessRejected
 from .graph import attractor, bfs, closure
 from .possibility import (
-    ZERO,
     Code,
     State,
     decode_state,
@@ -166,7 +165,8 @@ def _stabilizing(
 ) -> Optional[StateFeedbackController]:
     """The redirected funnel controller of a witness that verifies, else
     None.  The funnel controller realizes the funnel set through the
-    witness's subgraph, or through the one check_controllable finds."""
+    witness's subgraph, or through the one check_controllable finds.  Each
+    member of N' is expanded once, for invariance and redirection both."""
     legal = set(_validated_codes(aut, tuple(N)))
     n_prime = _validated_codes(aut, w.n_prime)
     p_set = _validated_codes(aut, w.p_set)
@@ -175,8 +175,13 @@ def _stabilizing(
             "target set is not contained in the legal set",
             counterexample=tuple(q for q, code in zip(w.n_prime, n_prime) if code not in legal),
         )
-    if not check_controllable_invariant(aut, w.n_prime).ok or not w.p_set:
-        return None
+    index = statecontrol.ScalingIndex(n_prime)
+    moves = [
+        (q, code, ev, p, index.targets(p, ev.coded_uc) if ev.coded_uc else [])
+        for q, code in zip(w.n_prime, n_prime) for ev, p in _feasible(aut, code)
+    ]
+    if any(ev.coded_uc and not targets for _, _, ev, _, targets in moves) or not w.p_set:
+        return None  # N' is not controllable invariant, or there is no funnel
     subgraph = w.subgraph or statecontrol.check_controllable(aut, w.p_set).subgraph
     if subgraph is None:  # the funnel set is not controllable
         return None
@@ -185,22 +190,15 @@ def _stabilizing(
         f_prime = statecontrol.synthesize_controller(aut, w.p_set, subgraph)
     except ValidationError:
         return None
-    coded = _coded(f_prime)
-    if not all(_conditions(_explore(aut, coded), set(n_prime))[1:]):  # connected, acyclic outside
+    chosen = TransitionGraph(aut.initial, w.p_set, subgraph.edges())
+    if not all(_conditions(chosen, set(w.n_prime))[1:]):  # connected, acyclic outside
         return None
+    coded = _coded(f_prime)
     p_minus_n = set(p_set).difference(n_prime)
-    n_index = statecontrol.ScalingIndex(n_prime)
     entries = dict(f_prime.entries)
-    for q, code in zip(w.n_prime, n_prime):
-        for ev, composed in _feasible(aut, code):
-            if scale_product(coded(code, ev.name), composed) not in p_minus_n:
-                continue
-            if not ev.coded_uc:
-                entries[(q, ev.name)] = ZERO
-                continue
-            # N' is controllable invariant, so this forced event has an admissible target in N'.
-            admissible = [alphas.least() for _, alphas in n_index.targets(composed, ev.coded_uc)]
-            entries[(q, ev.name)] = decode_value(min(admissible))
+    for q, code, ev, p, targets in moves:
+        if scale_product(coded(code, ev.name), p) in p_minus_n:  # disabled unless forced
+            entries[(q, ev.name)] = decode_value(min((a.least() for _, a in targets), default=0))
     return StateFeedbackController(entries, f_prime.default)
 
 
@@ -209,10 +207,10 @@ def verify_stabilizability_witness(
 ) -> bool:
     """Check a witness (controller not required): the target set is
     controllable invariant, the funnel set is controllable (through the
-    witness's subgraph when it has one), and under the synthesized funnel
-    controller the funnel connects into the target with no cycle outside
-    it.  Raises ValidationError when N, the target or the funnel set is
-    malformed."""
+    witness's subgraph when it has one), and the chosen edges, which are the
+    synthesized funnel controller's closed loop over the whole funnel set,
+    connect it into the target with no cycle outside it.  Raises
+    ValidationError when N, the target or the funnel set is malformed."""
     return _stabilizing(aut, N, w) is not None
 
 

@@ -402,9 +402,10 @@ def synthesize_controller(
 ) -> StateFeedbackController:
     """Realize a controllable set: enable chosen edges at their least
     admissible scaling, hard-disable unchosen feasible events (their floor is
-    zero by C2), and leave everything off the set fully enabled.
-
-    The resulting closed loop reaches exactly P.
+    zero by C2), and leave everything off the set fully enabled.  The closed
+    loop is then exactly the chosen edges over all of P: each chosen edge
+    lands on its target, no other step at a member survives, and the chosen
+    edges reach every member from the initial state (validate_subgraph).
     """
     states = tuple(P)
     codes = _validated_codes(aut, states)

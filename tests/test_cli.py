@@ -483,6 +483,20 @@ class TestExportDot:
         )
         assert code == 1
 
+    def test_subgraph_dot_decides_before_it_draws(self, capsys, monkeypatch):
+        # A set that is not controllable gets its obstruction, and no
+        # successor graph is built for it.
+        monkeypatch.setattr(statecontrol, "build_successor_graph",
+                            lambda *args: pytest.fail("successor graph built"))
+        code, out, err = invoke(capsys, "export-dot", "--automaton", PLANT, "--spec",
+                                "state:[0.9,0.1,0]", "--what", "subgraph", "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "controllable": False,
+            "obstruction": "event 'b' is feasible and partially uncontrollable at [0.9,0.1,0] "
+                           "but has no admissible target in the set",
+        }
+
     def test_byte_identical_reports(self, capsys):
         first = invoke(capsys, "export-dot", "--automaton", PLANT, "--format", "dot")
         second = invoke(capsys, "export-dot", "--automaton", PLANT, "--format", "dot")
@@ -504,6 +518,16 @@ MALFORMED_SPECS = [
     pytest.param(["member"], "state:[0.1,0.1]", "target has 2 components, expected 3",
                  id="member-length"),
     pytest.param(["member"], "state:[0,0,0]", MALFORMED["zero"][1], id="member-zero"),
+    # An empty component of the inline shorthand is a malformed decimal, not
+    # a component to drop.
+    *(
+        pytest.param([command], inline, "malformed decimal: ''", id=f"{command}-{name}")
+        for command in ("member", "stability")
+        for name, inline in (("empty-component", "state:[0.9,,0.1,0]"),
+                             ("trailing-comma", "state:[0.9,0.1,0,]"))
+    ),
+    pytest.param(["stability"], "state:[0.1,0.1]", MALFORMED["length"][1],
+                 id="stability-inline-length"),
     *(
         pytest.param(command, {"kind": "state_set", "states": [WELL_FORMED[0], state]}, message,
                      id=f"{'-'.join(command)}-{kind}")
@@ -593,23 +617,6 @@ class TestExitCodeContract:
         )
         assert (code, out) == (2, "") and "components" in err
 
-    def test_stability_legal_state_of_wrong_length_exits_two(self, capsys):
-        code, _, err = invoke(
-            capsys, "stability", "--automaton", PLANT, "--spec", "state:[0.1,0.1]"
-        )
-        assert code == 2 and "components" in err
-
-    @pytest.mark.parametrize("states, message", [
-        ([["0", "0", "0"], ["0.9", "0.1", "0"]], "the all-zero vector is excluded from the state set"),
-        ([["0.9", "0.1", "0"], ["0.9", "0.1", "0"]], "duplicate state [0.9,0.1,0] in the set"),
-    ])
-    @pytest.mark.parametrize("command", ["stability", "stabilize"])
-    def test_zero_or_duplicate_legal_state_exits_two(self, capsys, tmp_path, command, states, message):
-        spec = tmp_path / "legal.json"
-        spec.write_text(json.dumps({"kind": "state_set", "states": states}))
-        code, out, err = invoke(capsys, command, "--automaton", PLANT, "--spec", str(spec))
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-
     @pytest.mark.parametrize("command, spec, message", MALFORMED_SPECS)
     def test_a_malformed_state_exits_two_with_its_message(self, capsys, tmp_path, command, spec,
                                                           message):
@@ -635,7 +642,19 @@ class TestExitCodeContract:
          "pairs[0]: expected an object with string and degree"),
         ("check-language", {"kind": "language", "pairs": [{"string": 5, "degree": "1"}]},
          "pairs[0].string: expected an event-name list or space-separated string"),
+        ("check-language", {"kind": "language", "pairs": [{"string": "a", "degree": "0.5"},
+                                                           {"string": ["a"], "degree": "0.1"}]},
+         "pairs[1].string: string 'a' is listed twice"),
+        ("check-language", {"kind": "language", "pairs": [{"string": "", "degree": "1"},
+                                                           {"string": "a b", "degree": "0.5"},
+                                                           {"string": [], "degree": "1"}]},
+         "pairs[2].string: string '' is listed twice"),
         ("simulate", {"kind": "fsfc", "entries": [5]}, "entries[0]: expected an object"),
+        ("simulate", {"kind": "fsfc", "entries": [
+            {"state": ["0.9", "0.1", "0"], "event": "a", "value": "0.5"},
+            {"state": ["0.9", "0.1", "0"], "event": "b", "value": "0.5"},
+            {"state": ["0.90", "0.1", "0"], "event": "a", "value": "1"}]},
+         "entries[2]: state [0.9,0.1,0] with event 'a' is listed twice"),
         ("simulate", {"kind": "fsfc", "entries": [{"state": ["1", "0", "0"], "event": 3, "value": "0"}]},
          "entries[0].event: expected an event name"),
         ("stabilize", {"kind": "witness"}, "n: required field is missing"),
@@ -928,6 +947,22 @@ class TestInProcessReport:
         assert (out, err) == ("", "")
 
 
+def counted_compositions(monkeypatch) -> list:
+    """A list that grows by one at each maxmin_compose call made through
+    any fuzzydes module that binds it."""
+    calls = []
+    real = possibility.maxmin_compose
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fuzzydes") and getattr(module, "maxmin_compose", None) is real:
+            monkeypatch.setattr(module, "maxmin_compose", counted)
+    return calls
+
+
 class TestLanguageCommandsCheckOnce:
     """Compositions made by each language command on lang15, counted in
     every fuzzydes module that binds maxmin_compose: the library functions
@@ -940,16 +975,28 @@ class TestLanguageCommandsCheckOnce:
         ("bridge", "lang15_inconsistent", 1, 1005),
     ])
     def test_compositions(self, command, spec, exit_code, compositions, monkeypatch, capsys):
-        calls = []
-        real = possibility.maxmin_compose
-
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("fuzzydes") and getattr(module, "maxmin_compose", None) is real:
-                monkeypatch.setattr(module, "maxmin_compose", counted)
+        calls = counted_compositions(monkeypatch)
         code, _, _ = invoke(capsys, command, "--automaton", str(GOLDEN / "lang15_plant.json"),
                             "--spec", str(GOLDEN / f"{spec}.json"))
+        assert code == exit_code and len(calls) == compositions
+
+
+class TestStabilizeExpandsOnce:
+    """Compositions made by each stabilize query, counted as the language
+    commands' are.  The verifier expands each member of the target set once
+    and reads the funnel's closed loop from its chosen edges instead of
+    exploring the plant under it; the search that finds no witness runs no
+    verifier."""
+
+    @pytest.mark.parametrize("plant, spec, budget, exit_code, compositions", [
+        ("drift_plant", "drift_witness_given", [], 0, 15),
+        ("drift_plant", "drift_witness_search", [], 0, 24),
+        ("cascade_plant", "cascade_witness", [], 0, 20),
+        ("cascade_plant", "cascade_legal", [], 0, 28),
+        ("drift_plant", "drift_witness_inconclusive", ["--budget", "50"], 1, 27),
+    ])
+    def test_compositions(self, plant, spec, budget, exit_code, compositions, monkeypatch, capsys):
+        calls = counted_compositions(monkeypatch)
+        code, _, _ = invoke(capsys, "stabilize", "--automaton", str(DATA / f"{plant}.json"),
+                            "--spec", str(GOLDEN / f"{spec}.json"), *budget)
         assert code == exit_code and len(calls) == compositions

@@ -172,8 +172,43 @@ class TestSpecDocuments:
 
     def test_inline_state(self):
         assert parse_inline_state("state:[0,0.1,0.9]") == S("0 0.1 0.9")
+        assert parse_inline_state("state:[ 0 , 0.1,0.9 ]") == S("0 0.1 0.9")
         with pytest.raises(ValidationError):
             parse_inline_state("state:0,0.1")
+
+    @pytest.mark.parametrize("text, message", [
+        ("state:[]", "inline state is empty"),
+        ("state:[ ]", "inline state is empty"),
+        ("state:[0.9,,0.1,0]", "malformed decimal: ''"),
+        ("state:[,0.9]", "malformed decimal: ''"),
+        ("state:[0.9, ]", "malformed decimal: ''"),
+    ])
+    def test_inline_state_with_an_empty_component_rejected(self, text, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_inline_state(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "language", "pairs": [{"string": "a", "degree": "0.5"},
+                                        {"string": "a", "degree": "0.1"}]},
+         "pairs[1].string: string 'a' is listed twice"),
+        ({"kind": "language", "pairs": [{"string": "a b", "degree": "0.5"},
+                                        {"string": "a", "degree": "0.5"},
+                                        {"string": ["a", "b"], "degree": "0"}]},
+         "pairs[2].string: string 'a b' is listed twice"),
+        ({"kind": "fsfc", "entries": [{"state": ["0.5", "1"], "event": "a", "value": "0.5"},
+                                      {"state": ["0.50", "1.0"], "event": "a", "value": "0.1"}]},
+         "entries[1]: state [0.5,1] with event 'a' is listed twice"),
+    ])
+    def test_a_repeated_entry_rejected(self, doc, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_spec(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_one_state_with_two_events_is_no_repeat(self):
+        doc = {"kind": "fsfc", "entries": [{"state": ["0.5", "1"], "event": name, "value": "0.5"}
+                                           for name in ("a", "b")]}
+        assert len(parse_spec(json.dumps(doc)).controller.entries) == 2
 
     def test_controller_serialization_round_trips(self, reference_controller):
         text = serialize_controller(reference_controller)

@@ -13,12 +13,15 @@ from fuzzydes import (
     ValidationError,
     accessible_part,
     build_successor_graph,
+    candidate_universe,
     check_controllable,
     chosen_graph,
+    closed_loop_graph,
     closed_loop_reachable,
     make_automaton,
     make_event,
     make_state,
+    search_stabilizing_witness,
     successor_set,
     synthesize_controller,
     validate_subgraph,
@@ -407,6 +410,37 @@ class TestRandomRoundTrips:
             assert verdict.controllable, f"reachable set must be controllable"
             f2 = synthesize_controller(aut, P, verdict.subgraph)
             assert set(closed_loop_reachable(aut, f2)) == set(P)
+
+    def test_the_closed_loop_is_exactly_the_chosen_edges(self):
+        # The stabilization verifier reads the funnel controller's closed
+        # loop from the chosen edges.  Subgraphs of three sources: the
+        # reachable sets of random controllers and random sets of scalings,
+        # with the choice check_controllable makes, and the funnels that the
+        # witness search finds, with the choice it makes.
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(200):
+            aut = random_automaton(rng, max_n=3, max_events=3, grid=COARSE)
+            universe = candidate_universe(aut, ())
+            rest = [q for q in universe if q != aut.initial]
+            cases = []
+            for P in (
+                tuple(closed_loop_reachable(aut, random_controller(rng, aut, grid=COARSE))),
+                (aut.initial,) + tuple(q for q in rest if rng.random() < 0.5),
+            ):
+                cases.append((P, check_controllable(aut, P).subgraph))
+            witness = search_stabilizing_witness(aut, tuple(q for q in universe if rng.random() < 0.3))
+            if witness is not None:
+                cases.append((witness.p_set, witness.subgraph))
+            for P, subgraph in cases:
+                if subgraph is None:
+                    continue
+                graph = closed_loop_graph(aut, synthesize_controller(aut, P, subgraph))
+                assert set(graph.vertices) == set(P)
+                assert len(graph.edges) == len(subgraph.edges())
+                assert set(graph.edges) == set(subgraph.edges())
+                checked += 1
+        assert checked >= 300
 
     def test_verdicts_agree_with_exhaustive_enumeration(self):
         rng = random.Random(33)
