@@ -74,11 +74,15 @@ class FuzzyLanguage(Record):
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[object, object]]) -> "FuzzyLanguage":
+        """The language of (string, degree) pairs.  The last pair for a
+        string wins; a degree of 0 leaves the string out of the support."""
         degrees: DegreeMap = {}
         for s, d in pairs:
-            value = as_possibility(d)
+            value, string = as_possibility(d), as_event_string(s)
             if value != ZERO:
-                degrees[as_event_string(s)] = value
+                degrees[string] = value
+            else:
+                degrees.pop(string, None)
         return FuzzyLanguage(degrees)
 
     @property

@@ -8,13 +8,15 @@ every vertex from the initial state.  From such a subgraph a controller with
 closed-loop reachable set exactly P is synthesized by a three-case rule.
 
 Every check runs on the int codes of the states, by position in P; public
-results reuse the caller's own state objects.  _moves is the one place that
-asks which members an admissible scaling of q . a lands on: for each
-feasible event at a member, or only for the partially uncontrollable ones,
-it gives the target positions with their alpha ranges, found through a
-ScalingIndex of the coded set.  The successor graph, the candidate table and
-C2 test of check_controllable, and the invariance and stabilization
-analyses in stability all read it.
+results reuse the caller's own state objects.  _moves asks which members an
+admissible scaling of q . a lands on: for each feasible event at a member,
+or only for the partially uncontrollable ones, it gives the target
+positions with their alpha ranges, found through a ScalingIndex of the
+coded set.  The successor graph and the candidate table and C2 test of
+check_controllable read it, and so do stability's invariance checks and
+its witness search.  The stabilization verifier in stability reads
+ScalingIndex.targets directly instead, because its redirection needs each
+composition q . a as well, which _moves does not return.
 """
 
 from __future__ import annotations

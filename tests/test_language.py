@@ -100,6 +100,12 @@ class TestFuzzyLanguage:
         lang = FuzzyLanguage.from_pairs([((), 1), (("a",), 0)])
         assert lang.support() == ((),)
 
+    @pytest.mark.parametrize("degrees, expected", [(["0.5", "0"], F(0)), (["0", "0.5"], F(1, 2))])
+    def test_the_last_pair_for_a_string_wins_even_at_degree_zero(self, degrees, expected):
+        lang = FuzzyLanguage.from_pairs([("", "1")] + [("a", d) for d in degrees])
+        assert lang.degree("a") == expected
+        assert (("a",) in lang.support()) == (expected != 0)
+
 
 def concat_raw(m1, m2):
     """Concatenation on raw degree maps: degree of s is the best min over
