@@ -68,10 +68,11 @@ def test_the_process_gives_every_byte_run_command_gives(name, tmp_path, capsys, 
         assert written["child.txt"] and child.stdout == b""
 
 
-# The exit status and stderr the parent of this exit path gave, on CPython
-# 3.10 to 3.13, with the read end of stdout's pipe closed before the child
-# starts.  A small answer waits in stdout's buffer, the flush fails, and the
-# interpreter reports it at exit; a large one fails as run_command writes it.
+# The exit status and stderr the CLI gave when main ended through sys.exit
+# alone, recorded on CPython 3.10 to 3.13 with the read end of stdout's pipe
+# closed before the child starts.  A small answer waits in stdout's buffer,
+# the flush fails, and the interpreter reports it at exit; a large one fails
+# as run_command writes it.
 CLOSED_PIPE = {
     "small_answer": (
         ["simulate", "--automaton", PLANT, "--steps", "0"],
