@@ -11,8 +11,8 @@ a controllable set, and which is still not consistent.
 from fuzzydes import (
     FuzzyLanguage,
     check_controllable,
+    closed_loop_graph,
     closed_loop_language_of_supervisor,
-    closed_loop_reachable,
     consistency_check,
     controller_from_language,
     format_possibility,
@@ -75,7 +75,7 @@ controller = controller_from_language(plant, restricted)
 print("\nA consistent restriction does translate; controller overrides:")
 for (state, name), value in sorted(controller.entries.items()):
     print(f"  f({format_state(state)})({name}) = {format_possibility(value)}")
-reached = closed_loop_reachable(plant, controller)
+reached = closed_loop_graph(plant, controller).vertices
 print(
     "Closed loop reaches exactly the passed states:",
     set(reached) == set(reach_of_language(plant, restricted)),

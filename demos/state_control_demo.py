@@ -11,14 +11,13 @@ from the initial state) certifies the set.
 from fuzzydes import (
     build_successor_graph,
     check_controllable,
-    closed_loop_reachable,
+    closed_loop_graph,
     export_dot,
     format_possibility,
     format_state,
     make_automaton,
     make_event,
     make_state,
-    successor_set,
     synthesize_controller,
 )
 
@@ -47,9 +46,10 @@ admissible = tuple(
     ]
 )
 
+successors = build_successor_graph(plant, admissible)
 print("Successor sets within the admissible set:")
 for q in admissible:
-    edges = successor_set(plant, admissible, q)
+    edges = [e for e in successors.edges if e.source == q]
     pairs = ", ".join(f"({e.event}, {format_state(e.target)})" for e in edges)
     print(f"  {format_state(q)}: {{{pairs}}}")
 
@@ -64,9 +64,9 @@ print("\nSynthesized controller overrides (default 1):")
 for (state, name), value in sorted(controller.entries.items()):
     print(f"  f({format_state(state)})({name}) = {format_possibility(value)}")
 
-reached = closed_loop_reachable(plant, controller)
+reached = closed_loop_graph(plant, controller).vertices
 print(f"\nClosed loop reaches exactly the admissible set: {set(reached) == set(admissible)}")
 
 print("\nDOT text of the successor graph (first lines):")
-dot = export_dot(build_successor_graph(plant, admissible))
+dot = export_dot(successors)
 print("\n".join(dot.splitlines()[:6]), "\n  ...")

@@ -41,17 +41,14 @@ _EXPORTS = {
     ),
     "automaton": (
         "MaxMinAutomaton", "StateFeedbackController", "Trajectory", "TransitionGraph",
-        "accessible_part", "as_event_string", "closed_loop_graph", "closed_loop_language_degree",
-        "closed_loop_reachable", "closed_loop_step", "closed_loop_trajectory", "language_degree",
-        "make_automaton", "make_controller", "open_loop_trajectory", "run", "step",
+        "accessible_part", "as_event_string", "closed_loop_graph", "closed_loop_trajectory",
+        "make_automaton", "open_loop_trajectory", "run", "step",
     ),
-    "reachability": (
-        "ReachFamily", "ReachWitness", "family_contains", "reach_family", "scaling_floor",
-    ),
+    "reachability": ("ReachFamily", "ReachWitness", "family_contains", "reach_family"),
     "statecontrol": (
         "ControllabilityVerdict", "ControllableSubgraph", "Obstruction", "SuccessorEdge",
         "SuccessorGraph", "build_successor_graph", "check_controllable", "chosen_graph",
-        "successor_set", "synthesize_controller", "validate_subgraph",
+        "synthesize_controller", "validate_subgraph",
     ),
     "language": (
         "ConsistencyVerdict", "FuzzyLanguage", "FuzzySupervisor", "LanguageVerdict",
@@ -60,15 +57,11 @@ _EXPORTS = {
         "closed_loop_language_of_supervisor",
     ),
     "stability": (
-        "AttractorReport", "InvariantVerdict", "StabilizabilityWitness", "candidate_universe",
-        "check_attractor", "check_controllable_invariant", "infimal_attractor", "is_stable",
-        "largest_controllable_invariant", "search_stabilizing_witness",
+        "AttractorReport", "StabilizabilityWitness", "candidate_universe", "check_attractor",
+        "infimal_attractor", "largest_controllable_invariant", "search_stabilizing_witness",
         "synthesize_stabilizing_controller", "verify_stabilizability_witness",
     ),
-    "fileio": (
-        "export_dot", "parse_automaton", "parse_spec", "serialize_automaton",
-        "serialize_controller", "serialize_language",
-    ),
+    "fileio": ("export_dot", "parse_automaton", "parse_spec"),
     "cli": ("run_command",),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,5 +1,5 @@
-"""Max-min automata: open-loop dynamics, generated language degrees, the
-accessible part, and closed-loop dynamics under a state feedback controller.
+"""Max-min automata: open-loop dynamics, the accessible part, and
+closed-loop dynamics under a state feedback controller.
 
 A max-min automaton moves from fuzzy state q to q . a (max-min composition)
 on event a.  A state feedback controller assigns each (state, event) pair an
@@ -30,9 +30,7 @@ from .possibility import (
     Fraction,
     FuzzyEvent,
     State,
-    as_possibility,
     decode_state,
-    decode_value,
     encode_state,
     encode_value,
     format_state,
@@ -133,7 +131,11 @@ def _step(aut: MaxMinAutomaton, q: Code, name: str) -> Code:
 
 
 def run(aut: MaxMinAutomaton, s) -> State:
-    """Fold step over an event string starting from the initial state."""
+    """Fold step over an event string starting from the initial state.
+
+    The degree of a nonempty string s in the plant's generated fuzzy
+    language is max(run(aut, s)), the largest component of the reached
+    state; the empty string has degree 1."""
     return decode_state(_run(aut, as_event_string(s))[-1])
 
 
@@ -149,15 +151,6 @@ def _run(aut: MaxMinAutomaton, names: EventString, f: Optional[CodedController] 
                 break
         states.append(q)
     return states
-
-
-def language_degree(aut: MaxMinAutomaton, s) -> Fraction:
-    """Degree of an event string in the generated fuzzy language: 1 for the
-    empty string, otherwise the largest component of the reached state."""
-    names = as_event_string(s)
-    if not names:
-        return ONE
-    return max(run(aut, names))
 
 
 class TransitionGraph(Record, hidden=("positions",)):
@@ -319,51 +312,10 @@ def _coded(f: StateFeedbackController) -> CodedController:
     return lambda q, name: entries.get((q, name), default)
 
 
-def make_controller(entries=None, default=1) -> StateFeedbackController:
-    """Build a controller from {(state, event): value} overrides; states and
-    values are coerced to exact form."""
-    table: dict[tuple[State, str], Fraction] = {}
-    for (state, name), value in (entries or {}).items():
-        table[(make_state(state), str(name))] = as_possibility(value)
-    return StateFeedbackController(table, as_possibility(default))
-
-
-def closed_loop_step(
-    aut: MaxMinAutomaton, f: StateFeedbackController, q: State, name: str
-) -> Optional[State]:
-    """One controlled transition: the open-loop result scaled by the
-    controller's enabling possibility; None when that scales to zero
-    (disabled or unfeasible, no transition recorded)."""
-    scaled = scale_product(f.value(q, name), step(aut, q, name))
-    if state_is_zero(scaled):
-        return None
-    return scaled
-
-
 def closed_loop_graph(aut: MaxMinAutomaton, f: StateFeedbackController) -> TransitionGraph:
     """Breadth-first closure of the initial state under controlled steps."""
     f.validate(aut)
     return _decode_graph(_explore(aut, _coded(f)))
-
-
-def closed_loop_reachable(
-    aut: MaxMinAutomaton, f: StateFeedbackController
-) -> list[State]:
-    """All states the controlled system can reach, in discovery order."""
-    return list(closed_loop_graph(aut, f).vertices)
-
-
-def closed_loop_language_degree(
-    aut: MaxMinAutomaton, f: StateFeedbackController, s
-) -> Fraction:
-    """Degree of an event string in the controlled system's language: fold
-    controlled steps; a vanished state makes the string (and all its
-    extensions) degree zero."""
-    names = as_event_string(s)
-    if not names:
-        return ONE
-    states = _run(aut, names, _coded(f))
-    return decode_value(max(states[-1])) if len(states) > len(names) else ZERO
 
 
 class Trajectory(Record):
@@ -387,6 +339,10 @@ def open_loop_trajectory(aut: MaxMinAutomaton, s) -> Trajectory:
 def closed_loop_trajectory(
     aut: MaxMinAutomaton, f: StateFeedbackController, s
 ) -> Trajectory:
+    """The controlled run over s, halted before the first step that f
+    scales to zero.  A nonempty s has degree 0 in the controlled language
+    when the run halts, and otherwise the largest component of its last
+    state."""
     names = as_event_string(s)
     states = _run(aut, names, _coded(f))
     taken = names[: len(states) - 1]

@@ -143,23 +143,6 @@ def state_doc(state: State) -> list[str]:
     return [format_possibility(v) for v in state]
 
 
-def serialize_automaton(aut: MaxMinAutomaton) -> str:
-    doc = {
-        "n": aut.n,
-        "state_labels": list(aut.state_labels),
-        "initial": state_doc(aut.initial),
-        "events": [
-            {
-                "name": ev.name,
-                "uncontrollable_degree": format_possibility(ev.uc_degree),
-                "matrix": [state_doc(row) for row in ev.matrix],
-            }
-            for ev in aut.events
-        ],
-    }
-    return _json_text(doc) + "\n"
-
-
 class StateSetSpec(Record):
     states: tuple[State, ...]
 
@@ -272,10 +255,6 @@ def controller_doc(f: StateFeedbackController) -> dict:
     }
 
 
-def serialize_controller(f: StateFeedbackController) -> str:
-    return _json_text({"kind": "fsfc", **controller_doc(f)}) + "\n"
-
-
 def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -299,14 +278,3 @@ def export_dot(graph: TransitionGraph | SuccessorGraph) -> str:
         lines.append(f"  q{v} -> q{t} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def serialize_language(language: FuzzyLanguage) -> str:
-    doc = {
-        "kind": "language",
-        "pairs": [
-            {"string": list(s), "degree": format_possibility(language.degree(s))}
-            for s in language.support()
-        ],
-    }
-    return _json_text(doc) + "\n"

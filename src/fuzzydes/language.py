@@ -25,7 +25,6 @@ from .automaton import (
     StateFeedbackController,
     _coded,
     _feasible,
-    _run,
     _step,
     as_event_string,
 )
@@ -210,13 +209,16 @@ def _require(verdict, what: str) -> None:
 
 def supervisor_from_language(aut: MaxMinAutomaton, K: FuzzyLanguage) -> FuzzySupervisor:
     """Supervisor realizing a controllable language: enable a at s to degree
-    K(sa), floored by the event's uncontrollability."""
+    K(sa), floored by the event's uncontrollability.  A query raises
+    UnknownEvent when a or an event of s is outside the plant's alphabet."""
     _require(language_controllable(aut, K), "controllable")
     if K.is_empty:
         raise DomainError("the empty language has no realizing supervisor")
     floors = aut.uc_map()
 
     def rule(s: EventString, name: str) -> Fraction:
+        for event in (*s, name):
+            aut.event(event)  # UnknownEvent outside the alphabet
         return max(K.degree(s + (name,)), floors[name])
 
     return FuzzySupervisor(rule)
@@ -251,6 +253,15 @@ def supervisor_from_controller(
     run of the observed string and ask the controller at the state it ends
     in; fully enable once the controlled run has vanished.
 
+    The supervisor is a finite realization over closed-loop states: it keeps
+    the coded controlled state after each observed prefix, or None once the
+    run has vanished, and fills a new prefix by one controlled step from the
+    entry for the prefix one event shorter.  So a query replays no string,
+    and the table holds one entry per distinct prefix asked about.  A query
+    raises UnknownEvent when its event or an event of the observed string is
+    outside the plant's alphabet, even past the point where the run
+    vanished.
+
     The controlled language L_f is always controllable once f validates
     against the plant's floors (it raises otherwise).  Composition commutes
     with scaling, so the controlled state q_s after s is the open-loop one
@@ -259,12 +270,28 @@ def supervisor_from_controller(
     f >= uc and b(s) >= L_f(s): the inequality holds with no horizon."""
     f.validate(aut)
     coded = _coded(f)
+    states: dict[EventString, Optional[Code]] = {(): aut.coded_initial}
+
+    def state(s: EventString) -> Optional[Code]:
+        missing = []
+        while s not in states:
+            missing.append(s)
+            s = s[:-1]
+        q = states[s]
+        for prefix in reversed(missing):
+            name = prefix[-1]
+            if q is None:
+                aut.event(name)  # UnknownEvent outside the alphabet, vanished or not
+            else:
+                q = scale_product(coded(q, name), _step(aut, q, name))
+                q = q if any(q) else None
+            states[prefix] = q
+        return q
 
     def rule(s: EventString, name: str) -> Fraction:
-        states = _run(aut, s, coded)
-        if len(states) <= len(s):
-            return ONE
-        return decode_value(coded(states[-1], name))
+        aut.event(name)
+        q = state(s)
+        return ONE if q is None else decode_value(coded(q, name))
 
     return FuzzySupervisor(rule)
 

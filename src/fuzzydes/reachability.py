@@ -30,7 +30,6 @@ from .possibility import (
     State,
     decode_value,
     encode_state,
-    format_state,
     solve_scale,
     state_is_zero,
 )
@@ -58,18 +57,6 @@ def _floors(graph: TransitionGraph, uc: Mapping[str, int]) -> list[int]:
             for v in closure([t], unreached):
                 floors[v] = uc[name]
     return [CODE_UNIT[1] if floor is None else floor for floor in floors]
-
-
-def scaling_floor(graph: TransitionGraph, uc: Mapping[str, Fraction], q: State) -> Fraction:
-    """Least uncontrollability degree over events labeling an edge on some
-    root-to-q walk; 1 when there is none (the empty minimum convention).
-    Such an edge is an in-link of a vertex that reaches q, so one backward
-    closure from q finds them all, in time linear in the graph."""
-    if q not in graph.vertices:
-        raise DomainError(f"state {format_state(q)} is not an accessible vertex")
-    _, into = graph._links
-    ancestors = closure([graph.vertices.index(q)], lambda v: (u for _, u in into[v]))
-    return min((uc[name] for v in ancestors for name, _ in into[v]), default=ONE)
 
 
 class ReachFamily(Record, hidden=("codes",)):

@@ -4,11 +4,12 @@ A state set is an attractor of a transition graph when it is closed under
 the dynamics, every other vertex connects into it, and no cycle survives
 outside it.  The smallest attractor is exactly the forward closure of the
 cycle vertices together with the dead vertices, so stability of a legal set
-reduces to a subset test.  Stabilizability asks for a controller whose
-closed loop has an attractor inside the legal set; witnesses pair a
-controllable invariant subset of the legal states with a controllable set
-that funnels into it, and are found by a controllable-attractor fixpoint
-over the grid scalings of the open-loop reachable states.
+N reduces to the subset test infimal_attractor(g) <= set(N).
+Stabilizability asks for a controller whose closed loop has an attractor
+inside the legal set; witnesses pair a controllable invariant subset of the
+legal states with a controllable set that funnels into it, and are found by
+a controllable-attractor fixpoint over the grid scalings of the open-loop
+reachable states.
 
 Every fixpoint here is one call of graph.attractor, the counter worklist:
 the invariant subset and its attractor over int-coded states, and the
@@ -19,7 +20,7 @@ are walked by vertex position, through their link lists.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import statecontrol
 from ._record import Record
@@ -96,55 +97,30 @@ def infimal_attractor(g: TransitionGraph) -> set[State]:
     return {q for q, left, ends in zip(g.vertices, _peel(into, ()), out) if left or not ends}
 
 
-def is_stable(g: TransitionGraph, N: Iterable[State]) -> bool:
-    """Stable iff the legal set contains the smallest attractor."""
-    return infimal_attractor(g) <= set(N)
-
-
-class InvariantVerdict(Record):
-    ok: bool
-    violation: Optional[tuple[State, str]] = None
-
-
-def _forced_moves(aut: MaxMinAutomaton, N: Sequence[State]) -> list[tuple[State, Iterator]]:
-    """Each member of N, in order, with the moves of its forced events
-    within N (statecontrol._moves with forced), expanded as they are read."""
-    states = tuple(N)
-    index = statecontrol.ScalingIndex(_validated_codes(aut, states))
-    return [
-        (q, statecontrol._moves(aut, index, code, forced=True))
-        for q, code in zip(states, index.states)
-    ]
-
-
-def check_controllable_invariant(
-    aut: MaxMinAutomaton, N: Sequence[State]
-) -> InvariantVerdict:
-    """N is controllable invariant when every feasible, partially
-    uncontrollable event at a member admits a scaling back into N."""
-    for q, moves in _forced_moves(aut, N):
-        for ev, targets in moves:
-            if not targets:
-                return InvariantVerdict(False, (q, ev.name))
-    return InvariantVerdict(True)
-
-
 def largest_controllable_invariant(
     aut: MaxMinAutomaton, N: Sequence[State]
 ) -> tuple[State, ...]:
-    """Greatest fixpoint: drop states whose invariance condition fails
+    """N is controllable invariant when every feasible, partially
+    uncontrollable event at a member admits a scaling back into N, so
+    exactly when this returns tuple(N).
+
+    Greatest fixpoint: drop states whose invariance condition fails
     against the survivors until none do.  Unique because controllable
     invariant sets are closed under union.
 
     The dropped states are an attractor over one scaling index: a member
-    leaves once one of its forced events has lost every target.  Survivors
-    keep their order in N.
+    leaves once one of its forced events (statecontrol._moves with forced)
+    has lost every target.  Survivors keep their order in N.
     """
-    members = _forced_moves(aut, N)
-    slots = [[[t for t, _ in targets] for _, targets in moves] for _, moves in members]
+    states = tuple(N)
+    index = statecontrol.ScalingIndex(_validated_codes(aut, states))
+    slots = [
+        [[t for t, _ in targets] for _, targets in statecontrol._moves(aut, index, code, forced=True)]
+        for code in index.states
+    ]
     seeds = [v for v, targets in enumerate(slots) if not all(targets)]
     gone = attractor(slots, len, [1] * len(slots), seeds)
-    return tuple(q for (q, _), r in zip(members, gone) if r is None)
+    return tuple(q for q, r in zip(states, gone) if r is None)
 
 
 class StabilizabilityWitness(Record):

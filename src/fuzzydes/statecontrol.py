@@ -154,36 +154,20 @@ def _moves(
         yield ev, index.targets(composed, ev.coded_uc)
 
 
-def _edges(
-    aut: MaxMinAutomaton, states: Sequence[State], index: ScalingIndex, v: int
-) -> Iterator[tuple[int, SuccessorEdge]]:
-    """The public form of the admissible moves out of position v of
-    states, whose codes the index holds, each with its target's position."""
-    for ev, moves in _moves(aut, index, index.states[v]):
-        for t, alphas in moves:
-            decoded = ScaleSolution(decode_value(alphas.lower), decode_value(alphas.upper))
-            yield t, SuccessorEdge(states[v], ev.name, states[t], decoded)
-
-
-def successor_set(
-    aut: MaxMinAutomaton, P: Sequence[State], q: State
-) -> tuple[SuccessorEdge, ...]:
-    """All admissible (event, target) moves from q within P, ordered by event
-    then by the target's position in P."""
-    states = tuple(P)
-    codes = _validated_codes(aut, states)
-    code = encode_state(q)
-    if code not in codes:
-        raise DomainError(f"state {format_state(q)} is not a member of the set")
-    return tuple(e for _, e in _edges(aut, states, ScalingIndex(codes), codes.index(code)))
-
-
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:
+    """Every admissible (event, target) move within P, grouped by source in
+    P's order; the moves out of one source are ordered by event, then by
+    the target's position in P."""
     states = tuple(P)
     index = ScalingIndex(_validated_codes(aut, states))
-    moves = [(v, t, e) for v in range(len(states)) for t, e in _edges(aut, states, index, v)]
-    edges = tuple(e for _, _, e in moves)
-    return SuccessorGraph(states, edges, aut.initial, tuple((v, t) for v, t, _ in moves))
+    edges, positions = [], []
+    for v, q in enumerate(index.states):
+        for ev, moves in _moves(aut, index, q):
+            for t, alphas in moves:
+                decoded = ScaleSolution(decode_value(alphas.lower), decode_value(alphas.upper))
+                edges.append(SuccessorEdge(states[v], ev.name, states[t], decoded))
+                positions.append((v, t))
+    return SuccessorGraph(states, tuple(edges), aut.initial, tuple(positions))
 
 
 def chosen_graph(sg: SuccessorGraph, subgraph: ControllableSubgraph) -> SuccessorGraph:

@@ -34,11 +34,11 @@ from fuzzydes import (
     run,
     run_command,
     scale_product,
-    serialize_automaton,
     state_is_zero,
     supervisor_from_controller,
 )
 from generators import random_automaton, random_controller
+from reference import serialize_automaton
 
 HERE = Path(__file__).resolve().parent
 TESTS = HERE.parent

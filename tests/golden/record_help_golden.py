@@ -6,10 +6,13 @@ Run from the repository root:
 
 It runs every case of CASES in process under COLUMNS=40, 80 and 200 (the
 widths argparse wraps help and usage text to) and writes cli_help_golden.json
-beside this file.  tests/test_cli_help_golden.py replays the cases and
-requires the same bytes, so re-record only when a help or usage change is
-intended.  No case reads its --automaton file: each one stops while the
-arguments are parsed.
+beside this file.  argparse wraps some usage lines differently from Python
+3.13 on; run there, the script writes only the cases whose bytes differ from
+cli_help_golden.json, to cli_help_golden_3.13.json, and golden_records()
+reads that file over the first one on 3.13 and later.
+tests/test_cli_help_golden.py replays the cases and requires the same bytes,
+so re-record only when a help or usage change is intended.  No case reads
+its --automaton file: each one stops while the arguments are parsed.
 
     PYTHONPATH=src:tests python tests/golden/record_help_golden.py --check
 
@@ -30,6 +33,8 @@ from pathlib import Path
 from fuzzydes import run_command
 
 HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "cli_help_golden.json"
+GOLDEN_313 = HERE / "cli_help_golden_3.13.json"
 WIDTHS = ("40", "80", "200")
 COMMANDS = (
     "reach", "member", "succ", "check-controllable", "synthesize", "check-language",
@@ -77,16 +82,34 @@ def run_case(argv: list[str], columns: str) -> dict:
             "stderr": err.getvalue()}
 
 
+def _key(record: dict) -> tuple:
+    return record["columns"], tuple(record["argv"])
+
+
+def golden_records() -> list[dict]:
+    """The recorded cases for this interpreter: cli_help_golden.json, with
+    the cases of cli_help_golden_3.13.json in their place from 3.13 on."""
+    records = json.loads(GOLDEN.read_text())
+    if sys.version_info >= (3, 13):
+        newer = {_key(r): r for r in json.loads(GOLDEN_313.read_text())}
+        records = [newer.get(_key(r), r) for r in records]
+    return records
+
+
 def record() -> int:
     records = [run_case(argv, columns) for columns in WIDTHS for argv in CASES]
-    (HERE / "cli_help_golden.json").write_text(json.dumps(records, indent=1) + "\n")
-    print(f"recorded {len(records)} cases", file=sys.stderr)
+    path = GOLDEN
+    if sys.version_info >= (3, 13):
+        older = {_key(r): r for r in json.loads(GOLDEN.read_text())}
+        records, path = [r for r in records if older.get(_key(r)) != r], GOLDEN_313
+    path.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"recorded {len(records)} cases in {path.name}", file=sys.stderr)
     return 0
 
 
 def check() -> int:
     """Replay the recorded golden; 1 if any case gives other bytes."""
-    records = json.loads((HERE / "cli_help_golden.json").read_text())
+    records = golden_records()
     differing = [r for r in records if run_case(r["argv"], r["columns"]) != r]
     for r in differing:
         print(f"differs: COLUMNS={r['columns']} {' '.join(r['argv'])}")

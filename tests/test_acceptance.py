@@ -13,27 +13,22 @@ from itertools import combinations
 from fuzzydes import (
     StabilizabilityWitness,
     accessible_part,
+    build_successor_graph,
     check_attractor,
     check_controllable,
-    check_controllable_invariant,
     closed_loop_graph,
-    closed_loop_language_degree,
     closed_loop_language_of_supervisor,
-    closed_loop_reachable,
     closed_loop_trajectory,
     consistency_check,
     family_contains,
     infimal_attractor,
     language_controllable,
-    language_degree,
     make_state,
     reach_family,
     reach_of_language,
     run,
     scale_product,
-    scaling_floor,
     search_stabilizing_witness,
-    successor_set,
     supervisor_from_controller,
     synthesize_controller,
     synthesize_stabilizing_controller,
@@ -47,7 +42,8 @@ from generators import (
     random_automaton,
     random_controller,
 )
-from test_language import horizon_controller_language_is_controllable
+from reference import scaling_floor
+from test_language import controlled_language, horizon_controller_language_is_controllable
 from test_reachability import INSIDE_PROBES, OUTSIDE_PROBES, printed_union_member
 from test_statecontrol import EXPECTED_SUCC, Q, exhaustive_verdict
 from test_stability import CASCADE_X, CASCADE_Z, oracle_stabilizable
@@ -115,8 +111,9 @@ def test_criterion_03_family_membership(treatment_plant):
 
 def test_criterion_04_successor_sets(treatment_plant, admissible_set):
     with criterion(4, "all eight successor sets reproduced exactly", 1.0):
+        graph = build_successor_graph(treatment_plant, admissible_set)
         for i, expected in EXPECTED_SUCC.items():
-            edges = successor_set(treatment_plant, admissible_set, Q[i])
+            edges = [e for e in graph.edges if e.source == Q[i]]
             assert {(e.event, e.target) for e in edges} == {
                 (name, Q[j]) for name, j in expected
             }
@@ -133,10 +130,10 @@ def test_criterion_05_admissible_set_controllable(
         synthesized = synthesize_controller(
             treatment_plant, admissible_set, verdict.subgraph
         )
-        assert set(closed_loop_reachable(treatment_plant, synthesized)) == set(
+        assert set(closed_loop_graph(treatment_plant, synthesized).vertices) == set(
             admissible_set
         )
-        assert set(closed_loop_reachable(treatment_plant, reference_controller)) == set(
+        assert set(closed_loop_graph(treatment_plant, reference_controller).vertices) == set(
             admissible_set
         )
 
@@ -192,9 +189,9 @@ def test_criterion_09_scaling_identity_suite():
                 folded, alphas = controlled_fold(aut, f, s)
                 floor = min(alphas)
                 assert folded == scale_product(floor, run(aut, s))
-                assert closed_loop_language_degree(aut, f, s) == min(
-                    floor, language_degree(aut, s)
-                )
+                closed = closed_loop_trajectory(aut, f, s)
+                degree = 0 if closed.halted else max(closed.states[-1])
+                assert degree == min(floor, max(run(aut, s)))
 
 
 def test_criterion_10_supervisor_translation_suite():
@@ -207,8 +204,7 @@ def test_criterion_10_supervisor_translation_suite():
             f = random_controller(rng, aut, grid=GRID11)
             supervisor = supervisor_from_controller(aut, f)
             closed = closed_loop_language_of_supervisor(aut, supervisor, 4)
-            for s in all_strings(aut.event_names, 4):
-                assert closed.degree(s) == closed_loop_language_degree(aut, f, s)
+            assert closed == controlled_language(aut, f, 4)
             assert horizon_controller_language_is_controllable(aut, f, 5)
 
 
@@ -225,16 +221,16 @@ def test_criterion_11_round_trip_suite(treatment_plant, admissible_set, single_e
             verdict = check_controllable(aut, P)
             assert verdict.controllable
             f = synthesize_controller(aut, P, verdict.subgraph)
-            assert set(closed_loop_reachable(aut, f)) == set(P)
+            assert set(closed_loop_graph(aut, f).vertices) == set(P)
         rng = random.Random(1101)
         for _ in range(100):
             aut = random_automaton(rng, max_n=3, max_events=3, grid=COARSE)
             g = random_controller(rng, aut, grid=COARSE)
-            P = tuple(closed_loop_reachable(aut, g))
+            P = closed_loop_graph(aut, g).vertices
             verdict = check_controllable(aut, P)
             assert verdict.controllable
             f = synthesize_controller(aut, P, verdict.subgraph)
-            assert set(closed_loop_reachable(aut, f)) == set(P)
+            assert set(closed_loop_graph(aut, f).vertices) == set(P)
 
 
 def test_criterion_12_stability_oracle_suite():

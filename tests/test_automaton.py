@@ -13,13 +13,9 @@ from fuzzydes import (
     UnknownEvent,
     ValidationError,
     accessible_part,
-    closed_loop_language_degree,
-    closed_loop_reachable,
-    closed_loop_step,
+    closed_loop_graph,
     closed_loop_trajectory,
-    language_degree,
     make_automaton,
-    make_controller,
     make_event,
     make_state,
     run,
@@ -27,6 +23,7 @@ from fuzzydes import (
     step,
 )
 from generators import all_strings, controlled_fold, random_automaton, random_controller
+from reference import make_controller
 
 S = lambda text: make_state(text.split())
 
@@ -101,11 +98,8 @@ class TestOpenLoop:
         by_hand = step(treatment_plant, step(treatment_plant, treatment_plant.initial, "a"), "b")
         assert run(treatment_plant, "ab") == by_hand
 
-    def test_language_degree_empty_string(self, treatment_plant):
-        assert language_degree(treatment_plant, "") == ONE
-
     def test_language_degree_single(self, treatment_plant):
-        assert language_degree(treatment_plant, "a") == Fraction(9, 10)
+        assert max(run(treatment_plant, "a")) == Fraction(9, 10)
 
     def test_language_degree_never_grows(self, treatment_plant):
         rng = random.Random(7)
@@ -113,9 +107,8 @@ class TestOpenLoop:
         for _ in range(50):
             s = tuple(rng.choice(names) for _ in range(rng.randint(0, 5)))
             a = rng.choice(names)
-            assert language_degree(treatment_plant, s) >= language_degree(
-                treatment_plant, s + (a,)
-            )
+            degree = max(run(treatment_plant, s)) if s else ONE
+            assert degree >= max(run(treatment_plant, s + (a,)))
 
 
 class TestAccessiblePart:
@@ -168,22 +161,18 @@ class TestAccessiblePart:
 class TestClosedLoop:
     def test_witness_override_step(self, treatment_plant):
         f = make_controller({(("0.9", "0.1", "0"), "b"): "0.1"})
-        out = closed_loop_step(treatment_plant, f, treatment_plant.initial, "b")
+        out = closed_loop_trajectory(treatment_plant, f, "b").states[-1]
         assert out == S("0.1 0.1 0.1")
 
     def test_disabled_event_yields_no_transition(self, treatment_plant):
         f = make_controller({(("0.9", "0.1", "0"), "a"): "0"})
-        assert closed_loop_step(treatment_plant, f, treatment_plant.initial, "a") is None
+        assert closed_loop_trajectory(treatment_plant, f, "a").halted
 
     def test_all_enabling_controller_matches_open_loop(self, treatment_plant):
         f = make_controller({})
         graph = accessible_part(treatment_plant)
-        assert set(closed_loop_reachable(treatment_plant, f)) == set(graph.vertices)
-        for q in graph.vertices:
-            for name in treatment_plant.event_names:
-                p = step(treatment_plant, q, name)
-                if any(p):
-                    assert closed_loop_step(treatment_plant, f, q, name) == p
+        closed = closed_loop_graph(treatment_plant, f)
+        assert (closed.vertices, closed.edges) == (graph.vertices, graph.edges)
 
     def test_controller_below_floor_rejected(self, treatment_plant):
         f = make_controller({(("0.9", "0.1", "0"), "b"): "0.05"})
@@ -197,22 +186,21 @@ class TestClosedLoop:
 
     def test_language_degree_of_witness_string(self, treatment_plant):
         f = make_controller({(("0.9", "0.1", "0"), "b"): "0.1"})
-        assert closed_loop_language_degree(treatment_plant, f, "b") == Fraction(1, 10)
-        assert closed_loop_language_degree(treatment_plant, f, "") == ONE
+        assert max(closed_loop_trajectory(treatment_plant, f, "b").states[-1]) == Fraction(1, 10)
 
     def test_language_containment(self, treatment_plant):
         rng = random.Random(3)
         f = random_controller(rng, treatment_plant)
         for s in all_strings(treatment_plant.event_names, 3):
-            assert closed_loop_language_degree(treatment_plant, f, s) <= language_degree(
-                treatment_plant, s
-            )
+            closed = closed_loop_trajectory(treatment_plant, f, s)
+            if s and not closed.halted:
+                assert max(closed.states[-1]) <= max(run(treatment_plant, s))
 
     def test_grid_closure_under_control(self, treatment_plant):
         rng = random.Random(5)
         f = random_controller(rng, treatment_plant)
         pool = set(treatment_plant.value_grid()) | f.value_grid()
-        for q in closed_loop_reachable(treatment_plant, f):
+        for q in closed_loop_graph(treatment_plant, f).vertices:
             assert set(q) <= pool
 
     def test_trajectory_halts_on_disabled_event(self, treatment_plant):
@@ -243,5 +231,6 @@ class TestScalingIdentities:
                 if not s:
                     continue
                 _, alphas = controlled_fold(aut, f, s)
-                expected = min(min(alphas), language_degree(aut, s))
-                assert closed_loop_language_degree(aut, f, s) == expected
+                expected = min(min(alphas), max(run(aut, s)))
+                closed = closed_loop_trajectory(aut, f, s)
+                assert (ZERO if closed.halted else max(closed.states[-1])) == expected

@@ -14,7 +14,7 @@ import fuzzydes.automaton as automaton
 import fuzzydes.cli
 import fuzzydes.possibility as possibility
 import fuzzydes.statecontrol as statecontrol
-from fuzzydes import closed_loop_reachable, make_state, parse_spec, run_command
+from fuzzydes import closed_loop_graph, make_state, parse_spec, run_command
 from conftest import DATA
 
 S = lambda text: make_state(text.split())
@@ -168,7 +168,7 @@ class TestControllableCommands:
         )
         assert code == 0
         controller = parse_spec(out).controller
-        assert set(closed_loop_reachable(treatment_plant, controller)) == set(admissible_set)
+        assert set(closed_loop_graph(treatment_plant, controller).vertices) == set(admissible_set)
 
 
 class TestLanguageCommands:

@@ -14,8 +14,9 @@ import pathlib
 
 import pytest
 
-from fuzzydes import run_command, serialize_automaton
+from fuzzydes import run_command
 from golden.record_cli_golden import _language_doc, seeded_languages
+from reference import serialize_automaton
 
 TESTS = pathlib.Path(__file__).parent
 CASES = json.loads((TESTS / "golden" / "cli_golden.json").read_text())

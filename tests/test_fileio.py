@@ -15,9 +15,6 @@ from fuzzydes import (
     make_state,
     parse_automaton,
     parse_spec,
-    serialize_automaton,
-    serialize_controller,
-    serialize_language,
 )
 from fuzzydes.fileio import (
     ControllerSpec,
@@ -28,6 +25,7 @@ from fuzzydes.fileio import (
     parse_inline_state,
 )
 from conftest import DATA
+from reference import serialize_automaton, serialize_controller, serialize_language
 from test_statecontrol import reference_subgraph
 
 S = lambda text: make_state(text.split())

@@ -11,16 +11,13 @@ from fuzzydes import (
     ValidationError,
     accessible_part,
     check_controllable,
-    closed_loop_language_degree,
+    closed_loop_graph,
     closed_loop_language_of_supervisor,
-    closed_loop_reachable,
-    closed_loop_step,
+    closed_loop_trajectory,
     consistency_check,
     controller_from_language,
     language_controllable,
-    language_degree,
     make_automaton,
-    make_controller,
     make_event,
     make_state,
     reach_of_language,
@@ -31,6 +28,7 @@ from fuzzydes import (
     supervisor_from_language,
 )
 from generators import GRID11, all_strings, random_automaton, random_controller
+from reference import make_controller, replaying_supervisor
 
 S = lambda text: make_state(text.split())
 F = Fraction
@@ -47,11 +45,11 @@ def horizon_controller_language_is_controllable(aut, f, max_len):
         for open_q, closed_q, d in frontier:
             for ev in aut.events:
                 open_2 = step(aut, open_q, ev.name)
-                closed_2 = closed_loop_step(aut, f, closed_q, ev.name)
-                d2 = F(0) if closed_2 is None else max(closed_2)
+                closed_2 = scale_product(f.value(closed_q, ev.name), step(aut, closed_q, ev.name))
+                d2 = max(closed_2)
                 if min(d, ev.uc_degree, max(open_2)) > d2:
                     return False
-                if closed_2 is not None:
+                if d2:
                     nxt.append((open_2, closed_2, d2))
         frontier = nxt
     return True
@@ -61,16 +59,29 @@ def redrawn_on_closed_loop(rng, aut, f):
     """f with the value of every event at every vertex of its closed loop
     drawn again at random, at or above the event's floor."""
     entries = dict(f.entries)
-    for q in closed_loop_reachable(aut, f):
+    for q in closed_loop_graph(aut, f).vertices:
         for ev in aut.events:
             entries[(q, ev.name)] = rng.choice([v for v in GRID11 if v >= ev.uc_degree])
     return StateFeedbackController(entries, f.default)
 
 
 def truncated_plant_language(aut, max_len):
+    """The plant language up to max_len: 1 at the empty string, else the
+    largest component of the string's open-loop run."""
     pairs = []
     for s in all_strings(aut.event_names, max_len):
-        pairs.append((s, language_degree(aut, s)))
+        pairs.append((s, max(run(aut, s)) if s else F(1)))
+    return FuzzyLanguage.from_pairs(pairs)
+
+
+def controlled_language(aut, f, max_len):
+    """The language of the plant under f up to max_len, one controlled run
+    per string: 1 at the empty string, 0 once the run halts, else the
+    largest component of its last state."""
+    pairs = []
+    for s in all_strings(aut.event_names, max_len):
+        closed = closed_loop_trajectory(aut, f, s)
+        pairs.append((s, F(0) if closed.halted else max(closed.states[-1]) if s else F(1)))
     return FuzzyLanguage.from_pairs(pairs)
 
 
@@ -168,7 +179,7 @@ def containment_controllable(aut, K):
     floor lift, cut to the plant language, must stay below K."""
     product = concat_raw(K.degrees, uncontrollability_lift(aut))
     for s, degree in product.items():
-        if min(degree, language_degree(aut, s)) > K.degree(s):
+        if min(degree, max(run(aut, s)) if s else F(1)) > K.degree(s):
             return False
     return True
 
@@ -189,7 +200,7 @@ class TestLanguageControllability:
         lhs = min(
             K.degree(s),
             treatment_plant.uc(name),
-            language_degree(treatment_plant, s + (name,)),
+            max(run(treatment_plant, s + (name,))),
         )
         assert lhs > K.degree(s + (name,))
 
@@ -223,8 +234,6 @@ class TestSupervisorFromLanguage:
         closed = closed_loop_language_of_supervisor(drift_plant, supervisor, 3)
         for s in all_strings(drift_plant.event_names, 3):
             assert closed.degree(s) == K.degree(s)
-            if len(s) <= 2:
-                assert closed.degree(s) == language_degree(drift_plant, s)
 
     def test_epsilon_only_language_disables_everything(self, drift_plant):
         K = FuzzyLanguage.from_pairs([((), 1)])
@@ -248,8 +257,7 @@ class TestSupervisorFromLanguage:
 
         unit = FuzzySupervisor(lambda s, a: F(1))
         closed = closed_loop_language_of_supervisor(drift_plant, unit, 4)
-        for s in all_strings(drift_plant.event_names, 4):
-            assert closed.degree(s) == language_degree(drift_plant, s)
+        assert closed == truncated_plant_language(drift_plant, 4)
 
 
 class TestSupervisorFromController:
@@ -279,10 +287,7 @@ class TestSupervisorFromController:
     def test_closed_loop_language_equality(self, treatment_plant, reference_controller):
         supervisor = supervisor_from_controller(treatment_plant, reference_controller)
         closed = closed_loop_language_of_supervisor(treatment_plant, supervisor, 4)
-        for s in all_strings(treatment_plant.event_names, 4):
-            assert closed.degree(s) == closed_loop_language_degree(
-                treatment_plant, reference_controller, s
-            )
+        assert closed == controlled_language(treatment_plant, reference_controller, 4)
 
     def test_controlled_language_is_controllable(self, treatment_plant, reference_controller):
         assert horizon_controller_language_is_controllable(treatment_plant, reference_controller, 5)
@@ -295,9 +300,75 @@ class TestSupervisorFromController:
             f = random_controller(rng, aut)
             supervisor = supervisor_from_controller(aut, f)
             closed = closed_loop_language_of_supervisor(aut, supervisor, 4)
-            for s in all_strings(aut.event_names, 4):
-                assert closed.degree(s) == closed_loop_language_degree(aut, f, s)
+            assert closed == controlled_language(aut, f, 4)
             assert horizon_controller_language_is_controllable(aut, f, 5)
+
+
+    def test_one_step_per_prefix_agrees_with_replaying_the_string(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            aut = random_automaton(rng, max_n=3, max_events=3)
+            f = random_controller(rng, aut)
+            fast, slow = supervisor_from_controller(aut, f), replaying_supervisor(aut, f)
+            strings = list(all_strings(aut.event_names, 4))
+            rng.shuffle(strings)  # prefixes are filled out of order too
+            for s in strings:
+                for name in aut.event_names:
+                    assert fast.value(s, name) == slow.value(s, name)
+            max_len = rng.randint(1, 5)
+            assert closed_loop_language_of_supervisor(
+                aut, supervisor_from_controller(aut, f), max_len
+            ) == closed_loop_language_of_supervisor(aut, slow, max_len)
+
+    def test_each_new_prefix_costs_one_step(self, treatment_plant, reference_controller, monkeypatch):
+        import fuzzydes.language as language
+
+        steps = []
+
+        def counted(aut, q, name):
+            steps.append(name)
+            return step_coded(aut, q, name)
+
+        step_coded = language._step
+        monkeypatch.setattr(language, "_step", counted)
+        supervisor = supervisor_from_controller(treatment_plant, reference_controller)
+        supervisor.value(("d", "d", "b", "d"), "a")
+        assert steps == ["d", "d", "b", "d"]
+        supervisor.value(("d", "d", "b", "d", "c"), "a")
+        supervisor.value(("d", "d", "b"), "c")
+        assert steps == ["d", "d", "b", "d", "c"]
+
+
+class TestSupervisorAlphabet:
+    """A supervisor asked about an event outside the plant's alphabet, as
+    the event or inside the observed string, raises UnknownEvent."""
+
+    def test_language_supervisor_unknown_event(self, drift_plant):
+        K = FuzzyLanguage.from_pairs([((), 1), (("a1",), "0.2")])
+        with pytest.raises(UnknownEvent, match="'zz'"):
+            supervisor_from_language(drift_plant, K).value((), "zz")
+
+    def test_language_supervisor_unknown_event_in_the_string(self, drift_plant):
+        K = FuzzyLanguage.from_pairs([((), 1), (("a1",), "0.2")])
+        with pytest.raises(UnknownEvent, match="'zz'"):
+            supervisor_from_language(drift_plant, K).value(("zz",), "a1")
+
+    def test_controller_supervisor_unknown_event(self, drift_plant):
+        supervisor = supervisor_from_controller(drift_plant, StateFeedbackController())
+        with pytest.raises(UnknownEvent, match="'zz'"):
+            supervisor.value((), "zz")
+
+    def test_controller_supervisor_unknown_event_in_the_string(self, drift_plant):
+        supervisor = supervisor_from_controller(drift_plant, StateFeedbackController())
+        with pytest.raises(UnknownEvent, match="'zz'"):
+            supervisor.value(("a1", "zz"), "a1")
+
+    def test_controller_supervisor_unknown_event_past_a_vanished_run(self, drift_plant):
+        f = make_controller({(drift_plant.initial, "a1"): "0"})
+        supervisor = supervisor_from_controller(drift_plant, f)
+        assert supervisor.value(("a1", "a2"), "a3") == F(1)  # vanished: fully enabled
+        with pytest.raises(UnknownEvent, match="'zz'"):
+            supervisor.value(("a1", "zz"), "a1")
 
 
 class TestControllerLanguageIdentity:
@@ -373,14 +444,14 @@ class TestControllerFromLanguage:
         f = controller_from_language(drift_plant, K)
         assert f.value(drift_plant.initial, "a1") == F(1, 5)
         assert f.value(drift_plant.initial, "a2") == F(0)
-        assert set(closed_loop_reachable(drift_plant, f)) == set(
+        assert set(closed_loop_graph(drift_plant, f).vertices) == set(
             reach_of_language(drift_plant, K)
         )
 
     def test_epsilon_only_freezes_the_plant(self, drift_plant):
         K = FuzzyLanguage.from_pairs([((), 1)])
         f = controller_from_language(drift_plant, K)
-        assert closed_loop_reachable(drift_plant, f) == [drift_plant.initial]
+        assert closed_loop_graph(drift_plant, f).vertices == (drift_plant.initial,)
 
     def test_consistent_language_round_trip_with_run_identity(self, drift_plant):
         K = FuzzyLanguage.from_pairs(
@@ -388,21 +459,13 @@ class TestControllerFromLanguage:
              (("a2", "a1"), "0.25"), (("a3", "a1"), "0.25")]
         )
         f = controller_from_language(drift_plant, K)
-        assert set(closed_loop_reachable(drift_plant, f)) == set(
+        assert set(closed_loop_graph(drift_plant, f).vertices) == set(
             reach_of_language(drift_plant, K)
         )
         for s in K.support():
             expected = scale_product(K.degree(s), run(drift_plant, s))
-            folded = drift_plant.initial
-            alive = True
-            from fuzzydes import closed_loop_step
-
-            for name in s:
-                folded = closed_loop_step(drift_plant, f, folded, name)
-                if folded is None:
-                    alive = False
-                    break
-            assert alive and folded == expected
+            closed = closed_loop_trajectory(drift_plant, f, s)
+            assert not closed.halted and closed.states[-1] == expected
 
     def test_two_state_fixture_verified_exhaustively(self):
         move = make_event("m", [["0.5", "1"], ["0", "0.5"]], 0)
@@ -411,10 +474,8 @@ class TestControllerFromLanguage:
         assert language_controllable(aut, K).ok
         assert consistency_check(aut, K).ok
         f = controller_from_language(aut, K)
-        assert set(closed_loop_reachable(aut, f)) == set(reach_of_language(aut, K))
-        assert closed_loop_language_degree(aut, f, ("m",)) == F(3, 5)
-        assert closed_loop_language_degree(aut, f, ("m", "m")) == F(2, 5)
-        assert closed_loop_language_degree(aut, f, ("m", "m", "m")) == F(0)
+        assert set(closed_loop_graph(aut, f).vertices) == set(reach_of_language(aut, K))
+        assert controlled_language(aut, f, 3) == K
 
     def test_inconsistent_language_rejected(self, drift_plant, drift_language):
         with pytest.raises(PreconditionError) as exc:

@@ -20,10 +20,9 @@ from fuzzydes import (
     check_attractor,
     infimal_attractor,
     reach_family,
-    scaling_floor,
-    serialize_automaton,
 )
 from generators import random_automaton
+from reference import scaling_floor, serialize_automaton
 
 ORACLE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)

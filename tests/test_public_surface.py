@@ -6,6 +6,7 @@ through the package's module __getattr__, to the objects of the modules that
 define them.
 """
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -20,33 +21,81 @@ from conftest import DATA
 PUBLIC = [
     "AttractorReport", "ConsistencyVerdict", "ControllabilityVerdict",
     "ControllableSubgraph", "DimensionMismatch", "DomainError", "FuzzyDESError",
-    "FuzzyEvent", "FuzzyLanguage", "FuzzySupervisor",
-    "InvariantVerdict", "LanguageVerdict", "MaxMinAutomaton", "ONE", "Obstruction",
-    "Possibility", "PreconditionError", "ReachFamily", "ReachWitness", "ScaleSolution",
-    "StabilizabilityWitness", "State", "StateFeedbackController", "SuccessorEdge",
-    "SuccessorGraph", "Trajectory", "TransitionGraph", "UnknownEvent", "ValidationError",
-    "WitnessRejected", "ZERO", "accessible_part", "as_event_string", "as_possibility",
-    "automaton", "build_successor_graph", "candidate_universe", "check_attractor",
-    "check_controllable", "check_controllable_invariant", "chosen_graph", "cli",
-    "closed_loop_graph", "closed_loop_language_degree",
-    "closed_loop_language_of_supervisor", "closed_loop_reachable", "closed_loop_step",
+    "FuzzyEvent", "FuzzyLanguage", "FuzzySupervisor", "LanguageVerdict", "MaxMinAutomaton",
+    "ONE", "Obstruction", "Possibility", "PreconditionError", "ReachFamily",
+    "ReachWitness", "ScaleSolution", "StabilizabilityWitness", "State",
+    "StateFeedbackController", "SuccessorEdge", "SuccessorGraph", "Trajectory",
+    "TransitionGraph", "UnknownEvent", "ValidationError", "WitnessRejected", "ZERO",
+    "accessible_part", "as_event_string", "as_possibility", "automaton",
+    "build_successor_graph", "candidate_universe", "check_attractor", "check_controllable",
+    "chosen_graph", "cli", "closed_loop_graph", "closed_loop_language_of_supervisor",
     "closed_loop_trajectory", "consistency_check", "controller_from_language", "errors",
     "export_dot", "family_contains", "fileio", "format_possibility", "format_state",
-    "graph", "infimal_attractor", "is_stable", "language", "language_controllable",
-    "language_degree", "largest_controllable_invariant", "make_automaton",
-    "make_controller", "make_event", "make_state", "maxmin_compose", "open_loop_trajectory",
-    "parse_automaton", "parse_spec", "possibility", "reach_family", "reach_of_language",
-    "reachability", "run", "run_command", "scale_product", "scaling_floor",
-    "search_stabilizing_witness", "serialize_automaton", "serialize_controller",
-    "serialize_language", "solve_scale", "stability", "state_is_zero", "statecontrol",
-    "step", "successor_set", "supervisor_from_controller", "supervisor_from_language",
-    "synthesize_controller", "synthesize_stabilizing_controller", "validate_subgraph",
+    "graph", "infimal_attractor", "language", "language_controllable",
+    "largest_controllable_invariant", "make_automaton", "make_event", "make_state",
+    "maxmin_compose", "open_loop_trajectory", "parse_automaton", "parse_spec",
+    "possibility", "reach_family", "reach_of_language", "reachability", "run",
+    "run_command", "scale_product", "search_stabilizing_witness", "solve_scale",
+    "stability", "state_is_zero", "statecontrol", "step", "supervisor_from_controller",
+    "supervisor_from_language", "synthesize_controller",
+    "synthesize_stabilizing_controller", "validate_subgraph",
     "verify_stabilizability_witness",
 ]
+
+# The public functions of src/ that no other module of src/ calls, each with
+# the reason it stays public.  Any other public function must have a caller
+# in another module; code that nothing in the library uses moves into tests/
+# or goes.
+KEPT = {
+    "closed_loop_graph": "bench/layers.py times it (automaton.closed_loop_graph)",
+    "closed_loop_language_of_supervisor":
+        "the paper's supervised language, the state-to-event direction of the bridge",
+    "largest_controllable_invariant":
+        "search_stabilizing_witness calls it; bench/layers.py times it",
+    "make_event": "README, every demo and tests/generators.py build plants with it",
+    "run": "the paper's transition extended to strings",
+    "run_command": "the CLI in process; cli.main calls it",
+    "step": "the paper's transition",
+    "supervisor_from_controller":
+        "the paper's translation of state feedback into event feedback",
+    "validate_subgraph":
+        "checks a given choice against C1, C2 and reachability, as synthesize_controller does",
+    "verify_stabilizability_witness": "bench/layers.py reads its spans",
+}
 
 
 def test_public_names_are_pinned():
     assert sorted(fuzzydes.__all__) == PUBLIC
+
+
+def uncalled_public_functions(package: pathlib.Path) -> set[str]:
+    """The public module-level functions of the modules in package that no
+    other module of package calls, by name or as an attribute."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    owner = {
+        node.name: module for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+    called = {
+        name for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in owner
+        and owner[name] != module
+    }
+    return set(owner) - called
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    uncalled = uncalled_public_functions(pathlib.Path(fuzzydes.__file__).resolve().parent)
+    assert sorted(uncalled - set(KEPT)) == [], "call it from src/, move it into tests/, or delete it"
+    assert sorted(set(KEPT) - uncalled) == [], "a KEPT name now has a caller: drop it from KEPT"
+    assert set(KEPT) <= set(PUBLIC)
+
+
+def test_the_scan_finds_a_function_that_only_its_own_module_calls(tmp_path):
+    (tmp_path / "one.py").write_text("def used():\n    pass\n\ndef lonely():\n    used()\n")
+    (tmp_path / "two.py").write_text("from . import one\n\none.used()\n")
+    assert uncalled_public_functions(tmp_path) == {"lonely"}
 
 
 # The public values whose owner __module__ does not name: all are bound in

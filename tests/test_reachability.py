@@ -10,17 +10,15 @@ from fuzzydes import (
     DomainError,
     StateFeedbackController,
     accessible_part,
-    closed_loop_reachable,
-    closed_loop_step,
+    closed_loop_graph,
     closed_loop_trajectory,
     family_contains,
-    make_controller,
     make_state,
     reach_family,
     scale_product,
-    scaling_floor,
 )
 from generators import COARSE, adjacency, random_automaton
+from reference import make_controller, scaling_floor
 
 S = lambda text: make_state(text.split())
 
@@ -199,7 +197,8 @@ class TestScalingFloor:
         assert checked == 23
 
     def test_single_floor_walks_back_from_the_vertex(self, treatment_plant, monkeypatch):
-        # One floor costs one backward closure, not the floors of the graph.
+        # The oracle costs one backward closure and never reads _floors, the
+        # pass it checks.
         from fuzzydes import reachability
 
         graph = accessible_part(treatment_plant)
@@ -260,7 +259,7 @@ class TestMembership:
         # The single-override controller enabling b to 0.1 at the initial
         # state also lands on [0.1, 0.1, 0.1]; pinned as a fixture.
         f = make_controller({(("0.9", "0.1", "0"), "b"): "0.1"})
-        assert S("0.1 0.1 0.1") in set(closed_loop_reachable(treatment_plant, f))
+        assert S("0.1 0.1 0.1") in set(closed_loop_graph(treatment_plant, f).vertices)
 
     def test_witness_controller_is_single_override_or_empty(self, treatment_plant):
         fam = reach_family(treatment_plant)
@@ -317,7 +316,7 @@ class TestMembership:
         rng = random.Random(77)
         for _ in range(10):
             f = random_controller(rng, treatment_plant)
-            for q in closed_loop_reachable(treatment_plant, f):
+            for q in closed_loop_graph(treatment_plant, f).vertices:
                 assert family_contains(fam, q) is not None
 
 
@@ -342,7 +341,7 @@ def exhaustive_controller_reach(aut, value_pool, cap=70000):
             for (q, name, _), value in zip(slots, combo)
         }
         f = StateFeedbackController(entries, ONE)
-        reached.update(closed_loop_reachable(aut, f))
+        reached.update(closed_loop_graph(aut, f).vertices)
     return reached
 
 

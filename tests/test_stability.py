@@ -20,10 +20,8 @@ from fuzzydes import (
     candidate_universe,
     check_attractor,
     check_controllable,
-    check_controllable_invariant,
     closed_loop_graph,
     infimal_attractor,
-    is_stable,
     largest_controllable_invariant,
     make_automaton,
     make_event,
@@ -265,34 +263,30 @@ class TestPeelingAgainstCycleSearch:
 class TestStability:
     def test_full_vertex_set_is_stable(self, treatment_plant):
         graph = accessible_part(treatment_plant)
-        assert is_stable(graph, set(graph.vertices))
+        assert infimal_attractor(graph) <= set(graph.vertices)
 
     def test_empty_legal_set_is_unstable(self, treatment_plant):
         graph = accessible_part(treatment_plant)
-        assert not is_stable(graph, set())
+        assert not infimal_attractor(graph) <= set()
 
     def test_drift_plant_with_absorbing_target(self, drift_plant):
         graph = accessible_part(drift_plant)
-        assert is_stable(graph, {S("0.4 0.1 0")})
-        assert not is_stable(graph, {drift_plant.initial})
+        assert infimal_attractor(graph) <= {S("0.4 0.1 0")}
+        assert not infimal_attractor(graph) <= {drift_plant.initial}
 
 
 class TestControllableInvariant:
     def test_empty_set_vacuous(self, treatment_plant):
-        assert check_controllable_invariant(treatment_plant, ()).ok
+        assert largest_controllable_invariant(treatment_plant, ()) == ()
 
     def test_everything_vacuous_when_floors_vanish(self, drift_plant):
-        graph = accessible_part(drift_plant)
-        assert check_controllable_invariant(drift_plant, graph.vertices).ok
-        assert check_controllable_invariant(drift_plant, (S("0.4 0.1 0"),)).ok
+        N = (S("0.4 0.1 0"),)
+        assert largest_controllable_invariant(drift_plant, N) == N
 
-    def test_violation_reported(self, treatment_plant):
-        # d (floor 1) moves the initial state nowhere else in a singleton set
-        # containing only a state d leaves.
-        verdict = check_controllable_invariant(treatment_plant, (S("0.1 0.9 0.1"),))
-        assert not verdict.ok
-        q, name = verdict.violation
-        assert q == S("0.1 0.9 0.1")
+    def test_singleton_left_by_a_forced_event_is_not_invariant(self, treatment_plant):
+        # d (floor 1) moves [0.1,0.9,0.1] out of the singleton set, and no
+        # controller can hold it back.
+        assert largest_controllable_invariant(treatment_plant, (S("0.1 0.9 0.1"),)) == ()
 
     def test_largest_fixpoint_keeps_invariant_sets(self, drift_plant):
         graph = accessible_part(drift_plant)
@@ -328,9 +322,9 @@ class TestControllableInvariant:
             if not removed:
                 continue
             tested += 1
-            assert check_controllable_invariant(aut, kept).ok
+            assert largest_controllable_invariant(aut, kept) == kept
             for q in removed:
-                assert not check_controllable_invariant(aut, kept + (q,)).ok
+                assert largest_controllable_invariant(aut, kept + (q,)) != kept + (q,)
 
 
 CASCADE_X = S("1 1 1")
@@ -753,4 +747,4 @@ class TestNecessityDirection:
             for size in range(1, len(vertices) + 1):
                 for subset in combinations(vertices, size):
                     if check_attractor(graph, set(subset)).verdict:
-                        assert check_controllable_invariant(aut, subset).ok
+                        assert largest_controllable_invariant(aut, subset) == subset

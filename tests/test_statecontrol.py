@@ -17,12 +17,10 @@ from fuzzydes import (
     check_controllable,
     chosen_graph,
     closed_loop_graph,
-    closed_loop_reachable,
     make_automaton,
     make_event,
     make_state,
     search_stabilizing_witness,
-    successor_set,
     synthesize_controller,
     validate_subgraph,
 )
@@ -75,25 +73,23 @@ def reference_subgraph():
 
 class TestSuccessorSets:
     def test_all_eight_match(self, treatment_plant, admissible_set):
+        graph = build_successor_graph(treatment_plant, admissible_set)
         for i, expected in EXPECTED_SUCC.items():
-            edges = successor_set(treatment_plant, admissible_set, Q[i])
+            edges = [e for e in graph.edges if e.source == Q[i]]
             got = {(e.event, e.target) for e in edges}
             assert got == {(name, Q[j]) for name, j in expected}, f"state {i}"
 
     def test_cardinality_bound(self, treatment_plant, admissible_set):
         bound = len(treatment_plant.events) * len(admissible_set)
+        graph = build_successor_graph(treatment_plant, admissible_set)
         for q in admissible_set:
-            assert len(successor_set(treatment_plant, admissible_set, q)) <= bound
-
-    def test_non_member_is_domain_error(self, treatment_plant, admissible_set):
-        with pytest.raises(DomainError):
-            successor_set(treatment_plant, admissible_set, S("0.5 0.1 0.5"))
+            assert len([e for e in graph.edges if e.source == q]) <= bound
 
     def test_singleton_initial(self, single_event_plant):
         # From [0.9,0.1,0] the only composition is [0.1,0.9,0.1]; no scaling
         # with alpha >= 0.8 lands back, so no successors within the singleton.
         P = (single_event_plant.initial,)
-        assert successor_set(single_event_plant, P, P[0]) == ()
+        assert build_successor_graph(single_event_plant, P).edges == ()
 
 
 def compatible_subsets(aut, P, q, succ):
@@ -114,14 +110,16 @@ def compatible_subsets(aut, P, q, succ):
 
 class TestCompatibleSubsets:
     def test_sink_state_drops_only_the_free_event(self, treatment_plant, admissible_set):
-        succ = successor_set(treatment_plant, admissible_set, Q[9])
+        graph = build_successor_graph(treatment_plant, admissible_set)
+        succ = [e for e in graph.edges if e.source == Q[9]]
         subsets = [frozenset((e.event, e.target) for e in c)
                    for c in compatible_subsets(treatment_plant, admissible_set, Q[9], succ)]
         wanted = frozenset({("b", Q[9]), ("c", Q[9]), ("d", Q[9])})
         assert wanted in subsets
 
     def test_count_matches_brute_force_filter(self, treatment_plant, admissible_set):
-        succ = successor_set(treatment_plant, admissible_set, Q[0])
+        graph = build_successor_graph(treatment_plant, admissible_set)
+        succ = [e for e in graph.edges if e.source == Q[0]]
         lazy = list(compatible_subsets(treatment_plant, admissible_set, Q[0], succ))
         brute = []
         for mask in range(2 ** len(succ)):
@@ -151,7 +149,7 @@ class TestCompatibleSubsets:
 
     def test_unsatisfiable_coverage_yields_nothing(self, single_event_plant):
         P = (single_event_plant.initial,)
-        succ = successor_set(single_event_plant, P, P[0])
+        succ = build_successor_graph(single_event_plant, P).edges
         assert list(compatible_subsets(single_event_plant, P, P[0], succ)) == []
 
 
@@ -193,9 +191,10 @@ def exhaustive_verdict(aut, P, cap=300000):
         return True
     if aut.initial not in states:
         return False
+    edges = build_successor_graph(aut, states).edges
     options = []
     for q in states:
-        succ = successor_set(aut, states, q)
+        succ = [e for e in edges if e.source == q]
         subsets = list(compatible_subsets(aut, states, q, succ))
         if not subsets:
             return False
@@ -307,13 +306,13 @@ class TestSynthesis:
     def test_round_trip_on_admissible_set(self, treatment_plant, admissible_set):
         verdict = check_controllable(treatment_plant, admissible_set)
         f = synthesize_controller(treatment_plant, admissible_set, verdict.subgraph)
-        assert set(closed_loop_reachable(treatment_plant, f)) == set(admissible_set)
+        assert set(closed_loop_graph(treatment_plant, f).vertices) == set(admissible_set)
 
     def test_reference_selection_validates_and_round_trips(self, treatment_plant, admissible_set):
         subgraph = reference_subgraph()
         validate_subgraph(treatment_plant, admissible_set, subgraph)
         f = synthesize_controller(treatment_plant, admissible_set, subgraph)
-        assert set(closed_loop_reachable(treatment_plant, f)) == set(admissible_set)
+        assert set(closed_loop_graph(treatment_plant, f).vertices) == set(admissible_set)
 
     def test_reference_selection_synthesis_values(self, treatment_plant, admissible_set):
         f = synthesize_controller(
@@ -331,7 +330,7 @@ class TestSynthesis:
     def test_reference_controller_fixture_round_trips(
         self, treatment_plant, admissible_set, reference_controller
     ):
-        reachable = closed_loop_reachable(treatment_plant, reference_controller)
+        reachable = closed_loop_graph(treatment_plant, reference_controller).vertices
         assert set(reachable) == set(admissible_set)
 
     def test_chosen_graph_matches_reference_edges(self, treatment_plant, admissible_set):
@@ -356,7 +355,7 @@ class TestSynthesis:
         verdict = check_controllable(drift_plant, P)
         assert verdict.controllable
         f = synthesize_controller(drift_plant, P, verdict.subgraph)
-        assert closed_loop_reachable(drift_plant, f) == [drift_plant.initial]
+        assert closed_loop_graph(drift_plant, f).vertices == (drift_plant.initial,)
         for name in drift_plant.event_names:
             assert f.value(drift_plant.initial, name) == Fraction(0)
 
@@ -405,11 +404,11 @@ class TestRandomRoundTrips:
         for _ in range(25):
             aut = random_automaton(rng, max_n=3, max_events=3, grid=COARSE)
             f = random_controller(rng, aut, grid=COARSE)
-            P = tuple(closed_loop_reachable(aut, f))
+            P = closed_loop_graph(aut, f).vertices
             verdict = check_controllable(aut, P)
             assert verdict.controllable, f"reachable set must be controllable"
             f2 = synthesize_controller(aut, P, verdict.subgraph)
-            assert set(closed_loop_reachable(aut, f2)) == set(P)
+            assert set(closed_loop_graph(aut, f2).vertices) == set(P)
 
     def test_the_closed_loop_is_exactly_the_chosen_edges(self):
         # The stabilization verifier reads the funnel controller's closed
@@ -425,7 +424,7 @@ class TestRandomRoundTrips:
             rest = [q for q in universe if q != aut.initial]
             cases = []
             for P in (
-                tuple(closed_loop_reachable(aut, random_controller(rng, aut, grid=COARSE))),
+                closed_loop_graph(aut, random_controller(rng, aut, grid=COARSE)).vertices,
                 (aut.initial,) + tuple(q for q in rest if rng.random() < 0.5),
             ):
                 cases.append((P, check_controllable(aut, P).subgraph))
