@@ -14,6 +14,7 @@ from fuzzydes import (
     ValidationError,
     accessible_part,
     closed_loop_graph,
+    closed_loop_language_of_supervisor,
     closed_loop_trajectory,
     make_automaton,
     make_event,
@@ -21,6 +22,7 @@ from fuzzydes import (
     run,
     scale_product,
     step,
+    supervisor_from_controller,
 )
 from generators import all_strings, controlled_fold, random_automaton, random_controller
 from reference import make_controller
@@ -97,6 +99,15 @@ class TestOpenLoop:
     def test_run_ab_matches_stepwise_composition(self, treatment_plant):
         by_hand = step(treatment_plant, step(treatment_plant, treatment_plant.initial, "a"), "b")
         assert run(treatment_plant, "ab") == by_hand
+
+    def test_language_degree_empty_string(self, treatment_plant):
+        # The empty string has degree 1, though the initial state's largest
+        # component is only 0.9.
+        supervisor = supervisor_from_controller(treatment_plant, make_controller({}))
+        K = closed_loop_language_of_supervisor(treatment_plant, supervisor, 1)
+        assert max(run(treatment_plant, "")) == Fraction(9, 10)
+        assert K.degrees[()] == ONE
+        assert K.degrees[("a",)] == max(run(treatment_plant, "a"))
 
     def test_language_degree_single(self, treatment_plant):
         assert max(run(treatment_plant, "a")) == Fraction(9, 10)
@@ -202,6 +213,12 @@ class TestClosedLoop:
         pool = set(treatment_plant.value_grid()) | f.value_grid()
         for q in closed_loop_graph(treatment_plant, f).vertices:
             assert set(q) <= pool
+
+    def test_empty_string_stays_at_the_initial_state(self, treatment_plant):
+        # The controller disables a at the initial state; no event, no halt.
+        f = make_controller({(("0.9", "0.1", "0"), "a"): "0"})
+        t = closed_loop_trajectory(treatment_plant, f, "")
+        assert t.states == (treatment_plant.initial,) and t.events == () and not t.halted
 
     def test_trajectory_halts_on_disabled_event(self, treatment_plant):
         f = make_controller({(("0.9", "0.1", "0"), "a"): "0"})

@@ -288,6 +288,13 @@ class TestControllableInvariant:
         # controller can hold it back.
         assert largest_controllable_invariant(treatment_plant, (S("0.1 0.9 0.1"),)) == ()
 
+    def test_violation_reported(self, treatment_plant):
+        # Of the two states only [0.1,0.9,0.1] is dropped: d (floor 1) takes
+        # it out of the set.  [0.9,0.1,0.1] stays, since a (floor 0) may be
+        # disabled and b, c and d lead back to it.
+        N = (S("0.9 0.1 0.1"), S("0.1 0.9 0.1"))
+        assert largest_controllable_invariant(treatment_plant, N) == (S("0.9 0.1 0.1"),)
+
     def test_largest_fixpoint_keeps_invariant_sets(self, drift_plant):
         graph = accessible_part(drift_plant)
         assert largest_controllable_invariant(drift_plant, graph.vertices) == graph.vertices

@@ -8,6 +8,7 @@ import pytest
 
 from fuzzydes import (
     ControllableSubgraph,
+    DimensionMismatch,
     DomainError,
     Obstruction,
     ValidationError,
@@ -84,6 +85,10 @@ class TestSuccessorSets:
         graph = build_successor_graph(treatment_plant, admissible_set)
         for q in admissible_set:
             assert len([e for e in graph.edges if e.source == q]) <= bound
+
+    def test_state_of_another_dimension_is_rejected(self, treatment_plant, admissible_set):
+        with pytest.raises(DimensionMismatch, match=r"state \[0.5,0.1\] has 2 components"):
+            build_successor_graph(treatment_plant, tuple(admissible_set) + (S("0.5 0.1"),))
 
     def test_singleton_initial(self, single_event_plant):
         # From [0.9,0.1,0] the only composition is [0.1,0.9,0.1]; no scaling
