@@ -48,7 +48,7 @@ _EXPORTS = {
     "statecontrol": (
         "ControllabilityVerdict", "ControllableSubgraph", "Obstruction", "SuccessorEdge",
         "SuccessorGraph", "build_successor_graph", "check_controllable", "chosen_graph",
-        "synthesize_controller", "validate_subgraph",
+        "synthesize_controller",
     ),
     "language": (
         "ConsistencyVerdict", "FuzzyLanguage", "FuzzySupervisor", "LanguageVerdict",

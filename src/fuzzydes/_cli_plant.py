@@ -19,7 +19,6 @@ def _cmd_simulate(args, aut):
         if not isinstance(spec, ControllerSpec):
             raise FuzzyDESError("simulate takes an fsfc spec when --spec is given")
         controller = spec.controller
-        controller.validate(aut)
     if args.string is not None:
         script = tuple(args.string.split())
     elif args.steps and not aut.event_names:

@@ -99,9 +99,6 @@ class MaxMinAutomaton(Record):
         except KeyError:
             raise UnknownEvent(f"unknown event {name!r}") from None
 
-    def uc(self, name: str) -> Fraction:
-        return self.event(name).uc_degree
-
     def uc_map(self) -> dict[str, Fraction]:
         return {ev.name: ev.uc_degree for ev in self.events}
 
@@ -297,11 +294,6 @@ class StateFeedbackController(Record):
                 f"uncontrollability floor {highest}"
             )
 
-    def value_grid(self) -> set[Fraction]:
-        values = set(self.entries.values())
-        values.add(self.default)
-        return values
-
 
 def _coded(f: StateFeedbackController) -> CodedController:
     """f over int codes, as the lookup (coded state, event) -> coded value:
@@ -342,7 +334,8 @@ def closed_loop_trajectory(
     """The controlled run over s, halted before the first step that f
     scales to zero.  A nonempty s has degree 0 in the controlled language
     when the run halts, and otherwise the largest component of its last
-    state."""
+    state.  f is validated against aut first, as closed_loop_graph does."""
+    f.validate(aut)
     names = as_event_string(s)
     states = _run(aut, names, _coded(f))
     taken = names[: len(states) - 1]

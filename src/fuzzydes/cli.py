@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 affirmative/success, 1 negative verdict (with a diagnostic),
-2 usage or parse error.  Reports are deterministic given the inputs and the
-seed.
+2 usage or parse error, 120 when stdout cannot take the answer.  Reports
+are deterministic given the inputs and the seed.
 
 A plain command line (a command, then each of its flags at most once as
 `--flag value` or `--flag=value`, no value starting with "-") is read
@@ -191,6 +191,8 @@ def _obstruction_text(payload: dict) -> str:
 
 
 def run_command(argv: Sequence[str]) -> int:
+    """The exit code of one command line.  An OSError from writing the
+    answer to stdout propagates: main reports it."""
     argv = list(argv)
     try:
         args = _plain(argv) or _parse_by_argparse(argv)
@@ -202,25 +204,23 @@ def run_command(argv: Sequence[str]) -> int:
         aut = _load_automaton(args.automaton)
         handler = getattr(_COMMANDS[args.command][0], "_cmd_" + args.command.replace("-", "_"))
         code, payload, render = handler(args, aut)
-        _write_report(args, payload, render)
+        if args.format == "json":
+            rendered = fileio._json_text(payload) + "\n"
+        elif args.format == "dot" and "dot" in payload:
+            rendered = payload["dot"]
+        else:  # text, and the diagnostic of an export-dot with no graph to draw
+            rendered = render(payload) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
     except (FuzzyDESError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
-
-
-def _write_report(args, payload: dict, render) -> None:
-    if args.format == "json":
-        rendered = fileio._json_text(payload) + "\n"
-    elif args.format == "dot" and "dot" in payload:
-        rendered = payload["dot"]
-    else:  # text, and the diagnostic of an export-dot with no graph to draw
-        rendered = render(payload) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
+    if not args.out:
+        if sys.stdout is None:  # the process started without one
+            raise OSError("stdout is closed")
         sys.stdout.write(rendered)
+    return code
 
 
 def _watched() -> bool:
@@ -236,15 +236,30 @@ def _watched() -> bool:
 def main() -> None:
     """Run the command line and end the process with its exit code.
 
-    Once stdout and stderr are flushed, os._exit ends the process at once:
-    the interpreter's teardown (a full garbage collection, clearing every
-    module, freeing memory) would only cost time after the answer is out.
-    It exits through sys.exit instead, as an ordinary program does, when a
-    flush fails, so the interpreter reports the failure at exit as ever,
-    and when a tool watches the process, so that a profiler or a coverage
-    tracer still writes its report at exit.  This is the only place the
-    program ends the process; run_command returns."""
-    code = run_command(sys.argv[1:])
+    An answer that stdout cannot take, whether writing or flushing it
+    fails, exits 120 (CPython's status for a failed flush at exit) with one
+    stderr line, for every answer size, buffered or not.  Once stdout and
+    stderr are flushed, os._exit ends the process at once: the interpreter's
+    teardown (a full garbage collection, clearing every module, freeing
+    memory) would only cost time after the answer is out.  It exits through
+    sys.exit instead, as an ordinary program does, when a flush fails, so
+    the interpreter reports the failure at exit as ever, and when a tool
+    watches the process, so that a profiler or a coverage tracer still
+    writes its report at exit.  This is the only place the program ends the
+    process; run_command returns."""
+    try:
+        code = run_command(sys.argv[1:])
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:  # the answer could not be written
+        code = 120
+        try:  # one stderr line; then stdout discards, so no later flush reports it again
+            print(f"error: the answer could not be written: {exc}", file=sys.stderr)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (AttributeError, OSError):  # no stderr, or no stdout
+            pass
     if _watched():
         sys.exit(code)
     try:

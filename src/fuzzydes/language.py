@@ -68,10 +68,6 @@ class FuzzyLanguage(Record):
                 )
 
     @staticmethod
-    def empty() -> "FuzzyLanguage":
-        return FuzzyLanguage({})
-
-    @staticmethod
     def from_pairs(pairs: Iterable[tuple[object, object]]) -> "FuzzyLanguage":
         """The language of (string, degree) pairs.  The last pair for a
         string wins; a degree of 0 leaves the string out of the support."""

@@ -19,8 +19,8 @@ from .automaton import (
     TransitionGraph,
     _decode_graph,
     _explore,
+    _validated_codes,
 )
-from .errors import DimensionMismatch, DomainError
 from .graph import Search, bfs, closure
 from .possibility import (
     CODE_UNIT,
@@ -29,9 +29,7 @@ from .possibility import (
     Fraction,
     State,
     decode_value,
-    encode_state,
     solve_scale,
-    state_is_zero,
 )
 
 
@@ -101,16 +99,10 @@ def family_contains(fam: ReachFamily, target: State) -> Optional[ReachWitness]:
     controller, shortest path) is returned; otherwise the unique forced alpha
     is installed as a single controller override on an event whose
     uncontrollability achieves the floor, placed on a shortest root path to
-    base through that event.
+    base through that event.  A malformed target raises ValidationError.
     """
-    if len(target) != fam.aut.n:
-        raise DimensionMismatch(
-            f"target has {len(target)} components, expected {fam.aut.n}"
-        )
-    if state_is_zero(target):
-        raise DomainError("the all-zero vector is excluded from the state set")
+    (target,) = _validated_codes(fam.aut, (target,))
     graph = fam.graph
-    target = encode_state(target)
     for v, (base, floor) in enumerate(fam.codes):
         if target == base:
             # alpha = 1 is admissible under every floor: no override at all.

@@ -162,7 +162,7 @@ def _stabilizing(
     if subgraph is None:  # the funnel set is not controllable
         return None
     try:
-        # synthesize_controller checks the subgraph with validate_subgraph.
+        # synthesize_controller checks the subgraph against C1, C2 and reachability.
         f_prime = statecontrol.synthesize_controller(aut, w.p_set, subgraph)
     except ValidationError:
         return None
@@ -209,8 +209,9 @@ def candidate_universe(
     aut: MaxMinAutomaton, N: Sequence[State]
 ) -> tuple[State, ...]:
     """All scalings of open-loop reachable states by grid values (automaton
-    values plus components of the legal states), nonzero, deduplicated."""
-    return tuple(map(decode_state, _universe(aut, map(encode_state, N))))
+    values plus components of the legal states), nonzero, deduplicated.
+    Raises ValidationError when N is malformed."""
+    return tuple(map(decode_state, _universe(aut, _validated_codes(aut, tuple(N)))))
 
 
 def _universe(aut: MaxMinAutomaton, legal: Iterable[Code]) -> tuple[Code, ...]:

@@ -330,21 +330,14 @@ def _search(
             return None, best_reached
 
 
-def validate_subgraph(
-    aut: MaxMinAutomaton, P: Sequence[State], subgraph: ControllableSubgraph
-) -> None:
-    """Check a per-(vertex, event) choice against C1/C2/reachability; C1 is
-    structural (a mapping holds one target per slot)."""
-    _checked_choice(aut, _validated_codes(aut, tuple(P)), subgraph)
-
-
 def _checked_choice(
     aut: MaxMinAutomaton, codes: tuple[Code, ...], subgraph: ControllableSubgraph
 ) -> dict[Code, dict[str, int]]:
-    """validate_subgraph over the coded set, expanding each member once;
-    returns each member's feasible events, in alphabet order, with the least
-    admissible coded scaling of the chosen edge, or 0 for an unchosen event
-    (a chosen edge's is positive, as its target is nonzero)."""
+    """Check a choice over the nonempty coded set against C1 (structural),
+    C2 and reachability, expanding each member once; returns each member's
+    feasible events, in alphabet order, with the least admissible coded
+    scaling of the chosen edge, or 0 for an unchosen event (a chosen edge's
+    is positive, as its target is nonzero)."""
     members = set(codes)
     feasible = {q: {ev.name: (ev, p) for ev, p in _feasible(aut, q)} for q in codes}
     alphas = {q: dict.fromkeys(events, 0) for q, events in feasible.items()}
@@ -373,13 +366,12 @@ def _checked_choice(
                     f"event {name!r} is feasible and partially uncontrollable at "
                     f"{format_state(decode_state(q))} but has no chosen edge"
                 )
-    if codes:
-        if aut.coded_initial not in members:
-            raise ValidationError("the initial state is not a member of the candidate set")
-        reach = graph.closure([aut.coded_initial], lambda q: edge_map.get(q, ()))
-        if reach != members:
-            missing = ", ".join(format_state(decode_state(q)) for q in codes if q not in reach)
-            raise ValidationError(f"chosen edges do not reach: {missing}")
+    if aut.coded_initial not in members:
+        raise ValidationError("the initial state is not a member of the candidate set")
+    reach = graph.closure([aut.coded_initial], lambda q: edge_map.get(q, ()))
+    if reach != members:
+        missing = ", ".join(format_state(decode_state(q)) for q in codes if q not in reach)
+        raise ValidationError(f"chosen edges do not reach: {missing}")
     return alphas
 
 
@@ -391,7 +383,8 @@ def synthesize_controller(
     zero by C2), and leave everything off the set fully enabled.  The closed
     loop is then exactly the chosen edges over all of P: each chosen edge
     lands on its target, no other step at a member survives, and the chosen
-    edges reach every member from the initial state (validate_subgraph).
+    edges reach every member from the initial state.  Raises DomainError
+    for the empty set and ValidationError for a malformed P or choice.
     """
     states = tuple(P)
     codes = _validated_codes(aut, states)

@@ -210,7 +210,7 @@ class TestClosedLoop:
     def test_grid_closure_under_control(self, treatment_plant):
         rng = random.Random(5)
         f = random_controller(rng, treatment_plant)
-        pool = set(treatment_plant.value_grid()) | f.value_grid()
+        pool = set(treatment_plant.value_grid()) | set(f.entries.values()) | {f.default}
         for q in closed_loop_graph(treatment_plant, f).vertices:
             assert set(q) <= pool
 

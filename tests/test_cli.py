@@ -515,8 +515,7 @@ MALFORMED = {
 }
 WITNESS = {"kind": "witness", "n": WELL_FORMED, "n_prime": WELL_FORMED[:1], "p": WELL_FORMED}
 MALFORMED_SPECS = [
-    pytest.param(["member"], "state:[0.1,0.1]", "target has 2 components, expected 3",
-                 id="member-length"),
+    pytest.param(["member"], "state:[0.1,0.1]", MALFORMED["length"][1], id="member-length"),
     pytest.param(["member"], "state:[0,0,0]", MALFORMED["zero"][1], id="member-zero"),
     # An empty component of the inline shorthand is a malformed decimal, not
     # a component to drop.

@@ -2,10 +2,11 @@
 
 cli.main flushes stdout and stderr and ends the process with os._exit,
 skipping the interpreter's teardown; it exits through sys.exit when a flush
-fails or a tracer, profiler or sys.monitoring tool watches the process.
-These tests run `python -m fuzzydes` in child processes with block-buffered
-stdout (PYTHONUNBUFFERED removed), so an answer left unflushed would be
-lost.
+fails or a tracer, profiler or sys.monitoring tool watches the process.  An
+answer that cannot be written to stdout ends with status 120 and one stderr
+line.  These tests run `python -m fuzzydes` in child processes with
+block-buffered stdout (PYTHONUNBUFFERED removed), so an answer left
+unflushed would be lost; the closed-pipe tests run unbuffered too.
 """
 
 import os
@@ -38,8 +39,8 @@ ARGVS = {
 }
 
 
-def _child(*argv, stdout=subprocess.PIPE):
-    return subprocess.run([sys.executable, *argv], env=ENV, stdout=stdout, stderr=subprocess.PIPE)
+def _child(*argv, stdout=subprocess.PIPE, env=ENV):
+    return subprocess.run([sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE)
 
 
 def _argv(name, out):
@@ -68,33 +69,50 @@ def test_the_process_gives_every_byte_run_command_gives(name, tmp_path, capsys, 
         assert written["child.txt"] and child.stdout == b""
 
 
-# The exit status and stderr the CLI gave when main ended through sys.exit
-# alone, recorded on CPython 3.10 to 3.13 with the read end of stdout's pipe
-# closed before the child starts.  A small answer waits in stdout's buffer,
-# the flush fails, and the interpreter reports it at exit; a large one fails
-# as run_command writes it.
+# The exit status and stderr of the CLI with the read end of stdout's pipe
+# closed before the child starts, the same for every answer size with
+# stdout buffered or not: a small buffered answer fails as main flushes it,
+# any other as run_command writes it, and main reports both.  Checked on
+# CPython 3.10 to 3.13.
 CLOSED_PIPE = {
-    "small_answer": (
-        ["simulate", "--automaton", PLANT, "--steps", "0"],
-        120,
-        ("Exception ignored on flushing sys.stdout:\n" if sys.version_info >= (3, 13) else
-         "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n")
-        + "BrokenPipeError: [Errno 32] Broken pipe\n",
-    ),
-    "large_answer": (ARGVS["json_larger_than_a_pipe_buffer"], 2, "error: [Errno 32] Broken pipe\n"),
+    "small_answer": ["simulate", "--automaton", PLANT, "--steps", "0"],
+    "large_answer": ARGVS["json_larger_than_a_pipe_buffer"],
 }
+UNWRITTEN = (120, "error: the answer could not be written: [Errno 32] Broken pipe\n")
 
 
-@pytest.mark.parametrize("name", list(CLOSED_PIPE))
-def test_a_closed_stdout_pipe_exits_as_before(name):
-    argv, code, err = CLOSED_PIPE[name]
+def _into_a_closed_pipe(argv, env=ENV):
+    """Run the CLI with the read end of its stdout pipe closed."""
     read, write = os.pipe()
     os.close(read)
     try:
-        child = _child("-m", "fuzzydes", *argv, stdout=write)
+        return _child("-m", "fuzzydes", *argv, stdout=write, env=env)
     finally:
         os.close(write)
-    assert (child.returncode, child.stderr.decode()) == (code, err)
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", list(CLOSED_PIPE))
+def test_a_closed_stdout_pipe_exits_one_way(name, buffering):
+    env = dict(ENV, PYTHONUNBUFFERED="1") if buffering == "unbuffered" else ENV
+    child = _into_a_closed_pipe(CLOSED_PIPE[name], env)
+    assert (child.returncode, child.stderr.decode()) == UNWRITTEN
+
+
+def test_a_process_without_stdout_exits_as_a_closed_pipe_does():
+    """Started with file descriptor 1 closed, the process has no sys.stdout."""
+    child = subprocess.run(
+        [sys.executable, "-m", "fuzzydes", *CLOSED_PIPE["small_answer"]],
+        env=ENV, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert (child.returncode, child.stderr.decode()) == (
+        UNWRITTEN[0], "error: the answer could not be written: stdout is closed\n")
+
+
+def test_an_out_file_error_stays_a_usage_error_with_a_closed_stdout(tmp_path):
+    out = str(tmp_path / "no-such-dir" / "report.json")
+    child = _into_a_closed_pipe(["reach", "--automaton", PLANT, "--out", out])
+    assert child.returncode == 2
+    assert child.stderr.decode().startswith("error: [Errno 2] No such file or directory")
 
 
 def test_cprofile_still_prints_its_report():

@@ -87,7 +87,7 @@ def controlled_language(aut, f, max_len):
 
 class TestFuzzyLanguage:
     def test_empty_language_is_distinct_from_epsilon_only(self):
-        empty = FuzzyLanguage.empty()
+        empty = FuzzyLanguage({})
         epsilon = FuzzyLanguage.from_pairs([((), 1)])
         assert empty.is_empty and not epsilon.is_empty
         assert empty != epsilon
@@ -151,7 +151,7 @@ def uncontrollability_lift(aut):
 
 class TestConcatenate:
     def test_empty_annihilates(self, drift_language):
-        assert concatenate(drift_language, FuzzyLanguage.empty()).is_empty
+        assert concatenate(drift_language, FuzzyLanguage({})).is_empty
 
     def test_epsilon_only_is_identity(self, drift_language):
         unit = FuzzyLanguage.from_pairs([((), 1)])
@@ -199,7 +199,7 @@ class TestLanguageControllability:
         s, name = verdict.counterexample
         lhs = min(
             K.degree(s),
-            treatment_plant.uc(name),
+            treatment_plant.event(name).uc_degree,
             max(run(treatment_plant, s + (name,))),
         )
         assert lhs > K.degree(s + (name,))
@@ -250,7 +250,7 @@ class TestSupervisorFromLanguage:
         from fuzzydes import DomainError
 
         with pytest.raises(DomainError):
-            supervisor_from_language(drift_plant, FuzzyLanguage.empty())
+            supervisor_from_language(drift_plant, FuzzyLanguage({}))
 
     def test_unit_supervisor_reproduces_plant_language(self, drift_plant):
         from fuzzydes import FuzzySupervisor
@@ -488,7 +488,7 @@ class TestControllerFromLanguage:
         from fuzzydes import DomainError
 
         with pytest.raises(DomainError):
-            controller_from_language(drift_plant, FuzzyLanguage.empty())
+            controller_from_language(drift_plant, FuzzyLanguage({}))
 
 
 class TestNonNecessityRegression:

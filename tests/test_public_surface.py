@@ -38,8 +38,7 @@ PUBLIC = [
     "run_command", "scale_product", "search_stabilizing_witness", "solve_scale",
     "stability", "state_is_zero", "statecontrol", "step", "supervisor_from_controller",
     "supervisor_from_language", "synthesize_controller",
-    "synthesize_stabilizing_controller", "validate_subgraph",
-    "verify_stabilizability_witness",
+    "synthesize_stabilizing_controller", "verify_stabilizability_witness",
 ]
 
 # The public functions of src/ that no other module of src/ calls, each with
@@ -58,8 +57,6 @@ KEPT = {
     "step": "the paper's transition",
     "supervisor_from_controller":
         "the paper's translation of state feedback into event feedback",
-    "validate_subgraph":
-        "checks a given choice against C1, C2 and reachability, as synthesize_controller does",
     "verify_stabilizability_witness": "bench/layers.py reads its spans",
 }
 
@@ -136,15 +133,20 @@ def test_an_unknown_attribute_is_named_in_the_error():
 ])
 def test_the_cli_module_answers_as_the_package_under_warnings_as_errors(argv):
     """The package leaves cli unimported, so runpy finds nothing to warn
-    about when `python -m fuzzydes.cli` runs it as __main__."""
+    about when `python -m fuzzydes.cli` runs it as __main__.  The `fuzzydes`
+    console script of pyproject.toml answers the same: its generated wrapper
+    imports fuzzydes.cli's main and calls sys.exit(main())."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fuzzydes.__file__).resolve().parent.parent))
-    package, module = [
+    script = "import sys; from fuzzydes.cli import main; sys.exit(main())"
+    package, *others = [
         subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True)
-        for flags in (["-m", "fuzzydes"], ["-W", "error", "-m", "fuzzydes.cli"])
+        for flags in (["-m", "fuzzydes"], ["-W", "error", "-m", "fuzzydes.cli"],
+                      ["-W", "error", "-c", script])
     ]
     assert package.returncode in (0, 2) and package.stdout + package.stderr
-    assert (module.returncode, module.stdout, module.stderr) == (
-        package.returncode, package.stdout, package.stderr)
+    for other in others:
+        assert (other.returncode, other.stdout, other.stderr) == (
+            package.returncode, package.stdout, package.stderr)
 
 
 def test_the_cli_module_runs_one_copy_of_itself():

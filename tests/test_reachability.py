@@ -9,6 +9,7 @@ from fuzzydes import (
     ZERO,
     DomainError,
     StateFeedbackController,
+    ValidationError,
     accessible_part,
     closed_loop_graph,
     closed_loop_trajectory,
@@ -269,7 +270,7 @@ class TestMembership:
 
     def test_zero_target_rejected(self, treatment_plant):
         fam = reach_family(treatment_plant)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="the all-zero vector is excluded"):
             family_contains(fam, S("0 0 0"))
 
     def test_membership_is_upward_monotone_in_alpha(self, treatment_plant):
