@@ -214,15 +214,11 @@ def _validated_codes(aut: MaxMinAutomaton, states: Sequence[State]) -> tuple[Cod
     return tuple(codes)
 
 
-def _feasible(aut: MaxMinAutomaton, q: Code, events=None) -> list[tuple[FuzzyEvent, Code]]:
-    """(event, q . event) for every event of events (the alphabet by
-    default) that is feasible at the coded state q, a nonzero composition,
-    in alphabet order.  Every analysis expands a state through here."""
-    return [
-        (ev, p)
-        for ev in (aut.events if events is None else events)
-        if any(p := maxmin_compose(q, ev))
-    ]
+def _feasible(aut: MaxMinAutomaton, q: Code) -> list[tuple[FuzzyEvent, Code]]:
+    """(event, q . event) for every event feasible at the coded state q, a
+    nonzero composition, in alphabet order.  Every analysis expands a state
+    through here."""
+    return [(ev, p) for ev in aut.events if any(p := maxmin_compose(q, ev))]
 
 
 def _explore(aut: MaxMinAutomaton, f: Optional[CodedController] = None) -> TransitionGraph:

@@ -30,7 +30,6 @@ from .automaton import (
     TransitionGraph,
     _coded,
     _explore,
-    _feasible,
     _validated_codes,
 )
 from .errors import PreconditionError, ValidationError, WitnessRejected
@@ -108,15 +107,15 @@ def largest_controllable_invariant(
     against the survivors until none do.  Unique because controllable
     invariant sets are closed under union.
 
-    The dropped states are an attractor over one scaling index: a member
-    leaves once one of its forced events (statecontrol._moves with forced)
-    has lost every target.  Survivors keep their order in N.
+    The dropped states are an attractor over one expansion of N
+    (statecontrol._expand): a member leaves once one of its forced events,
+    those with a floor, has lost every target.  Survivors keep their order
+    in N.
     """
     states = tuple(N)
-    index = statecontrol.ScalingIndex(_validated_codes(aut, states))
     slots = [
-        [[t for t, _ in targets] for _, targets in statecontrol._moves(aut, index, code, forced=True)]
-        for code in index.states
+        [[t for t, _ in moves] for ev, _, moves in row if ev.coded_uc]
+        for row in statecontrol._expand(aut, _validated_codes(aut, states))
     ]
     seeds = [v for v, targets in enumerate(slots) if not all(targets)]
     gone = attractor(slots, len, [1] * len(slots), seeds)
@@ -140,41 +139,43 @@ def _stabilizing(
     aut: MaxMinAutomaton, N: Sequence[State], w: StabilizabilityWitness
 ) -> Optional[StateFeedbackController]:
     """The redirected funnel controller of a witness that verifies, else
-    None.  The funnel controller realizes the funnel set through the
-    witness's subgraph, or through the one check_controllable finds.  Each
-    member of N' is expanded once, for invariance and redirection both."""
+    None, realized through the witness's subgraph or the one the decision
+    finds.  N, N', P and a supplied controller are validated once each; N'
+    is expanded once, for invariance and redirection, and P once, for the
+    decision and the choice check."""
     legal = set(_validated_codes(aut, tuple(N)))
     n_prime = _validated_codes(aut, w.n_prime)
     p_set = _validated_codes(aut, w.p_set)
+    if w.controller is not None:
+        w.controller.validate(aut)
     if not legal.issuperset(n_prime):
         raise PreconditionError(
             "target set is not contained in the legal set",
             counterexample=tuple(q for q, code in zip(w.n_prime, n_prime) if code not in legal),
         )
-    index = statecontrol.ScalingIndex(n_prime)
-    moves = [
-        (q, code, ev, p, index.targets(p, ev.coded_uc) if ev.coded_uc else [])
-        for q, code in zip(w.n_prime, n_prime) for ev, p in _feasible(aut, code)
-    ]
-    if any(ev.coded_uc and not targets for _, _, ev, _, targets in moves) or not w.p_set:
+    moves = statecontrol._expand(aut, n_prime)
+    if any(ev.coded_uc and not targets for row in moves for ev, _, targets in row) or not p_set:
         return None  # N' is not controllable invariant, or there is no funnel
-    subgraph = w.subgraph or statecontrol.check_controllable(aut, w.p_set).subgraph
+    funnel = statecontrol._expand(aut, p_set)
+    subgraph = w.subgraph or statecontrol._decide(aut, w.p_set, p_set, funnel).subgraph
     if subgraph is None:  # the funnel set is not controllable
         return None
-    try:
-        # synthesize_controller checks the subgraph against C1, C2 and reachability.
-        f_prime = statecontrol.synthesize_controller(aut, w.p_set, subgraph)
+    try:  # the subgraph against C1, C2 and reachability
+        alphas = statecontrol._checked_choice(aut, p_set, funnel, subgraph)
     except ValidationError:
         return None
+    f_prime = statecontrol._realize(w.p_set, alphas)
     chosen = TransitionGraph(aut.initial, w.p_set, subgraph.edges())
     if not all(_conditions(chosen, set(w.n_prime))[1:]):  # connected, acyclic outside
         return None
     coded = _coded(f_prime)
     p_minus_n = set(p_set).difference(n_prime)
     entries = dict(f_prime.entries)
-    for q, code, ev, p, targets in moves:
-        if scale_product(coded(code, ev.name), p) in p_minus_n:  # disabled unless forced
-            entries[(q, ev.name)] = decode_value(min((a.least() for _, a in targets), default=0))
+    for q, code, row in zip(w.n_prime, n_prime, moves):
+        for ev, p, targets in row:
+            if scale_product(coded(code, ev.name), p) in p_minus_n:  # disabled unless forced
+                least = min((a.least() for _, a in targets), default=0) if ev.coded_uc else 0
+                entries[(q, ev.name)] = decode_value(least)
     return StateFeedbackController(entries, f_prime.default)
 
 
@@ -186,7 +187,8 @@ def verify_stabilizability_witness(
     witness's subgraph when it has one), and the chosen edges, which are the
     synthesized funnel controller's closed loop over the whole funnel set,
     connect it into the target with no cycle outside it.  Raises
-    ValidationError when N, the target or the funnel set is malformed."""
+    ValidationError when N, the target or the funnel set is malformed, and
+    StateFeedbackController.validate's error for a malformed w.controller."""
     return _stabilizing(aut, N, w) is not None
 
 
@@ -198,6 +200,7 @@ def synthesize_stabilizing_controller(
     controllable, or re-scaled to the least admissible value landing back in
     the target otherwise; everything else keeps the funnel controller.
     Raises ValidationError when N, the target or the funnel set is malformed,
+    StateFeedbackController.validate's error for a malformed w.controller,
     and WitnessRejected when the witness fails verification."""
     controller = _stabilizing(aut, N, w)
     if controller is None:
@@ -264,11 +267,11 @@ def search_stabilizing_witness(
     states = _universe(aut, map(encode_state, N))
     ids = {q: v for v, q in enumerate(states)}
     root = ids[aut.coded_initial]
-    index = statecontrol.ScalingIndex(states)
-    forced = [list(statecontrol._moves(aut, index, q, forced=True)) for q in states]
+    expansion = statecontrol._expand(aut, states)
+    forced = [[move for move in row if move[0].coded_uc] for row in expansion]
     # A strategy fills the forced events at a state, or every event when none is.
-    events = [f or list(statecontrol._moves(aut, index, q)) for q, f in zip(states, forced)]
-    slots = [[[t for t, _ in targets] for _, targets in moves] for moves in events]
+    events = [f or row for f, row in zip(forced, expansion)]
+    slots = [[[t for t, _ in moves] for _, _, moves in row] for row in events]
     wanted = [len(targets) if f else 1 for f, targets in zip(forced, slots)]
     rank = attractor(slots, lambda targets: 1, wanted, [ids[q] for q in kept if q in ids], root)
     if rank[root] is None:
@@ -276,7 +279,7 @@ def search_stabilizing_witness(
 
     def chosen(v: int) -> list[tuple[str, int]]:
         best = []  # (event, (rank, position) of its lowest-rank target)
-        for (ev, _), targets in zip(events[v], slots[v]):
+        for (ev, _, _), targets in zip(events[v], slots[v]):
             ranked = [(rank[t], t) for t in targets if rank[t] is not None]
             if ranked:
                 best.append((ev.name, min(ranked)))

@@ -8,20 +8,19 @@ every vertex from the initial state.  From such a subgraph a controller with
 closed-loop reachable set exactly P is synthesized by a three-case rule.
 
 Every check runs on the int codes of the states, by position in P; public
-results reuse the caller's own state objects.  _moves asks which members an
-admissible scaling of q . a lands on: for each feasible event at a member,
-or only for the partially uncontrollable ones, it gives the target
-positions with their alpha ranges, found through a ScalingIndex of the
-coded set.  The successor graph and the candidate table and C2 test of
-check_controllable read it, and so do stability's invariance checks and
-its witness search.  The stabilization verifier in stability reads
-ScalingIndex.targets directly instead, because its redirection needs each
-composition q . a as well, which _moves does not return.
+results reuse the caller's own state objects.  _expand answers, once per
+set, which members an admissible scaling of q . a lands on: for each member
+and each feasible event it gives the composition and the target positions
+with their alpha ranges, found through one ScalingIndex of the coded set.
+The successor graph, the decision (_decide) and the choice check
+(_checked_choice) read it, and so do stability's invariance checks, its
+witness verifier and its witness search; those that need only the events
+no controller can disable keep the events with a floor.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import graph
 from ._record import Record
@@ -38,7 +37,6 @@ from .possibility import (
     decode_value,
     encode_state,
     format_state,
-    solve_scale,
 )
 
 
@@ -140,18 +138,19 @@ class ScalingIndex:
         return out
 
 
-def _moves(
-    aut: MaxMinAutomaton, index: ScalingIndex, q: Code, forced: bool = False
-) -> Iterator[tuple[FuzzyEvent, list[tuple[int, ScaleSolution]]]]:
-    """Every feasible event at the coded state q, in alphabet order, with
-    its admissible moves within the index: (target position, coded alpha
-    range cut down to the event's floor), in position order.  With forced,
-    only the partially uncontrollable events (condition C2), which no
-    controller can disable at q.  Each event's targets are found as it is
-    reached, so a caller that stops early solves no more."""
-    events = [ev for ev in aut.events if ev.coded_uc] if forced else None
-    for ev, composed in _feasible(aut, q, events):
-        yield ev, index.targets(composed, ev.coded_uc)
+Expansion = list[list[tuple[FuzzyEvent, Code, list[tuple[int, ScaleSolution]]]]]
+
+
+def _expand(aut: MaxMinAutomaton, codes: Sequence[Code]) -> Expansion:
+    """Per member of the coded set, by position: every feasible event, in
+    alphabet order, with its composition q . a and its admissible moves
+    within the set, (target position, coded alpha range cut down to the
+    event's floor) in position order."""
+    index = ScalingIndex(codes)
+    return [
+        [(ev, composed, index.targets(composed, ev.coded_uc)) for ev, composed in _feasible(aut, q)]
+        for q in index.states
+    ]
 
 
 def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> SuccessorGraph:
@@ -159,10 +158,9 @@ def build_successor_graph(aut: MaxMinAutomaton, P: Sequence[State]) -> Successor
     P's order; the moves out of one source are ordered by event, then by
     the target's position in P."""
     states = tuple(P)
-    index = ScalingIndex(_validated_codes(aut, states))
     edges, positions = [], []
-    for v, q in enumerate(index.states):
-        for ev, moves in _moves(aut, index, q):
+    for v, row in enumerate(_expand(aut, _validated_codes(aut, states))):
+        for ev, _, moves in row:
             for t, alphas in moves:
                 decoded = ScaleSolution(decode_value(alphas.lower), decode_value(alphas.upper))
                 edges.append(SuccessorEdge(states[v], ev.name, states[t], decoded))
@@ -193,19 +191,25 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
     """
     states = tuple(P)
     codes = _validated_codes(aut, states)
+    return _decide(aut, states, codes, _expand(aut, codes))
+
+
+def _decide(
+    aut: MaxMinAutomaton, states: tuple[State, ...], codes: tuple[Code, ...], expansion: Expansion
+) -> ControllabilityVerdict:
+    """check_controllable on the validated set: states and their codes,
+    and the codes' expansion."""
     # The search runs over vertex ids, the positions in P.
-    ids = {q: i for i, q in enumerate(codes)}
-    root = ids.get(aut.coded_initial)
+    root = {q: i for i, q in enumerate(codes)}.get(aut.coded_initial)
     if root is None:
         return ControllabilityVerdict(False, None, Obstruction("missing-initial"))
-    index = ScalingIndex(codes)
-    # One pass, members in P order and events in alphabet order: the
-    # candidate targets of every feasible event, stopping at the first
-    # forced event that has none (C2).
+    # Members in P order and events in alphabet order: the candidate
+    # targets of every feasible event, stopping at the first forced event
+    # that has none (C2).
     candidates: list[list[tuple[str, list[int]]]] = []
-    for v, q in enumerate(codes):
+    for v, events in enumerate(expansion):
         row = []
-        for ev, moves in _moves(aut, index, q):
+        for ev, _, moves in events:
             if moves:
                 row.append((ev.name, [t for t, _ in moves]))
             elif ev.coded_uc:
@@ -214,19 +218,13 @@ def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> Controllabil
                 )
         candidates.append(row)
     # Slot order: vertices in BFS discovery order over the full candidate
-    # graph (a state it misses is unreachable under every selection), events
-    # in alphabet order.  Only slots with candidates exist; C2-mandatory
-    # slots were verified non-empty above.
+    # graph (a state it misses is unreachable under every selection, so no
+    # search runs), events in alphabet order.  Only slots with candidates
+    # exist; C2-mandatory slots were verified non-empty above.
     reached = graph.bfs(root, lambda v: ((name, t) for name, targets in candidates[v] for t in targets)).dist
-    if len(reached) != len(states):
-        missing = tuple(q for v, q in enumerate(states) if v not in reached)
-        return ControllabilityVerdict(
-            False, None, Obstruction("unreachable", vertices=missing)
-        )
     slots = [(v, targets) for v in reached for _, targets in candidates[v]]
     slot_events = [name for v in reached for name, _ in candidates[v]]
-
-    picks, best_reached = _search(root, len(states), slots)
+    picks, best_reached = _search(root, len(states), slots) if len(reached) == len(states) else (None, reached)
     if picks is not None:
         choice = {
             (states[v], name): states[targets[k]]
@@ -331,48 +329,56 @@ def _search(
 
 
 def _checked_choice(
-    aut: MaxMinAutomaton, codes: tuple[Code, ...], subgraph: ControllableSubgraph
-) -> dict[Code, dict[str, int]]:
+    aut: MaxMinAutomaton, codes: tuple[Code, ...], expansion: Expansion, subgraph: ControllableSubgraph
+) -> list[dict[str, int]]:
     """Check a choice over the nonempty coded set against C1 (structural),
-    C2 and reachability, expanding each member once; returns each member's
-    feasible events, in alphabet order, with the least admissible coded
-    scaling of the chosen edge, or 0 for an unchosen event (a chosen edge's
-    is positive, as its target is nonzero)."""
-    members = set(codes)
-    feasible = {q: {ev.name: (ev, p) for ev, p in _feasible(aut, q)} for q in codes}
-    alphas = {q: dict.fromkeys(events, 0) for q, events in feasible.items()}
-    edge_map: dict[Code, list[Code]] = {}
+    C2 and reachability, reading the codes' expansion; returns per member,
+    by position, its feasible events in alphabet order with the least
+    admissible coded scaling of the chosen edge, or 0 for an unchosen event
+    (a chosen edge's is positive, as its target is nonzero)."""
+    ids = {q: v for v, q in enumerate(codes)}
+    moves = [{ev.name: dict(targets) for ev, _, targets in row} for row in expansion]
+    alphas = [dict.fromkeys(row, 0) for row in moves]
+    edges: list[list[int]] = [[] for _ in codes]
     for (q, name), t in subgraph.choice.items():
-        source, target = encode_state(q), encode_state(t)
-        if source not in members or target not in members:
+        v, w = ids.get(encode_state(q)), ids.get(encode_state(t))
+        if v is None or w is None:
             raise ValidationError(
                 f"chosen edge {format_state(q)} --{name}--> {format_state(t)} "
                 "leaves the candidate set"
             )
-        # An infeasible event composes to zero, which scales onto no member.
-        ev, composed = feasible[source].get(name) or (aut.event(name), (0,) * aut.n)
-        alpha = solve_scale(composed, target).restrict(ev.coded_uc).least()
-        if alpha is None:
+        admissible = moves[v].get(name, {}).get(w)
+        if admissible is None:
+            aut.event(name)  # raises UnknownEvent off the alphabet
             raise ValidationError(
                 f"no admissible scaling realizes {format_state(q)} --{name}--> "
                 f"{format_state(t)}"
             )
-        alphas[source][name] = alpha
-        edge_map.setdefault(source, []).append(target)
-    for q in codes:
-        for name, (ev, _) in feasible[q].items():
-            if ev.coded_uc and not alphas[q][name]:
+        alphas[v][name] = admissible.least()
+        edges[v].append(w)
+    for v, row in enumerate(expansion):
+        for ev, _, _ in row:
+            if ev.coded_uc and not alphas[v][ev.name]:
                 raise ValidationError(
-                    f"event {name!r} is feasible and partially uncontrollable at "
-                    f"{format_state(decode_state(q))} but has no chosen edge"
+                    f"event {ev.name!r} is feasible and partially uncontrollable at "
+                    f"{format_state(decode_state(codes[v]))} but has no chosen edge"
                 )
-    if aut.coded_initial not in members:
+    root = ids.get(aut.coded_initial)
+    if root is None:
         raise ValidationError("the initial state is not a member of the candidate set")
-    reach = graph.closure([aut.coded_initial], lambda q: edge_map.get(q, ()))
-    if reach != members:
-        missing = ", ".join(format_state(decode_state(q)) for q in codes if q not in reach)
+    reach = graph.closure([root], edges.__getitem__)
+    if len(reach) != len(codes):
+        missing = ", ".join(format_state(decode_state(q)) for v, q in enumerate(codes) if v not in reach)
         raise ValidationError(f"chosen edges do not reach: {missing}")
     return alphas
+
+
+def _realize(states: tuple[State, ...], alphas: list[dict[str, int]]) -> StateFeedbackController:
+    """The controller of a checked choice over states: each chosen edge
+    at its least admissible scaling, each unchosen feasible event at 0
+    (hard-disabled), everything else fully enabled."""
+    entries = {(q, name): decode_value(a) for q, row in zip(states, alphas) for name, a in row.items()}
+    return StateFeedbackController(entries, ONE)
 
 
 def synthesize_controller(
@@ -390,11 +396,4 @@ def synthesize_controller(
     codes = _validated_codes(aut, states)
     if not codes:
         raise DomainError("the empty set has no realizing controller; the initial state is always reached")
-    alphas = _checked_choice(aut, codes, subgraph)
-    # An unchosen feasible event gets 0: hard-disabled.
-    entries = {
-        (q, name): decode_value(alpha)
-        for q, code in zip(states, codes)
-        for name, alpha in alphas[code].items()
-    }
-    return StateFeedbackController(entries, ONE)
+    return _realize(states, _checked_choice(aut, codes, _expand(aut, codes), subgraph))

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: an oracle for the scaling floors, a
-controller builder, the replaying supervisor rule, and the writers of the
-automaton, controller and language documents.
+controller builder, the replaying supervisor rule, the choice check by its
+definition, and the writers of the automaton, controller and language
+documents.
 
 The writers give the round-trip tests and the golden recorder the canonical
 text of each document.  All of these live apart from generators.py, whose
@@ -14,16 +15,22 @@ from typing import Mapping
 
 from fuzzydes import (
     ONE,
+    ZERO,
+    ControllableSubgraph,
     DomainError,
     FuzzyLanguage,
     FuzzySupervisor,
     MaxMinAutomaton,
     StateFeedbackController,
     TransitionGraph,
+    ValidationError,
     as_possibility,
     format_possibility,
     format_state,
     make_state,
+    maxmin_compose,
+    solve_scale,
+    state_is_zero,
 )
 from fuzzydes.automaton import _coded, _run
 from fuzzydes.fileio import _json_text, controller_doc, state_doc
@@ -69,6 +76,56 @@ def replaying_supervisor(aut: MaxMinAutomaton, f: StateFeedbackController) -> Fu
         return decode_value(coded(states[-1], name))
 
     return FuzzySupervisor(rule)
+
+
+def reference_synthesize_controller(
+    aut: MaxMinAutomaton, P, subgraph: ControllableSubgraph
+) -> StateFeedbackController:
+    """synthesize_controller by its definition, over values, on a well-formed
+    nonempty P: each chosen edge in choice order gets
+    solve_scale(q . a, t).restrict(floor).least(), then every forced event
+    must have a chosen edge (C2), then the chosen edges must reach every
+    member from the initial state.  A malformed choice raises what the
+    library raises, with its message.  The oracle of
+    statecontrol._checked_choice, which reads each alpha from the set's
+    expansion in closed form."""
+    states = tuple(P)
+    members = set(states)
+    feasible = {
+        q: {ev.name: (ev, c) for ev in aut.events if not state_is_zero(c := maxmin_compose(q, ev))}
+        for q in states
+    }
+    alphas = {q: dict.fromkeys(events, ZERO) for q, events in feasible.items()}
+    edges: dict = {}
+    for (q, name), t in subgraph.choice.items():
+        if q not in members or t not in members:
+            raise ValidationError(
+                f"chosen edge {format_state(q)} --{name}--> {format_state(t)} leaves the candidate set"
+            )
+        # An infeasible event composes to zero, which scales onto no member.
+        ev, composed = feasible[q].get(name) or (aut.event(name), (ZERO,) * aut.n)
+        alpha = solve_scale(composed, t).restrict(ev.uc_degree).least()
+        if alpha is None:
+            raise ValidationError(
+                f"no admissible scaling realizes {format_state(q)} --{name}--> {format_state(t)}"
+            )
+        alphas[q][name] = alpha
+        edges.setdefault(q, []).append(t)
+    for q in states:
+        for name, (ev, _) in feasible[q].items():
+            if ev.uc_degree and not alphas[q][name]:
+                raise ValidationError(
+                    f"event {name!r} is feasible and partially uncontrollable at "
+                    f"{format_state(q)} but has no chosen edge"
+                )
+    if aut.initial not in members:
+        raise ValidationError("the initial state is not a member of the candidate set")
+    reach = closure([aut.initial], lambda q: edges.get(q, ()))
+    if reach != members:
+        missing = ", ".join(format_state(q) for q in states if q not in reach)
+        raise ValidationError(f"chosen edges do not reach: {missing}")
+    entries = {(q, name): alpha for q in states for name, alpha in alphas[q].items()}
+    return StateFeedbackController(entries, ONE)
 
 
 def serialize_automaton(aut: MaxMinAutomaton) -> str:

@@ -334,20 +334,20 @@ class TestStabilityCommands:
         assert code == 0 and "stabilizing controller" in out
 
     def test_supplied_witness_is_verified_once(self, capsys, monkeypatch):
-        calls = []
-        original = statecontrol.check_controllable
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(statecontrol, "check_controllable", counted)
-        code, out, _ = invoke(
-            capsys, "stabilize", "--automaton", DRIFT,
-            "--spec", str(GOLDEN / "drift_witness_given.json"),
-        )
+        # One controllability decision on the funnel set P, and P validated
+        # once, in every fuzzydes module that binds the validator.
+        decided, validated = [], []
+        real_decide, real_validate = statecontrol._decide, automaton._validated_codes
+        monkeypatch.setattr(statecontrol, "_decide", lambda *a: decided.append(a) or real_decide(*a))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fuzzydes") and getattr(module, "_validated_codes", None) is real_validate:
+                monkeypatch.setattr(module, "_validated_codes",
+                                    lambda aut, states: validated.append(states) or real_validate(aut, states))
+        path = GOLDEN / "drift_witness_given.json"
+        code, out, _ = invoke(capsys, "stabilize", "--automaton", DRIFT, "--spec", str(path))
         assert code == 0 and "stabilizing controller" in out
-        assert len(calls) == 1
+        p_set = tuple(map(make_state, json.loads(path.read_text())["p"]))
+        assert len(decided) == 1 and validated.count(p_set) == 1
 
     def test_target_set_outside_the_legal_set_exits_two(self, capsys, tmp_path):
         spec = tmp_path / "w.json"
@@ -982,17 +982,20 @@ class TestLanguageCommandsCheckOnce:
 
 class TestStabilizeExpandsOnce:
     """Compositions made by each stabilize query, counted as the language
-    commands' are.  The verifier expands each member of the target set once
-    and reads the funnel's closed loop from its chosen edges instead of
-    exploring the plant under it; the search that finds no witness runs no
+    commands' are.  The verifier expands the target set and the funnel set
+    once each, shares the funnel's expansion between the controllability
+    decision and the choice check, and reads the funnel's closed loop from
+    its chosen edges instead of exploring the plant under it.  The search
+    expands each candidate state once, every event, and keeps the forced
+    ones where it needs them; the search that finds no witness runs no
     verifier."""
 
     @pytest.mark.parametrize("plant, spec, budget, exit_code, compositions", [
-        ("drift_plant", "drift_witness_given", [], 0, 15),
-        ("drift_plant", "drift_witness_search", [], 0, 24),
-        ("cascade_plant", "cascade_witness", [], 0, 20),
-        ("cascade_plant", "cascade_legal", [], 0, 28),
-        ("drift_plant", "drift_witness_inconclusive", ["--budget", "50"], 1, 27),
+        ("drift_plant", "drift_witness_given", [], 0, 9),
+        ("drift_plant", "drift_witness_search", [], 0, 27),
+        ("cascade_plant", "cascade_witness", [], 0, 12),
+        ("cascade_plant", "cascade_legal", [], 0, 34),
+        ("drift_plant", "drift_witness_inconclusive", ["--budget", "50"], 1, 30),
     ])
     def test_compositions(self, plant, spec, budget, exit_code, compositions, monkeypatch, capsys):
         calls = counted_compositions(monkeypatch)

@@ -54,8 +54,8 @@ MALFORMED_MEMBERS = {
 }
 
 
-def _witness(n=WELL_FORMED, n_prime=WELL_FORMED[:1], p=WELL_FORMED):
-    return n, StabilizabilityWitness(tuple(n_prime), tuple(p))
+def _witness(n=WELL_FORMED, n_prime=WELL_FORMED[:1], p=WELL_FORMED, controller=None):
+    return n, StabilizabilityWitness(tuple(n_prime), tuple(p), controller)
 
 
 # Each function that takes a state set, called with the set S.  The witness
@@ -96,10 +96,16 @@ MALFORMED_CONTROLLERS = {
     ),
 }
 
+# The witness functions take the controller f as the controller of a
+# witness well formed otherwise.
 CONTROLLER_TAKERS = {
     "closed_loop_graph": lambda f: closed_loop_graph(PLANT, f),
     "closed_loop_trajectory": lambda f: closed_loop_trajectory(PLANT, f, "c"),
     "supervisor_from_controller": lambda f: supervisor_from_controller(PLANT, f),
+    **{
+        verifier.__name__: lambda f, verifier=verifier: verifier(PLANT, *_witness(controller=f))
+        for verifier in (verify_stabilizability_witness, synthesize_stabilizing_controller)
+    },
 }
 
 CASES = [

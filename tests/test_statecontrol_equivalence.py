@@ -1,13 +1,15 @@
-"""The indexed successor lookup and the id-based controllability search,
-checked against the definitions they replace.
+"""The indexed successor lookup, the id-based controllability search and
+the choice check, checked against the definitions they replace.
 
 brute_force_successor_edges and brute_force_largest_invariant scan every
 member of the set with solve_scale, the latter in the restart loop that
 largest_controllable_invariant ran before its worklist (drop the first
 escaping survivor, scan again from the start); reference_check_controllable
-is the controllability search keyed by state tuples instead of vertex ids.
-The library must give the same edges, alpha ranges, choices and
-obstructions, in the same order.
+is the controllability search keyed by state tuples instead of vertex ids;
+reference.reference_synthesize_controller solves each chosen edge with
+solve_scale.  The library must give the same edges, alpha ranges, choices,
+obstructions and controllers, in the same order, and refuse a malformed
+choice with the same exception and message.
 """
 
 import pathlib
@@ -24,6 +26,7 @@ import fuzzydes.statecontrol as statecontrol
 from fuzzydes import (
     ControllabilityVerdict,
     ControllableSubgraph,
+    FuzzyDESError,
     Obstruction,
     SuccessorEdge,
     accessible_part,
@@ -42,6 +45,7 @@ from fuzzydes.graph import bfs, closure
 from fuzzydes.possibility import ScaleSolution, decode_value, encode_state, encode_value
 from fuzzydes.statecontrol import ScalingIndex
 from generators import GRID11, random_automaton, random_controller
+from reference import reference_synthesize_controller
 
 F = Fraction
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -313,6 +317,95 @@ class TestSearchOverIds:
         assert kinds["unreachable"] >= 3
 
 
+def _admissible(aut, q, name, p):
+    """Does some admissible scaling of q . name land on p?"""
+    ev = next(ev for ev in aut.events if ev.name == name)
+    return not solve_scale(maxmin_compose(q, ev), p).restrict(ev.uc_degree).is_empty
+
+
+def _reaches_all(aut, P, choice):
+    edges = {}
+    for (q, _), t in choice.items():
+        edges.setdefault(q, []).append(t)
+    return len(closure([aut.initial], lambda q: edges.get(q, ()))) == len(P)
+
+
+def _malformed_choices(rng, aut, P, choice):
+    """{kind: choice} for each way a valid choice over P can be broken here,
+    each made from it by one seeded change: an edge retargeted off the set,
+    an edge retargeted to a member no admissible scaling reaches, an edge on
+    an unknown event, a dropped edge of a forced event, and an edge dropped
+    (when not forced) or retargeted to another admissible member so that a
+    member is stranded."""
+    keys = list(choice)
+    rng.shuffle(keys)
+    members = list(P)
+    rng.shuffle(members)
+    forced = {ev.name for ev in aut.events if ev.uc_degree}
+
+    def without(key):
+        return {k: t for k, t in choice.items() if k != key}
+
+    stranding = [
+        *(without(key) for key in keys if key[1] not in forced),
+        *({**choice, key: p} for key in keys for p in members
+          if p != choice[key] and _admissible(aut, *key, p)),
+    ]
+    found = {
+        "off-the-set": {**choice, keys[0]: (Fraction(1, 1000),) * aut.n},  # no draw leaves the tenths
+        "not-admissible": next(
+            ({**choice, key: p} for key in keys for p in members if not _admissible(aut, *key, p)), None
+        ),
+        "unknown-event": {**choice, (keys[0][0], "zz"): choice[keys[0]]},
+        "dropped-forced": next((without(key) for key in keys if key[1] in forced), None),
+        "unreachable": next((c for c in stranding if not _reaches_all(aut, P, c)), None),
+    }
+    return {kind: c for kind, c in found.items() if c is not None}
+
+
+# The start of the message each kind of malformed choice is refused with.
+REFUSALS = {
+    "off-the-set": "chosen edge ",
+    "not-admissible": "no admissible scaling realizes ",
+    "unknown-event": "unknown event 'zz'",
+    "dropped-forced": "event ",
+    "unreachable": "chosen edges do not reach: ",
+}
+
+
+def _raised(call):
+    """(type, message) of the library error call raises, or None."""
+    try:
+        call()
+    except FuzzyDESError as error:
+        return type(error), str(error)
+    return None
+
+
+class TestChoiceCheck:
+    def test_controllers_and_refusals_match_the_definition(self, draws):
+        rng = random.Random(33)
+        controllers, kinds = 0, dict.fromkeys(REFUSALS, 0)
+        for aut, P in _search_cases(draws):
+            subgraph = check_controllable(aut, P).subgraph
+            if subgraph is None:
+                continue
+            got = synthesize_controller(aut, P, subgraph)
+            want = reference_synthesize_controller(aut, P, subgraph)
+            assert list(got.entries.items()) == list(want.entries.items()) and got.default == want.default
+            controllers += 1
+            for kind, choice in _malformed_choices(rng, aut, P, subgraph.choice).items():
+                malformed = ControllableSubgraph(choice)
+                raised = _raised(lambda: synthesize_controller(aut, P, malformed))
+                assert raised == _raised(lambda: reference_synthesize_controller(aut, P, malformed))
+                assert raised[1].startswith(REFUSALS[kind])
+                kinds[kind] += 1
+        # Every controllable case has a forced edge and a member off some
+        # edge's admissible targets; 24 have no change that strands a member.
+        assert controllers == 98
+        assert kinds == {**dict.fromkeys(REFUSALS, 98), "unreachable": 74}
+
+
 def random_slot_lists(rng, count):
     """count seeded (root, size, slots) inputs of _search: 1 to 14
     vertices, 0 to 3 slots per vertex in a shuffled order, 1 to 3 distinct
@@ -379,16 +472,24 @@ def _recorded_compositions(monkeypatch) -> list:
     return seen
 
 
+def _counted_solve_scale(monkeypatch) -> list:
+    """A list that grows by one at each solve_scale call made through any
+    fuzzydes module that binds it."""
+    calls = []
+    real = possibility.solve_scale
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fuzzydes") and getattr(module, "solve_scale", None) is real:
+            monkeypatch.setattr(module, "solve_scale", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 class TestComplexity:
     def test_successor_graph_makes_no_solve_scale_call(self, draws, monkeypatch):
         # Draw 23: V=255, |events|=4, 5 distinct maxima; a scan of every
         # member makes V*V*|events| = 260,100 solve_scale calls.  ScalingIndex
         # gives every alpha range in closed form, so the graph needs none.
         _, aut, P = draws[23]
-        calls = []
-        real = possibility.solve_scale
-        for module in (possibility, statecontrol):
-            monkeypatch.setattr(module, "solve_scale", lambda *a: calls.append(1) or real(*a))
+        calls = _counted_solve_scale(monkeypatch)
         graph = build_successor_graph(aut, P)
         maxima = len({max(p) for p in P})
         assert (len(P), len(aut.events), maxima) == (255, 4, 5)
@@ -413,14 +514,14 @@ class TestComplexity:
         synthesize_controller(aut, P, subgraph)
         assert len(seen) == len(set(seen)) == len(P) * len(aut.events) == 105
 
-    def test_synthesize_controller_solves_each_chosen_edge_once(self, draws, monkeypatch):
+    def test_synthesize_controller_makes_no_solve_scale_call(self, draws, monkeypatch):
+        # Each chosen edge's least alpha is read from the set's expansion,
+        # in closed form; solving each of the 105 edges was the old way.
         _, aut, P = draws[24]
         subgraph = check_controllable(aut, P).subgraph
-        calls = []
-        real = statecontrol.solve_scale
-        monkeypatch.setattr(statecontrol, "solve_scale", lambda *a: calls.append(1) or real(*a))
+        calls = _counted_solve_scale(monkeypatch)
         synthesize_controller(aut, P, subgraph)
-        assert len(calls) == len(subgraph.choice)
+        assert (len(subgraph.choice), calls) == (105, [])
 
     def test_largest_invariant_builds_one_index(self, draws, monkeypatch):
         # Draw 21: 58 of the 82 scaled states drop out of the fixpoint.
