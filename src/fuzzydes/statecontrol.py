@@ -349,7 +349,7 @@ def _checked_choice(
             )
         admissible = moves[v].get(name, {}).get(w)
         if admissible is None:
-            aut.event(name)  # raises UnknownEvent off the alphabet
+            aut.event(name)  # an event off the alphabet raises UnknownEvent
             raise ValidationError(
                 f"no admissible scaling realizes {format_state(q)} --{name}--> "
                 f"{format_state(t)}"

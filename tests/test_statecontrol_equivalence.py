@@ -461,26 +461,15 @@ class TestSearchOnRandomSlotLists:
         assert walks == [[0] * 105, []]
 
 
-def _recorded_compositions(monkeypatch) -> list:
-    """The (state, matrix) of every composition made from here on, in every
-    fuzzydes module that binds maxmin_compose."""
+def _recorded(monkeypatch, kernel: str) -> list:
+    """The arguments of every call of the possibility kernel made from here
+    on, in every fuzzydes module that binds it."""
     seen = []
-    real = maxmin_compose
+    real = getattr(possibility, kernel)
     for name, module in list(sys.modules.items()):
-        if name.startswith("fuzzydes") and getattr(module, "maxmin_compose", None) is real:
-            monkeypatch.setattr(module, "maxmin_compose", lambda q, m: seen.append((q, m)) or real(q, m))
+        if name.startswith("fuzzydes") and getattr(module, kernel, None) is real:
+            monkeypatch.setattr(module, kernel, lambda *a: seen.append(a) or real(*a))
     return seen
-
-
-def _counted_solve_scale(monkeypatch) -> list:
-    """A list that grows by one at each solve_scale call made through any
-    fuzzydes module that binds it."""
-    calls = []
-    real = possibility.solve_scale
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fuzzydes") and getattr(module, "solve_scale", None) is real:
-            monkeypatch.setattr(module, "solve_scale", lambda *a: calls.append(1) or real(*a))
-    return calls
 
 
 class TestComplexity:
@@ -489,7 +478,7 @@ class TestComplexity:
         # member makes V*V*|events| = 260,100 solve_scale calls.  ScalingIndex
         # gives every alpha range in closed form, so the graph needs none.
         _, aut, P = draws[23]
-        calls = _counted_solve_scale(monkeypatch)
+        calls = _recorded(monkeypatch, "solve_scale")
         graph = build_successor_graph(aut, P)
         maxima = len({max(p) for p in P})
         assert (len(P), len(aut.events), maxima) == (255, 4, 5)
@@ -500,7 +489,7 @@ class TestComplexity:
         # event at every vertex; the set is controllable, so every member is
         # expanded and checked for C2.
         _, aut, P = draws[24]
-        seen = _recorded_compositions(monkeypatch)
+        seen = _recorded(monkeypatch, "maxmin_compose")
         assert check_controllable(aut, P).controllable
         assert any(ev.uc_degree for ev in aut.events)
         assert len(seen) == len(set(seen)) == len(P) * len(aut.events)
@@ -510,16 +499,16 @@ class TestComplexity:
         # of each member: 105 compositions on draw 24, not 315.
         _, aut, P = draws[24]
         subgraph = check_controllable(aut, P).subgraph
-        seen = _recorded_compositions(monkeypatch)
+        seen = _recorded(monkeypatch, "maxmin_compose")
         synthesize_controller(aut, P, subgraph)
         assert len(seen) == len(set(seen)) == len(P) * len(aut.events) == 105
 
     def test_synthesize_controller_makes_no_solve_scale_call(self, draws, monkeypatch):
         # Each chosen edge's least alpha is read from the set's expansion,
-        # in closed form; solving each of the 105 edges was the old way.
+        # in closed form.
         _, aut, P = draws[24]
         subgraph = check_controllable(aut, P).subgraph
-        calls = _counted_solve_scale(monkeypatch)
+        calls = _recorded(monkeypatch, "solve_scale")
         synthesize_controller(aut, P, subgraph)
         assert (len(subgraph.choice), calls) == (105, [])
 
