@@ -33,6 +33,7 @@ from .possibility import (
     decode_state,
     encode_state,
     encode_value,
+    format_possibility,
     format_state,
     make_state,
     maxmin_compose,
@@ -278,16 +279,16 @@ class StateFeedbackController(Record):
                 raise UnknownEvent(f"controller maps unknown event {name!r}")
             if v < floor:
                 raise ValidationError(
-                    f"controller value {v} for event {name!r} at {format_state(q)} "
-                    f"is below the uncontrollability floor {floor}"
+                    f"controller value {format_possibility(v)} for event {name!r} at {format_state(q)} "
+                    f"is below the uncontrollability floor {format_possibility(floor)}"
                 )
         # The default covers the whole (infinite) remainder of the domain,
         # so it must clear every event's floor.
         highest = max(floors.values(), default=ZERO)
         if self.default < highest:
             raise ValidationError(
-                f"controller default {self.default} is below the highest "
-                f"uncontrollability floor {highest}"
+                f"controller default {format_possibility(self.default)} is below the highest "
+                f"uncontrollability floor {format_possibility(highest)}"
             )
 
 

@@ -182,12 +182,14 @@ def chosen_graph(sg: SuccessorGraph, subgraph: ControllableSubgraph) -> Successo
 
 def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> ControllabilityVerdict:
     """Decide controllability of P by backtracking over per-(vertex, event)
-    target choices.
+    target choices, and return the first full choice in slot order.
 
     Omitting an edge for a fully controllable event can never help
-    reachability, so the search only considers full selections; pruning drops
-    any partial assignment whose optimistic completion (all remaining
-    candidates present) already strands a vertex.
+    reachability, so the search only considers full selections.  It drops
+    any partial one whose optimistic completion (all open candidates
+    present) strands a vertex or cannot give each vertex but the initial
+    state an entering edge of its own slot.  An exhausted search reports
+    the vertices its all-first-target choice strands.
     """
     states = tuple(P)
     codes = _validated_codes(aut, states)
@@ -224,14 +226,17 @@ def _decide(
     reached = graph.bfs(root, lambda v: ((name, t) for name, targets in candidates[v] for t in targets)).dist
     slots = [(v, targets) for v in reached for _, targets in candidates[v]]
     slot_events = [name for v in reached for name, _ in candidates[v]]
-    picks, best_reached = _search(root, len(states), slots) if len(reached) == len(states) else (None, reached)
+    picks = _search(root, len(states), slots) if len(reached) == len(states) else None
     if picks is not None:
         choice = {
             (states[v], name): states[targets[k]]
             for (v, targets), name, k in zip(slots, slot_events, picks)
         }
         return ControllabilityVerdict(True, ControllableSubgraph(choice))
-    missing = tuple(q for v, q in enumerate(states) if v not in best_reached)
+    if len(reached) == len(states):
+        # An exhausted search reports what the all-first-target choice strands.
+        reached = graph.closure([root], lambda v: [targets[0] for _, targets in candidates[v]])
+    missing = tuple(q for v, q in enumerate(states) if v not in reached)
     return ControllabilityVerdict(False, None, Obstruction("unreachable", vertices=missing))
 
 
@@ -252,80 +257,83 @@ def _walk(root, slots_of, slots, picks) -> dict[int, int]:
     return via
 
 
-def _search(
-    root: int, size: int, slots: list[tuple[int, list[int]]]
-) -> tuple[Optional[list[int]], set[int]]:
+def _search(root: int, size: int, slots: list[tuple[int, list[int]]]) -> Optional[list[int]]:
     """The backtracking search of check_controllable over vertex ids
-    0..size-1, depth first over the slots' target choices in slot and target
-    order, with an explicit stack (picks) so depth costs no Python frames.
+    0..size-1: depth first over the slots' target choices in slot and target
+    order, on an explicit stack (picks), to the first full choice reaching
+    every vertex (picks[k] indexes the target of slots[k]), or None.
 
-    A node at depth i has chosen targets for slots[:i] and is pruned when
-    its optimistic completion strands a vertex.  Returns the first full
-    choice (picks[k] indexes the target of slots[k]) reaching every vertex,
-    or None, and the largest set reached by a full choice, seeded with a
-    greedy full assignment so an exhausted search still reports a concrete
-    stranded set.
-
-    Two facts spare most walks of the optimistic graph without changing a
-    node, a prune or a leaf's reach set.  First, indeg counts each vertex's
-    in-edges in that graph (the root holds one extra).  A vertex with none
-    left is stranded: a walk could not reach it.  So an inner node with a
-    stranded vertex is pruned exactly as its walk would prune it, and a
-    leaf with s stranded vertices reaches at most size - s, so it is
-    skipped when that cannot beat best_reached.  Second, via keeps the
-    closure of the current node while it reaches every vertex, with the
-    slot whose edge discovered each vertex.  Narrowing slot k to its first
-    target removes only slot k's other edges; when via discovered no
-    vertex through one of them, its spanning tree survives, and the child
-    reaches every vertex too.  Only a backtrack or a cut tree forces a
-    walk.  Neither keeps anything per depth, so memory stays
-    O(size + len(slots)).
+    A node at depth i has chosen targets for slots[:i]; in its optimistic
+    graph a chosen slot offers its pick and an open slot every target.  It
+    is pruned unless two necessary conditions hold.  First, a full choice
+    reaching every vertex holds a spanning tree, whose edges come from
+    distinct slots, so owner and match keep a matching of each vertex but
+    the root to a slot of another vertex that offers it (Hall, J. London
+    Math. Soc. 10, 1935).  A pick that takes a vertex from its slot repairs
+    it along a shortest alternating path (Hopcroft & Karp, SIAM J. Comput.
+    2(4), 1973), and a backtrack only widens slots.  Second, the optimistic
+    graph reaches every vertex.  via keeps that closure, with the slot whose
+    edge discovered each vertex.  Narrowing slot k to its first target
+    removes only slot k's other edges; when via discovered no vertex
+    through one of them, its spanning tree survives, and the child reaches
+    every vertex too.  Only a backtrack or a cut tree forces a walk.
     """
     slots_of: list[list[int]] = [[] for _ in range(size)]
-    indeg = [0] * size
-    indeg[root] = 1
+    offers: list[list[int]] = [[] for _ in range(size)]  # t -> other vertices' slots offering t
     for k, (v, targets) in enumerate(slots):
         slots_of[v].append(k)
         for t in targets:
-            indeg[t] += 1
+            if t != v:
+                offers[t].append(k)
+    owner = [-1] * size  # owner[t]: the slot matched to vertex t
+    match = [-1] * len(slots)  # match[k]: the vertex matched to slot k
     picks: list[int] = []  # picks[k]: index of the target chosen for slots[k]
-    best_reached = set(_walk(root, slots_of, slots, [0] * len(slots)))
+
+    def augment(u: int) -> bool:
+        """Match u along a shortest alternating path; False, changing nothing, if none."""
+        reached_from = {}  # slot -> the vertex whose search reached it
+        queue = [u]
+        for x in queue:
+            for s in offers[x]:
+                if s in reached_from or s < len(picks) and slots[s][1][picks[s]] != x:
+                    continue
+                reached_from[s] = x
+                if match[s] < 0:
+                    while s >= 0:
+                        x = reached_from[s]
+                        match[s], owner[x], s = x, s, owner[x]
+                    return True
+                queue.append(match[s])
+        return False
+
+    alive = all(augment(t) for t in range(size) if t != root)
     via = None
     while True:
-        leaf = len(picks) == len(slots)
-        if via is None:
-            stranded = indeg.count(0)
-            if not stranded or leaf and size - stranded > len(best_reached):
-                reach = _walk(root, slots_of, slots, picks)
-                if len(reach) == size:
-                    via = reach
-                elif leaf and len(reach) > len(best_reached):
-                    best_reached = set(reach)
+        if alive and via is None:
+            reach = _walk(root, slots_of, slots, picks)
+            if len(reach) == size:
+                via = reach
         if via is not None:
-            if leaf:
-                return picks, set(via)
             k = len(picks)
-            targets = slots[k][1]
+            if k == len(slots):
+                return picks
             picks.append(0)
-            if any(t != targets[0] and via[t] == k for t in targets[1:]):
+            if any(via[t] == k for t in slots[k][1][1:]):
                 via = None
-            for t in targets[1:]:
-                indeg[t] -= 1
-            continue
-        # Backtrack to the deepest slot with an untried target.
-        while picks:
-            targets = slots[len(picks) - 1][1]
-            j = picks[-1]
-            if j + 1 < len(targets):
-                picks[-1] += 1
-                indeg[targets[j]] -= 1
-                indeg[targets[j + 1]] += 1
-                break
-            picks.pop()
-            for t in targets[:j]:
-                indeg[t] += 1
         else:
-            return None, best_reached
+            # Backtrack to the deepest slot with an untried target.
+            while picks and picks[-1] + 1 == len(slots[len(picks) - 1][1]):
+                picks.pop()
+            if not picks:
+                return None
+            picks[-1] += 1
+        # Slot k now offers only its new pick: move its vertex, or prune.
+        k = len(picks) - 1
+        u, alive = match[k], True
+        if u >= 0 and u != slots[k][1][picks[k]]:
+            match[k] = owner[u] = -1
+            if not augment(u):
+                match[k], owner[u], alive, via = u, k, False, None
 
 
 def _checked_choice(

@@ -82,9 +82,17 @@ MALFORMED_CONTROLLERS = {
         StateFeedbackController({(FIRST, "c"): Fraction(0)}), ValidationError,
         "controller value 0 for event 'c' at [0.9,0.1,0] is below the uncontrollability floor 1",
     ),
+    "entry-below-a-fractional-floor": (
+        StateFeedbackController({(FIRST, "b"): Fraction(1, 20)}), ValidationError,
+        "controller value 0.05 for event 'b' at [0.9,0.1,0] is below the uncontrollability floor 0.1",
+    ),
     "default-below-floor": (
         StateFeedbackController({}, Fraction(0)), ValidationError,
         "controller default 0 is below the highest uncontrollability floor 1",
+    ),
+    "fractional-default-below-floor": (
+        StateFeedbackController({}, Fraction(1, 2)), ValidationError,
+        "controller default 0.5 is below the highest uncontrollability floor 1",
     ),
     "unknown-event": (
         StateFeedbackController({(FIRST, "zz"): Fraction(1)}), UnknownEvent,

@@ -716,8 +716,9 @@ class TestAttractorFixpoint:
 
     def test_draw_44_decides_without_the_controllability_search(self, monkeypatch):
         # ROADMAP K2: with its smallest attractor as the legal set, draw 44's
-        # first enumerated candidate was a set the backtracking search could
-        # not decide in minutes.
+        # first enumerated candidate was a set that the backtracking search,
+        # before its matching prune, could not decide in minutes.  The
+        # witness search still needs no controllability decision here.
         rng = random.Random(8)
         aut = [random_automaton(rng, 4, 3) for _ in range(45)][44]
         graph = accessible_part(aut)
