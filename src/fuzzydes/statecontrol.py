@@ -182,13 +182,13 @@ def chosen_graph(sg: SuccessorGraph, subgraph: ControllableSubgraph) -> Successo
 
 def check_controllable(aut: MaxMinAutomaton, P: Sequence[State]) -> ControllabilityVerdict:
     """Decide controllability of P by backtracking over per-(vertex, event)
-    target choices, and return the first full choice in slot order.
+    target choices; a yes carries the first full choice in slot order.
 
     Omitting an edge for a fully controllable event can never help
     reachability, so the search only considers full selections.  It drops
     any partial one whose optimistic completion (all open candidates
     present) strands a vertex or cannot give each vertex but the initial
-    state an entering edge of its own slot.  An exhausted search reports
+    state an entering edge from a slot of its own.  An exhausted search reports
     the vertices its all-first-target choice strands.
     """
     states = tuple(P)

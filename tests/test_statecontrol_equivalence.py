@@ -425,7 +425,7 @@ def random_slot_lists(rng, count):
 
 
 class TestSearchOnRandomSlotLists:
-    def test_choices_and_stranded_sets_match_the_reference(self):
+    def test_choices_match_the_reference(self):
         cases = [
             # Root 0 reaches 1 only through slot 0's second target.
             (0, 3, [(0, [2, 1]), (1, [2])]),
