@@ -17,7 +17,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 # _record and cli's handler modules are registered too, so that no module
 # imported by cli adds an attribute to the package later.
 _MODULES = ("_record", "errors", "graph", "possibility", "automaton", "reachability",
-            "statecontrol", "language", "stability", "fileio",
+            "_moves", "statecontrol", "language", "stability", "fileio",
             "_cli_plant", "_cli_reach", "_cli_control", "_cli_language", "_cli_stability")
 
 for _name in _MODULES:

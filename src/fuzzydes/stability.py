@@ -11,6 +11,13 @@ legal states with a controllable set that funnels into it, and are found by
 a controllable-attractor fixpoint over the grid scalings of the open-loop
 reachable states.
 
+The moves within a state set come from _moves, which owns them: the
+invariance checks, the witness verifier and the witness search read its
+_expand, and the verifier checks and realizes a funnel choice through its
+_checked_choice and _realize.  statecontrol owns the decision; the
+verifier calls its _decide only for a supplied witness without a subgraph,
+so a search runs no statecontrol code.
+
 Every fixpoint here is one call of graph.attractor, the counter worklist:
 the invariant subset and its attractor over int-coded states, and the
 peelings that find the smallest attractor (from the sources) and test
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from . import statecontrol
+from . import _moves, statecontrol
 from ._record import Record
 from .automaton import (
     MaxMinAutomaton,
@@ -108,14 +115,14 @@ def largest_controllable_invariant(
     invariant sets are closed under union.
 
     The dropped states are an attractor over one expansion of N
-    (statecontrol._expand): a member leaves once one of its forced events,
+    (_moves._expand): a member leaves once one of its forced events,
     those with a floor, has lost every target.  Survivors keep their order
     in N.
     """
     states = tuple(N)
     slots = [
         [[t for t, _ in moves] for ev, _, moves in row if ev.coded_uc]
-        for row in statecontrol._expand(aut, _validated_codes(aut, states))
+        for row in _moves._expand(aut, _validated_codes(aut, states))
     ]
     seeds = [v for v, targets in enumerate(slots) if not all(targets)]
     gone = attractor(slots, len, [1] * len(slots), seeds)
@@ -132,17 +139,15 @@ class StabilizabilityWitness(Record):
     n_prime: tuple[State, ...]
     p_set: tuple[State, ...]
     controller: Optional[StateFeedbackController] = None
-    subgraph: Optional[statecontrol.ControllableSubgraph] = None
+    subgraph: Optional[_moves.ControllableSubgraph] = None
 
 
 def _stabilizing(
     aut: MaxMinAutomaton, N: Sequence[State], w: StabilizabilityWitness
 ) -> Optional[StateFeedbackController]:
     """The redirected funnel controller of a witness that verifies, else
-    None, realized through the witness's subgraph or the one the decision
-    finds.  N, N', P and a supplied controller are validated once each; N'
-    is expanded once, for invariance and redirection, and P once, for the
-    decision and the choice check."""
+    None.  N, N', P and a supplied controller are validated once each, and
+    N' is checked to lie in N, before _redirected runs on their codes."""
     legal = set(_validated_codes(aut, tuple(N)))
     n_prime = _validated_codes(aut, w.n_prime)
     p_set = _validated_codes(aut, w.p_set)
@@ -153,18 +158,28 @@ def _stabilizing(
             "target set is not contained in the legal set",
             counterexample=tuple(q for q, code in zip(w.n_prime, n_prime) if code not in legal),
         )
-    moves = statecontrol._expand(aut, n_prime)
+    return _redirected(aut, w, n_prime, p_set)
+
+
+def _redirected(
+    aut: MaxMinAutomaton, w: StabilizabilityWitness, n_prime: tuple[Code, ...], p_set: tuple[Code, ...]
+) -> Optional[StateFeedbackController]:
+    """_stabilizing on the codes of a well-formed witness's N' and P:
+    realized through the witness's subgraph or the one the decision
+    (statecontrol._decide) finds.  N' is expanded once, for invariance and
+    redirection, and P once, for the decision and the choice check."""
+    moves = _moves._expand(aut, n_prime)
     if any(ev.coded_uc and not targets for row in moves for ev, _, targets in row) or not p_set:
         return None  # N' is not controllable invariant, or there is no funnel
-    funnel = statecontrol._expand(aut, p_set)
+    funnel = _moves._expand(aut, p_set)
     subgraph = w.subgraph or statecontrol._decide(aut, w.p_set, p_set, funnel).subgraph
     if subgraph is None:  # the funnel set is not controllable
         return None
     try:  # the subgraph against C1, C2 and reachability
-        alphas = statecontrol._checked_choice(aut, p_set, funnel, subgraph)
+        alphas = _moves._checked_choice(aut, p_set, funnel, subgraph)
     except ValidationError:
         return None
-    f_prime = statecontrol._realize(w.p_set, alphas)
+    f_prime = _moves._realize(w.p_set, alphas)
     chosen = TransitionGraph(aut.initial, w.p_set, subgraph.edges())
     if not all(_conditions(chosen, set(w.n_prime))[1:]):  # connected, acyclic outside
         return None
@@ -267,7 +282,7 @@ def search_stabilizing_witness(
     states = _universe(aut, map(encode_state, N))
     ids = {q: v for v, q in enumerate(states)}
     root = ids[aut.coded_initial]
-    expansion = statecontrol._expand(aut, states)
+    expansion = _moves._expand(aut, states)
     forced = [[move for move in row if move[0].coded_uc] for row in expansion]
     # A strategy fills the forced events at a state, or every event when none is.
     events = [f or row for f, row in zip(forced, expansion)]
@@ -289,12 +304,19 @@ def search_stabilizing_witness(
 
     picks: dict[int, list[tuple[str, int]]] = {}
     funnel = {v: decode_state(states[v]) for v in bfs(root, lambda v: picks.setdefault(v, chosen(v))).dist}
+    target = [(q, code) for q, code in zip(invariant, kept) if ids.get(code) in funnel]
     witness = StabilizabilityWitness(
-        tuple(q for q, code in zip(invariant, kept) if ids.get(code) in funnel),
+        tuple(q for q, _ in target),
         tuple(funnel.values()),
-        subgraph=statecontrol.ControllableSubgraph(
+        subgraph=_moves.ControllableSubgraph(
             {(funnel[v], name): funnel[t] for v in funnel for name, t in picks[v]}
         ),
     )
-    controller = synthesize_stabilizing_controller(aut, N, witness)
+    # N' holds members of N*, itself validated and inside N, and P distinct
+    # nonzero scalings from U: well formed, so the verifier's core takes
+    # their codes as they are.
+    n_prime, p_set = tuple(code for _, code in target), tuple(states[v] for v in funnel)
+    controller = _redirected(aut, witness, n_prime, p_set)
+    if controller is None:
+        raise WitnessRejected("witness failed verification")
     return StabilizabilityWitness(witness.n_prime, witness.p_set, controller, witness.subgraph)

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import settings
@@ -9,6 +12,21 @@ settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None
 settings.load_profile("ci")
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def child_stdout(script: str, deadline: float) -> str:
+    """Run the python script in a child process, with src/ and tests/ on
+    its path, that subprocess.run kills at the deadline; the test fails then
+    or when the child exits non-zero.  Returns the child's stdout."""
+    src = pathlib.Path(sys.modules["fuzzydes"].__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(DATA.parent)]))
+    try:
+        child = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=deadline)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no verdict within {deadline:g} s")
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 def load_automaton(name):

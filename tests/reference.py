@@ -1,6 +1,7 @@
 """Helpers that only the tests use: an oracle for the scaling floors, a
 controller builder, the replaying supervisor rule, the choice check by its
-definition, and the writers of the automaton, controller and language
+definition (the oracle of _moves._checked_choice, which reads the moves of
+_moves._expand), and the writers of the automaton, controller and language
 documents.
 
 The writers give the round-trip tests and the golden recorder the canonical
@@ -87,7 +88,7 @@ def reference_synthesize_controller(
     must have a chosen edge (C2), then the chosen edges must reach every
     member from the initial state.  A malformed choice raises what the
     library raises, with its message.  The oracle of
-    statecontrol._checked_choice, which reads each alpha from the set's
+    _moves._checked_choice, which reads each alpha from the set's
     expansion in closed form."""
     states = tuple(P)
     members = set(states)

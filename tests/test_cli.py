@@ -333,21 +333,37 @@ class TestStabilityCommands:
         )
         assert code == 0 and "stabilizing controller" in out
 
-    def test_supplied_witness_is_verified_once(self, capsys, monkeypatch):
-        # One controllability decision on the funnel set P, and P validated
-        # once, in every fuzzydes module that binds the validator.
-        decided, validated = [], []
-        real_decide, real_validate = statecontrol._decide, automaton._validated_codes
-        monkeypatch.setattr(statecontrol, "_decide", lambda *a: decided.append(a) or real_decide(*a))
+    @staticmethod
+    def _validations(monkeypatch):
+        """The state sets validated from now on, in every fuzzydes module
+        that binds the validator."""
+        validated, real_validate = [], automaton._validated_codes
         for name, module in list(sys.modules.items()):
             if name.startswith("fuzzydes") and getattr(module, "_validated_codes", None) is real_validate:
                 monkeypatch.setattr(module, "_validated_codes",
                                     lambda aut, states: validated.append(states) or real_validate(aut, states))
+        return validated
+
+    def test_supplied_witness_is_verified_once(self, capsys, monkeypatch):
+        # One controllability decision on the funnel set P, and P validated
+        # once.
+        decided, real_decide = [], statecontrol._decide
+        monkeypatch.setattr(statecontrol, "_decide", lambda *a: decided.append(a) or real_decide(*a))
+        validated = self._validations(monkeypatch)
         path = GOLDEN / "drift_witness_given.json"
         code, out, _ = invoke(capsys, "stabilize", "--automaton", DRIFT, "--spec", str(path))
         assert code == 0 and "stabilizing controller" in out
         p_set = tuple(map(make_state, json.loads(path.read_text())["p"]))
         assert len(decided) == 1 and validated.count(p_set) == 1
+
+    def test_searched_witness_validates_only_the_legal_set(self, capsys, monkeypatch):
+        # The search builds N' and P from codes it holds and verifies them
+        # unvalidated; only N is validated, once.
+        validated = self._validations(monkeypatch)
+        path = GOLDEN / "drift_witness_search.json"
+        code, out, _ = invoke(capsys, "stabilize", "--automaton", DRIFT, "--spec", str(path))
+        assert code == 0 and "stabilizing controller" in out
+        assert validated == [tuple(map(make_state, json.loads(path.read_text())["n"]))]
 
     def test_target_set_outside_the_legal_set_exits_two(self, capsys, tmp_path):
         spec = tmp_path / "w.json"

@@ -212,7 +212,8 @@ def test_the_cli_imports_no_dataclass_machinery():
 
 # The fuzzydes modules each subcommand runs, beyond the ones every command
 # runs, and its options; the other modules stay registered and unexecuted.
-# Each command runs its family's handler module (_cli_*) and no other.
+# Each command runs its family's handler module (_cli_*) and no other.  A
+# key names the subcommand and, for a second run of it, what differs.
 EVERY_COMMAND = ["_record", "automaton", "cli", "errors", "fileio", "possibility"]
 PLANT, DRIFT = str(DATA / "treatment_plant.json"), str(DATA / "drift_plant.json")
 ADMISSIBLE, LANGUAGE = str(DATA / "admissible_set.json"), str(DATA / "drift_language.json")
@@ -220,23 +221,32 @@ COMMAND_RUNS = {
     "reach": (["_cli_reach", "graph", "reachability"], ["--automaton", PLANT]),
     "member": (["_cli_reach", "graph", "reachability"],
                ["--automaton", PLANT, "--spec", "state:[0.5,0.1,0.1]"]),
-    "succ": (["_cli_control", "statecontrol"], ["--automaton", PLANT, "--spec", ADMISSIBLE]),
-    "check-controllable": (["_cli_control", "graph", "statecontrol"],
+    "succ": (["_cli_control", "_moves", "statecontrol"], ["--automaton", PLANT, "--spec", ADMISSIBLE]),
+    "check-controllable": (["_cli_control", "_moves", "graph", "statecontrol"],
                            ["--automaton", PLANT, "--spec", ADMISSIBLE]),
-    "synthesize": (["_cli_control", "graph", "statecontrol"],
+    "synthesize": (["_cli_control", "_moves", "graph", "statecontrol"],
                    ["--automaton", PLANT, "--spec", ADMISSIBLE]),
     "check-language": (["_cli_language", "language"], ["--automaton", DRIFT, "--spec", LANGUAGE]),
     "derive-supervisor": (["_cli_language", "language"],
                           ["--automaton", DRIFT, "--spec", LANGUAGE]),
-    "bridge": (["_cli_language", "graph", "language", "statecontrol"],
+    "bridge": (["_cli_language", "_moves", "graph", "language", "statecontrol"],
                ["--automaton", DRIFT, "--spec", str(GOLDEN / "drift_consistent_language.json")]),
     "stability": (["_cli_stability", "graph", "stability"],
                   ["--automaton", DRIFT, "--spec", "state:[0.4,0.1,0]"]),
-    "stabilize": (["_cli_stability", "graph", "stability", "statecontrol"],
+    # A search over a legal set reads the moves and never decides one.
+    "stabilize": (["_cli_stability", "_moves", "graph", "stability"],
                   ["--automaton", DRIFT, "--spec", "state:[0.4,0.1,0]"]),
+    # A supplied witness without a subgraph is the one stabilize run that
+    # decides its funnel set.
+    "stabilize witness": (["_cli_stability", "_moves", "graph", "stability", "statecontrol"],
+                          ["--automaton", DRIFT, "--spec", str(GOLDEN / "drift_witness_given.json")]),
     "simulate": (["_cli_plant"],
                  ["--automaton", PLANT, "--spec", str(DATA / "reference_controller.json")]),
     "export-dot": (["_cli_plant", "graph"], ["--automaton", PLANT]),
+    "export-dot successor": (["_cli_plant", "_moves", "statecontrol"],
+                             ["--automaton", PLANT, "--spec", ADMISSIBLE, "--what", "successor"]),
+    "export-dot subgraph": (["_cli_plant", "_moves", "graph", "statecontrol"],
+                            ["--automaton", PLANT, "--spec", ADMISSIBLE, "--what", "subgraph"]),
 }
 
 
@@ -245,6 +255,7 @@ def test_each_command_runs_only_the_modules_it_needs(command):
     """And adds no attribute to the package once fuzzydes.cli is imported:
     the bench tracer iterates the package's vars() while it loads modules."""
     extra, options = COMMAND_RUNS[command]
+    command = command.split()[0]
     src = pathlib.Path(fuzzydes.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import importlib.util, json, sys, fuzzydes, fuzzydes.cli; "

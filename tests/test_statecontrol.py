@@ -1,8 +1,5 @@
 import inspect
-import os
-import pathlib
 import random
-import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
@@ -27,6 +24,7 @@ from fuzzydes import (
     search_stabilizing_witness,
     synthesize_controller,
 )
+from conftest import child_stdout
 from generators import COARSE, random_automaton, random_controller
 from test_statecontrol_equivalence import GOLDEN, forced_events
 
@@ -235,9 +233,7 @@ def _decided_in_a_child(setup: str, deadline: float) -> str:
     check_controllable and synthesize_controller on each pair in a child
     process that subprocess.run kills at the deadline.  Returns the child's
     stdout: one line "<size of the set> <verdict>" per pair."""
-    tests = pathlib.Path(__file__).resolve().parent
-    src = pathlib.Path(sys.modules["fuzzydes"].__file__).resolve().parent.parent
-    script = (
+    return child_stdout(
         "import pathlib, random\n"
         "from fuzzydes import (accessible_part, check_controllable, parse_automaton,\n"
         "                      parse_spec, synthesize_controller)\n"
@@ -246,16 +242,9 @@ def _decided_in_a_child(setup: str, deadline: float) -> str:
         "for aut, P in cases:\n"
         "    verdict = check_controllable(aut, P)\n"
         "    synthesize_controller(aut, P, verdict.subgraph)\n"
-        "    print(len(P), verdict.controllable)\n"
+        "    print(len(P), verdict.controllable)\n",
+        deadline,
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
-    try:
-        child = subprocess.run([sys.executable, "-c", script], env=env,
-                               capture_output=True, text=True, timeout=deadline)
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"no verdict within {deadline:g} s")
-    assert child.returncode == 0, child.stderr
-    return child.stdout
 
 
 class TestControllability:

@@ -21,6 +21,7 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, strategies as st
 
+import fuzzydes._moves as moves
 import fuzzydes.possibility as possibility
 import fuzzydes.statecontrol as statecontrol
 from fuzzydes import (
@@ -43,7 +44,7 @@ from fuzzydes import (
 )
 from fuzzydes.graph import bfs, closure
 from fuzzydes.possibility import ScaleSolution, decode_value, encode_state, encode_value
-from fuzzydes.statecontrol import ScalingIndex
+from fuzzydes._moves import ScalingIndex
 from generators import GRID11, random_automaton, random_controller
 from reference import reference_synthesize_controller
 
@@ -534,7 +535,7 @@ class TestComplexity:
             built.append(len(states))
             return ScalingIndex(states)
 
-        monkeypatch.setattr(statecontrol, "ScalingIndex", counting)
+        monkeypatch.setattr(moves, "ScalingIndex", counting)
         kept = largest_controllable_invariant(aut, N)
         assert (len(N), len(N) - len(kept), built) == (82, 58, [82])
 
